@@ -459,12 +459,21 @@ def _load_truth_market(path, panel_dates) -> np.ndarray:
         header = next(reader)
         if header[:2] != ["date", "market"]:
             raise ConfigError(f"{path}: expected a truth_series.csv layout")
-        for row in reader:
+        for lineno, row in enumerate(reader, start=2):
             if not row or not row[0].strip():
                 continue
-            d = np.datetime64(row[0], "D").item()
+            try:
+                d = np.datetime64(row[0].strip(), "D").item()
+            except ValueError:
+                raise ConfigError(f"{path}: line {lineno}: bad date {row[0]!r}") from None
+            try:
+                v = float(row[1])
+            except (ValueError, IndexError):
+                raise ConfigError(
+                    f"{path}: line {lineno}: bad market value on {d}"
+                ) from None
             if d in pos:
-                out[pos[d]] = float(row[1])
+                out[pos[d]] = v
     return out
 
 

@@ -12,12 +12,14 @@ Two constructions are provided:
     scaled to an annualized volatility target, with the same cost-aware
     trade tempering.
 
-The long-only optimizer is a cyclic coordinate ascent with exact
-per-coordinate line search (the objective is concave: linear signal term
-minus a convex piecewise 3/2-power cost), plus pairwise exchange moves that
-handle the budget coupling when the AUM constraint binds. The zero-cost
-case is dispatched to the exact greedy solution of the underlying linear
-program.
+The long-only problem is separable and concave (a linear signal term minus
+a convex piecewise 3/2-power cost per asset) with box constraints and one
+budget coupling, so it is solved exactly through the single dual price of
+the budget: every asset takes its closed-form best response to that price,
+and the price that fills the budget is found among the sorted breakpoints
+of the responses (water filling; Patriksson, "A survey on the continuous
+nonlinear resource allocation problem", EJOR 2008). The zero-cost case is
+dispatched to the exact greedy solution of the underlying linear program.
 """
 
 from __future__ import annotations
@@ -103,6 +105,13 @@ def estimate_beta(asset_returns: np.ndarray, index_returns: np.ndarray,
     return float(out[0]) if squeeze else out
 
 
+def _window_sums(a: np.ndarray, window: int) -> np.ndarray:
+    """Column sums of a (T, N) array over the trailing window ending at
+    (including) each row, as differences of cumulative sums."""
+    c = np.vstack([np.zeros((1, a.shape[1])), np.cumsum(a, axis=0)])
+    return c[1:] - c[np.maximum(0, np.arange(len(a)) - window + 1)]
+
+
 def rolling_betas(returns: np.ndarray, index_returns: np.ndarray,
                   window: int = 250, min_obs: int | None = None) -> np.ndarray:
     """Trailing-window betas for every date, windows ending at (including) t."""
@@ -112,25 +121,14 @@ def rolling_betas(returns: np.ndarray, index_returns: np.ndarray,
     valid = np.isfinite(returns) & np.isfinite(index_returns)[:, None]
     x = np.where(valid, index_returns[:, None], 0.0)
     y = np.where(valid, returns, 0.0)
-
-    def cum(a):
-        return np.vstack([np.zeros((1, n)), np.cumsum(a, axis=0)])
-
-    cn = cum(valid.astype(float))
-    cx, cy = cum(x), cum(y)
-    cxx, cxy = cum(x * x), cum(x * y)
+    cnt = _window_sums(valid.astype(float), window)
+    sx, sy = _window_sums(x, window), _window_sums(y, window)
+    sxx, sxy = _window_sums(x * x, window), _window_sums(x * y, window)
     out = np.full((t_total, n), np.nan)
-    for t in range(t_total):
-        lo = max(0, t - window + 1)
-        cnt = cn[t + 1] - cn[lo]
-        sx = cx[t + 1] - cx[lo]
-        sy = cy[t + 1] - cy[lo]
-        sxx = cxx[t + 1] - cxx[lo]
-        sxy = cxy[t + 1] - cxy[lo]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            denom = sxx - sx * sx / np.maximum(cnt, 1)
-            ok = (cnt >= min_obs) & (denom > 0)
-            out[t, ok] = (sxy[ok] - sx[ok] * sy[ok] / cnt[ok]) / denom[ok]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        denom = sxx - sx * sx / np.maximum(cnt, 1)
+        ok = (cnt >= min_obs) & (denom > 0)
+        out[ok] = (sxy[ok] - sx[ok] * sy[ok] / cnt[ok]) / denom[ok]
     return out
 
 
@@ -140,19 +138,13 @@ def rolling_vols(returns: np.ndarray, window: int = 250,
     t_total, n = returns.shape
     valid = np.isfinite(returns)
     y = np.where(valid, returns, 0.0)
-    cn = np.vstack([np.zeros((1, n)), np.cumsum(valid.astype(float), axis=0)])
-    cy = np.vstack([np.zeros((1, n)), np.cumsum(y, axis=0)])
-    cyy = np.vstack([np.zeros((1, n)), np.cumsum(y * y, axis=0)])
+    cnt = _window_sums(valid.astype(float), window)
+    s, ss = _window_sums(y, window), _window_sums(y * y, window)
     out = np.full((t_total, n), np.nan)
-    for t in range(t_total):
-        lo = max(0, t - window + 1)
-        cnt = cn[t + 1] - cn[lo]
-        s = cy[t + 1] - cy[lo]
-        ss = cyy[t + 1] - cyy[lo]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            var = (ss - s * s / np.maximum(cnt, 1)) / np.maximum(cnt - 1, 1)
-            ok = cnt >= min_obs
-            out[t, ok] = np.sqrt(np.maximum(var[ok], 0.0))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        var = (ss - s * s / np.maximum(cnt, 1)) / np.maximum(cnt - 1, 1)
+        ok = cnt >= min_obs
+        out[ok] = np.sqrt(np.maximum(var[ok], 0.0))
     return out
 
 
@@ -275,58 +267,138 @@ def _greedy_fill(scores: np.ndarray, cap: float, budget: float,
     return w
 
 
-def _piece_argmax(s: float, p: float, lin: float, k: float,
-                  lo: float, hi: float) -> float:
-    """argmax over [lo, hi] of s*w - lin*|w-p| - k*|w-p|^1.5 (concave)."""
-    if s > lin:
-        w = p + ((s - lin) / (1.5 * k)) ** 2 if k > 0 else math.inf
-    elif s < -lin:
-        w = p - ((-s - lin) / (1.5 * k)) ** 2 if k > 0 else -math.inf
+def _piece_argmax(lam, a, c, p, d, lo, hi):
+    """Per-asset argmax over [lo, hi] of (s - lam)*w - lin*|w - p| - k*|w - p|^1.5.
+
+    Vectorized over assets, given a = s - lin, c = s + lin and d = 1.5*k.
+    The asset buys while lam < a, sells while lam > c and holds p in
+    between; with d = 0 (a purely linear cost) buying and selling run to the
+    bounds.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.where(lam < a, p + ((a - lam) / d) ** 2,
+                     np.where(lam > c, p - ((lam - c) / d) ** 2, p))
+    return np.clip(w, lo, hi)
+
+
+def _solve_budget_dual(s, p, lin, d, u, budget, floor):
+    """Exact maximizer of sum(s*w - lin*|w - p| - (d/1.5)*|w - p|^1.5) over
+    {0 <= w <= u, floor <= sum(w) <= budget}.
+
+    Pricing the sum at lam separates the assets: each takes
+    _piece_argmax(lam), and the book total is non-increasing in lam. lam is
+    0 when that book is feasible, positive when the budget binds and negative
+    when the floor binds. Each asset's response has five breakpoints in lam
+    (where it hits the cap, stops buying, starts selling, leaves the cap from
+    above, hits zero); between breakpoints it is constant or quadratic in
+    lam. A binary search over the sorted breakpoints finds the segment that
+    holds the target total, and the quadratic is solved there exactly.
+    Assets with d = 0 are step functions of lam: at a breakpoint their jumps
+    are filled by score, then by index, as the greedy fill does.
+    """
+    a, c = s - lin, s + lin
+    b1 = a - d * np.sqrt(np.maximum(u - p, 0.0))
+    b4 = c + d * np.sqrt(np.maximum(p - u, 0.0))
+    b5 = c + d * np.sqrt(p)
+    step = d == 0
+    has_step = bool(np.any(step))
+
+    def book(lam):
+        """Right and left limits in lam of the per-asset response."""
+        w = _piece_argmax(lam, a, c, p, d, 0.0, u)
+        if not has_step:
+            return w, w
+        return (np.where(step & (c == lam), 0.0, w),
+                np.where(step & (a == lam), u, w))
+
+    lo_book, hi_book = book(0.0)
+    if np.sum(lo_book) > budget:
+        target = budget
+    elif np.sum(hi_book) < floor:
+        target = floor
     else:
-        w = p
-    return min(max(w, lo), hi)
+        return _fill_jumps(lo_book, hi_book, s, max(float(np.sum(lo_book)), floor))
+
+    grid = np.sort(np.concatenate([b1, a, c, b4, b5, [0.0]]))
+    # invariant: total(grid[left]) > target >= total(grid[right]), where the
+    # total is the right limit; grid[-1] prices every asset out of the book
+    left, right = -1, len(grid) - 1
+    while right - left > 1:
+        probe = (left + right) // 2
+        if np.sum(book(grid[probe])[0]) > target:
+            left = probe
+        else:
+            right = probe
+    lam_hi = grid[right]
+    lo_book, hi_book = book(lam_hi)
+    if np.sum(hi_book) >= target or left < 0:
+        return _fill_jumps(lo_book, hi_book, s, target)
+
+    # the total crosses the target strictly inside (lam_lo, lam_hi), where
+    # no asset changes regime: sum(w) = A0 + A1*x + A2*x^2 with x = lam - lam_lo
+    lam_lo = grid[left]
+    mid = 0.5 * (lam_lo + lam_hi)
+    up = ~step & (b1 < mid) & (mid < a)
+    down = ~step & (b4 < mid) & (mid < b5)
+    with np.errstate(divide="ignore"):
+        iq = 1.0 / (d * d)
+    alpha = a[up] - lam_lo
+    beta = lam_lo - c[down]
+    fixed = ~(up | down)
+    a0 = float(np.sum(_piece_argmax(mid, a, c, p, d, 0.0, u)[fixed])
+               + np.sum(p[up]) + np.sum(p[down])
+               + np.sum(alpha * alpha * iq[up]) - np.sum(beta * beta * iq[down]))
+    a1 = -2.0 * float(np.sum(alpha * iq[up]) + np.sum(beta * iq[down]))
+    a2 = float(np.sum(iq[up]) - np.sum(iq[down]))
+    excess = a0 - target
+    root = math.sqrt(max(a1 * a1 - 4.0 * a2 * excess, 0.0))
+    denom = root - a1
+    x = 2.0 * excess / denom if denom > 0 else lam_hi - lam_lo
+    lam = lam_lo + min(max(x, 0.0), lam_hi - lam_lo)
+    w = _piece_argmax(lam, a, c, p, d, 0.0, u)
+    # lam carries one rounding, which a very liquid asset (tiny d) turns into
+    # a visible miss of the target; hand the miss to the moving assets in
+    # proportion to their sensitivity dw/dlam
+    slope = np.zeros(len(w))
+    slope[up] = 2.0 * (a[up] - lam) * iq[up]
+    slope[down] = 2.0 * (lam - c[down]) * iq[down]
+    total = float(np.sum(slope))
+    if total > 0:
+        w = np.clip(w + (target - float(np.sum(w))) * (slope / total), 0.0, u)
+    return w
 
 
-def _piece_value(w, p, s, lin, k):
-    d = np.abs(w - p)
-    return s * w - lin * d - k * d ** 1.5
-
-
-def _grad_up(w, p, s, lin, k):
-    """Right derivative of the per-asset objective at w."""
-    d = w - p
-    if d > 0:
-        return s - lin - 1.5 * k * math.sqrt(d)
-    if d < 0:
-        return s + lin + 1.5 * k * math.sqrt(-d)
-    return s - lin
-
-
-def _grad_down(w, p, s, lin, k):
-    """Left derivative of the per-asset objective at w."""
-    d = w - p
-    if d > 0:
-        return s - lin - 1.5 * k * math.sqrt(d)
-    if d < 0:
-        return s + lin + 1.5 * k * math.sqrt(-d)
-    return s + lin
+def _fill_jumps(lo_book, hi_book, s, target):
+    """Raise lo_book toward hi_book until it totals target, best score
+    first, ties by index."""
+    room = hi_book - lo_book
+    short = target - float(np.sum(lo_book))
+    if short <= 0 or not np.any(room > 0):
+        return lo_book
+    order = np.lexsort((np.arange(len(s)), -s))
+    before = np.cumsum(room[order]) - room[order]
+    take = np.empty_like(room)
+    take[order] = np.clip(short - before, 0.0, room[order])
+    return lo_book + take
 
 
 def optimize_long_only(scores: np.ndarray, prev_positions: np.ndarray,
                        adv: np.ndarray, sigma_daily: np.ndarray, aum: float,
                        cost_params: CostModelParams, cap: float = 0.03,
-                       cost_aversion: float = 1.0, min_invested: float = 0.0,
-                       tol: float = 1e-9, max_rounds: int = 200) -> np.ndarray:
+                       cost_aversion: float = 1.0,
+                       min_invested: float = 0.0) -> np.ndarray:
     """Daily long-only book: maximize sum(w * score) - trading cost.
 
-    Feasible set: w >= 0, w_i <= cap * aum, sum(w) <= aum. Assets without a
-    price-impact input (missing or non-positive ADV, missing vol while impact
-    is on) are frozen at their previous position and excluded from the
-    optimization; a missing score counts as zero so the cost barrier decides
-    whether the position survives.
+    Feasible set: w >= 0, w_i <= cap * aum, sum(w) <= aum, and, when
+    min_invested > 0, the optimized assets sum to at least min_invested * aum
+    as far as the budget reaches. Assets without a price-impact input
+    (missing or non-positive ADV, missing vol while impact is on) are frozen
+    at their previous position and excluded from the optimization; a missing
+    score counts as zero so the cost barrier decides whether the position
+    survives.
 
-    The returned book is feasible and its objective is at least the
-    objective of not trading.
+    The returned book is the exact optimum (see _solve_budget_dual); at
+    zero cost it is the greedy linear-program fill.
     """
     if aum <= 0:
         raise PortfolioError("aum must be positive")
@@ -370,103 +442,8 @@ def optimize_long_only(scores: np.ndarray, prev_positions: np.ndarray,
     if cost_params.impact_coeff > 0:
         kv = cost_aversion * cost_params.impact_coeff * \
             np.asarray(sigma_daily, dtype=float)[idx] / np.sqrt(np.asarray(adv, dtype=float)[idx])
-    sv = s[idx]
-    pv = prev[idx]
-    w = project_capped_simplex(pv, u, budget)
-
-    def objective(wv):
-        return float(np.sum(_piece_value(wv, pv, sv, lin, kv)))
-
-    obj = objective(w)
-    tol_abs = tol * max(aum, abs(obj))
-    m = len(idx)
-    for _ in range(max_rounds):
-        round_start = obj
-        # cyclic sweeps with exact per-coordinate line search
-        for _ in range(50):
-            slack = budget - float(np.sum(w))
-            improved = 0.0
-            for i in range(m):
-                hi = min(u, w[i] + slack)
-                wi = _piece_argmax(sv[i], pv[i], lin, kv[i], 0.0, hi)
-                if wi != w[i]:
-                    gain = _piece_value(wi, pv[i], sv[i], lin, kv[i]) - \
-                        _piece_value(w[i], pv[i], sv[i], lin, kv[i])
-                    if gain > 0:
-                        slack -= wi - w[i]
-                        w[i] = wi
-                        improved += gain
-            obj += improved
-            if improved < tol_abs:
-                break
-        # pairwise exchanges when the budget binds
-        slack = budget - float(np.sum(w))
-        if slack <= 1e-9 * aum + tol_abs:
-            for _ in range(10 * m):
-                gup = np.array([
-                    _grad_up(w[i], pv[i], sv[i], lin, kv[i]) if w[i] < u - 1e-12 * aum
-                    else -math.inf for i in range(m)
-                ])
-                gdn = np.array([
-                    _grad_down(w[j], pv[j], sv[j], lin, kv[j]) if w[j] > 1e-12 * aum
-                    else math.inf for j in range(m)
-                ])
-                ups = np.argsort(-gup, kind="stable")[:16]
-                dns = np.argsort(gdn, kind="stable")[:16]
-                best_gain, best_move = 0.0, None
-                for i in ups:
-                    for j in dns:
-                        if i == j or gup[i] - gdn[j] <= 0:
-                            continue
-                        dmax = min(u - w[i], w[j])
-                        if dmax <= 0:
-                            continue
-                        lo_, hi_ = 0.0, dmax
-                        if _grad_up(w[i] + dmax, pv[i], sv[i], lin, kv[i]) - \
-                                _grad_down(w[j] - dmax, pv[j], sv[j], lin, kv[j]) >= 0:
-                            step = dmax
-                        else:
-                            for _ in range(80):
-                                mid = 0.5 * (lo_ + hi_)
-                                d_phi = _grad_up(w[i] + mid, pv[i], sv[i], lin, kv[i]) \
-                                    - _grad_down(w[j] - mid, pv[j], sv[j], lin, kv[j])
-                                if d_phi > 0:
-                                    lo_ = mid
-                                else:
-                                    hi_ = mid
-                            step = lo_
-                        if step <= 0:
-                            continue
-                        gain = (
-                            _piece_value(w[i] + step, pv[i], sv[i], lin, kv[i])
-                            - _piece_value(w[i], pv[i], sv[i], lin, kv[i])
-                            + _piece_value(w[j] - step, pv[j], sv[j], lin, kv[j])
-                            - _piece_value(w[j], pv[j], sv[j], lin, kv[j])
-                        )
-                        if gain > best_gain:
-                            best_gain, best_move = gain, (i, j, step)
-                if best_move is None or best_gain < tol_abs:
-                    break
-                i, j, step = best_move
-                w[i] += step
-                w[j] -= step
-                obj += best_gain
-        if obj - round_start < tol_abs:
-            break
-
-    if min_invested > 0:
-        total = float(np.sum(w))
-        floor = min_invested * aum
-        if total < floor:
-            order = np.lexsort((np.arange(m), -sv))
-            for i in order:
-                if total >= floor:
-                    break
-                add = min(u - w[i], floor - total)
-                w[i] += add
-                total += add
-
-    out[idx] = np.clip(w, 0.0, u)
+    floor = min(min_invested * aum, budget, n_free * u)
+    out[idx] = _solve_budget_dual(s[idx], prev[idx], lin, 1.5 * kv, u, budget, floor)
     return out
 
 
@@ -580,11 +557,8 @@ def build_long_short(scores: np.ndarray, cleaned: CleanedCorrelation,
             if not np.all(ok):
                 raise PortfolioError("missing ADV on a long-short book asset")
             kimp = cost_aversion * cost_params.impact_coeff * sig / np.sqrt(adv_v)
-        lo = np.minimum(prev, w)
-        hi = np.maximum(prev, w)
-        tempered = np.empty(k)
-        for i in range(k):
-            tempered[i] = _piece_argmax(s[i], prev[i], lin, kimp[i], lo[i], hi[i])
+        tempered = _piece_argmax(0.0, s - lin, s + lin, prev, 1.5 * kimp,
+                                 np.minimum(prev, w), np.maximum(prev, w))
         w = finalize(tempered)
 
     out = np.zeros(len(scores))
@@ -626,7 +600,9 @@ class BacktestResult:
 
     Cost series are stored as non-positive P&L contributions and the total
     is their fixed-order sum with the return component, so the decomposition
-    adds up exactly by construction.
+    adds up exactly by construction. vol_warning is 1 on the LS days whose
+    volatility target was out of reach (capped book, or flat for want of
+    two eligible assets) and 0 otherwise; it is always 0 for LH.
     """
 
     dates: np.ndarray
@@ -643,12 +619,13 @@ class BacktestResult:
     net_stock: np.ndarray
     hedge_notional: np.ndarray
     predicted_vol: np.ndarray
+    vol_warning: np.ndarray
     positions: np.ndarray
 
     COLUMNS = (
         "ret_pnl", "trading_cost", "financing_cost", "borrow_cost",
         "total_pnl", "traded_notional", "gross_stock", "net_stock",
-        "hedge_notional", "predicted_vol",
+        "hedge_notional", "predicted_vol", "vol_warning",
     )
 
     def equity_curve(self) -> np.ndarray:
@@ -830,25 +807,26 @@ def run_backtest(panel: ReturnsPanel, signal, config: StrategyConfig,
                 else:
                     eligible = np.zeros(n, dtype=bool)
                 idx = np.nonzero(eligible)[0]
-                if len(idx) < 2:
-                    raise PortfolioError(
-                        f"fewer than two eligible assets for the long-short book "
-                        f"on {panel.dates[t]}"
-                    )
+                # fewer than two eligible assets (e.g. the signal is still
+                # warming up): no book today, clean again tomorrow
                 cleaned = clean_correlation(
                     ret[t - config.cov_window + 1: t + 1][:, idx],
                     asset_indices=idx,
                     asset_names=[panel.assets[j] for j in idx],
+                ) if len(idx) >= 2 else None
+            if cleaned is None:
+                target, pred_vol, warn = np.zeros(n), 0.0, True
+            else:
+                vt = config.vol_target
+                if vol_target_series is not None and np.isfinite(vol_target_series[t]):
+                    vt = float(vol_target_series[t])
+                target, pred_vol, warn = build_long_short(
+                    srow, cleaned, vt, config.aum, w, adv_panel[t],
+                    cost_params, cap=config.cap, cost_aversion=config.cost_aversion,
+                    periods_per_year=cost_params.trading_days_per_year,
                 )
-            vt = config.vol_target
-            if vol_target_series is not None and np.isfinite(vol_target_series[t]):
-                vt = float(vol_target_series[t])
-            target, pred_vol, _warn = build_long_short(
-                srow, cleaned, vt, config.aum, w, adv_panel[t],
-                cost_params, cap=config.cap, cost_aversion=config.cost_aversion,
-                periods_per_year=cost_params.trading_days_per_year,
-            )
             out["predicted_vol"][step] = pred_vol
+            out["vol_warning"][step] = float(warn)
             hedge_target = 0.0
 
         trades = target - w

@@ -258,6 +258,24 @@ class TestBacktest:
                     str(tmp_path / "x")]) == 1
         assert "match_lh" in capsys.readouterr().err
 
+    def test_blank_truth_market_cell_names_line_and_date(self, gen_dir, tmp_path,
+                                                         capsys):
+        base, _, out = gen_dir
+        lines = (out / "truth_series.csv").read_text().splitlines()
+        cells = lines[9].split(",")
+        cells[1] = ""
+        lines[9] = ",".join(cells)
+        truth = tmp_path / "truth_series.csv"
+        truth.write_text("\n".join(lines) + "\n")
+        cfg = tmp_path / "bt.cfg"
+        self.write_cfg(cfg, out / "panel.csv", truth, mode="LH")
+        assert run(["backtest", "--config", str(cfg), "--out",
+                    str(tmp_path / "bt")]) == 1
+        err = capsys.readouterr().err
+        assert str(truth) in err
+        assert "line 10" in err
+        assert cells[0] in err
+
     def test_missing_panel_cleans_partial_outputs(self, tmp_path, capsys):
         cfg = tmp_path / "bt.cfg"
         cfg.write_text("[backtest]\npanel = nowhere.csv\nmode = LS\n")

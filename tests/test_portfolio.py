@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from factorlab import analytics, costs, data, portfolio as pf, signals, toy_model as tm
 
@@ -46,6 +47,45 @@ class TestBetas:
         betas = pf.rolling_betas(panel.field("ret"), truth.market, window=250)
         last = betas[-1]
         assert np.nanmean(last) == pytest.approx(1.0, abs=0.05)
+
+    def test_rolling_windows_match_per_date_loop(self):
+        rng = np.random.Generator(np.random.Philox(2))
+        ret = 0.01 * rng.standard_normal((300, 7))
+        ret[rng.uniform(size=ret.shape) < 0.2] = np.nan
+        ret[:40, 3] = np.nan
+        index = 0.01 * rng.standard_normal(300)
+        index[[5, 77, 150]] = np.nan
+        window, min_obs = 60, 30
+        valid = np.isfinite(ret) & np.isfinite(index)[:, None]
+        x = np.where(valid, index[:, None], 0.0)
+        y = np.where(valid, ret, 0.0)
+        z = np.where(np.isfinite(ret), ret, 0.0)
+
+        def cum(a):
+            return np.vstack([np.zeros((1, 7)), np.cumsum(a, axis=0)])
+
+        cn, cx, cy, cxx, cxy = (cum(a) for a in (valid.astype(float), x, y,
+                                                 x * x, x * y))
+        cv, cz, czz = (cum(a) for a in (np.isfinite(ret).astype(float), z, z * z))
+        betas = np.full(ret.shape, np.nan)
+        vols = np.full(ret.shape, np.nan)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            for t in range(300):
+                lo = max(0, t - window + 1)
+                cnt = cn[t + 1] - cn[lo]
+                sx, sy = cx[t + 1] - cx[lo], cy[t + 1] - cy[lo]
+                sxx, sxy = cxx[t + 1] - cxx[lo], cxy[t + 1] - cxy[lo]
+                denom = sxx - sx * sx / np.maximum(cnt, 1)
+                ok = (cnt >= min_obs) & (denom > 0)
+                betas[t, ok] = (sxy[ok] - sx[ok] * sy[ok] / cnt[ok]) / denom[ok]
+                cnt = cv[t + 1] - cv[lo]
+                s, ss = cz[t + 1] - cz[lo], czz[t + 1] - czz[lo]
+                var = (ss - s * s / np.maximum(cnt, 1)) / np.maximum(cnt - 1, 1)
+                ok = cnt >= 20
+                vols[t, ok] = np.sqrt(np.maximum(var[ok], 0.0))
+        assert np.array_equal(pf.rolling_betas(ret, index, window, min_obs),
+                              betas, equal_nan=True)
+        assert np.array_equal(pf.rolling_vols(ret, window), vols, equal_nan=True)
 
 
 class TestCleanCorrelation:
@@ -109,14 +149,16 @@ class TestProjection:
             assert np.allclose(again, w, atol=1e-6)
 
 
-def grid_best_objective(scores, prev, kv, lin, aum, cap, steps):
+def grid_best_objective(scores, prev, kv, lin, aum, cap, steps, floor=0.0):
     axes = [
-        np.unique(np.concatenate([np.linspace(0.0, cap * aum, steps), [prev[i]]]))
+        np.unique(np.concatenate([np.linspace(0.0, cap * aum, steps),
+                                  [min(prev[i], cap * aum)]]))
         for i in range(len(scores))
     ]
     mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.stack([m.ravel() for m in mesh], axis=1)
-    grid = grid[np.sum(grid, axis=1) <= aum + 1e-6]
+    total = np.sum(grid, axis=1)
+    grid = grid[(total <= aum + 1e-6) & (total >= floor - 1e-6)]
     d = np.abs(grid - prev)
     obj = grid @ scores - lin * np.sum(d, axis=1) - (d ** 1.5) @ kv
     return float(np.max(obj))
@@ -156,22 +198,103 @@ class TestLongOnlyOptimizer:
 
     def test_matches_exhaustive_grid(self):
         rng = np.random.Generator(np.random.Philox(77))
-        params = costs.CostModelParams(linear_rate=5e-4, impact_coeff=1.0)
-        for n, steps in ((2, 400), (3, 80), (4, 24)):
-            for _ in range(3):
-                scores = rng.uniform(-0.4, 0.5, n)
-                prev = rng.uniform(0, 0.25 * AUM, n)
-                if prev.sum() > AUM:
-                    prev *= 0.9 * AUM / prev.sum()
-                adv = rng.uniform(5e5, 5e6, n)
-                sigma = rng.uniform(0.01, 0.05, n)
-                w = pf.optimize_long_only(scores, prev, adv, sigma, AUM,
-                                          params, cap=0.25)
-                kv = sigma / np.sqrt(adv)
-                best = grid_best_objective(scores, prev, kv, 5e-4, AUM, 0.25,
-                                           steps)
-                got = objective_of(w, scores, prev, kv, 5e-4)
-                assert got >= best - 1e-6 * AUM
+        full = costs.CostModelParams(linear_rate=5e-4, impact_coeff=1.0)
+        linear_only = costs.CostModelParams(linear_rate=5e-3, impact_coeff=0.0)
+        # (costs, cap, share of zero-vol assets, previous book up to x cap,
+        #  minimum investment); at cap 0.4 the budget can bind
+        cases = (
+            (full, 0.25, 0.0, 1.0, 0.0),
+            (linear_only, 0.4, 0.0, 1.0, 0.0),
+            (full, 0.4, 0.5, 1.0, 0.0),
+            (full, 0.4, 0.0, 1.6, 0.0),
+            (full, 0.25, 0.3, 1.0, 0.55),
+        )
+        for params, cap, zero_vol, drift, min_inv in cases:
+            for n, steps in ((2, 400), (3, 80), (4, 24)):
+                for _ in range(3):
+                    scores = rng.uniform(-0.4, 0.5, n)
+                    prev = rng.uniform(0, drift * cap * AUM, n)
+                    if prev.sum() > AUM:
+                        prev *= 0.9 * AUM / prev.sum()
+                    adv = rng.uniform(5e5, 5e6, n)
+                    sigma = rng.uniform(0.01, 0.05, n)
+                    sigma[rng.uniform(size=n) < zero_vol] = 0.0
+                    floor = min(min_inv, cap * n)
+                    w = pf.optimize_long_only(scores, prev, adv, sigma, AUM,
+                                              params, cap=cap,
+                                              min_invested=floor)
+                    kv = params.impact_coeff * sigma / np.sqrt(adv)
+                    lin = params.linear_rate
+                    floor *= AUM
+                    assert np.all(w >= 0) and np.all(w <= cap * AUM)
+                    assert floor - 1e-9 * AUM <= np.sum(w) <= AUM * (1 + 1e-12)
+                    best = grid_best_objective(scores, prev, kv, lin, AUM,
+                                               cap, steps, floor)
+                    got = objective_of(w, scores, prev, kv, lin)
+                    assert got >= best - 1e-6 * AUM
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40),
+           cap=st.floats(0.01, 0.5), linear_rate=st.sampled_from([0.0, 5e-4, 1e-2]),
+           impact=st.sampled_from([0.0, 1.0]), zero_vol=st.sampled_from([0.0, 0.3]),
+           min_invested=st.sampled_from([0.0, 0.4, 0.95]))
+    def test_kkt_conditions(self, seed, n, cap, linear_rate, impact, zero_vol,
+                            min_invested):
+        """The book is optimal: one price lam on the total supports every
+        asset, and lam is positive only when the budget binds (negative only
+        when the floor binds)."""
+        params = costs.CostModelParams(linear_rate=linear_rate,
+                                       impact_coeff=impact)
+        rng = np.random.Generator(np.random.Philox(seed))
+        u = cap * AUM
+        scores = rng.uniform(-0.5, 0.5, n) * rng.choice([1.0, 1e-3])
+        prev = rng.uniform(0, 1.5 * u, n) * (rng.uniform(size=n) < 0.7)
+        if prev.sum() > AUM:
+            prev *= 0.9 * AUM / prev.sum()
+        adv = rng.uniform(1e5, 1e9, n)
+        sigma = rng.uniform(0.005, 0.05, n)
+        sigma[rng.uniform(size=n) < zero_vol] = 0.0
+        floor = min(min_invested, cap * n) * AUM
+        w = pf.optimize_long_only(scores, prev, adv, sigma, AUM, params,
+                                  cap=cap, min_invested=min(min_invested, cap * n))
+        assert np.all(w >= 0) and np.all(w <= u)
+        total = float(np.sum(w))
+        assert floor * (1 - 1e-12) <= total <= AUM * (1 + 1e-12)
+        if params.is_free:
+            return
+        lin, k = linear_rate, impact * sigma / np.sqrt(adv)
+
+        def slope(x, right):
+            # one-sided derivative of s*x - lin*|x - p| - k*|x - p|^1.5
+            buy = scores - lin - 1.5 * k * np.sqrt(np.maximum(x - prev, 0.0))
+            sell = scores + lin + 1.5 * k * np.sqrt(np.maximum(prev - x, 0.0))
+            return np.where(x > prev, buy, np.where(x < prev, sell,
+                                                     buy if right else sell))
+
+        # w is known to a few ulps of AUM; judge it within eps of where it is
+        eps = 1e-12 * AUM
+        lam_lo = np.max(slope(w + eps, True)[w < u], initial=-np.inf)
+        lam_hi = np.min(slope(w - eps, False)[w > 0], initial=np.inf)
+        tol = 1e-9 * (np.max(np.abs(scores)) + lin + 1e-3)
+        assert lam_lo <= lam_hi + tol
+        if AUM - total > eps:
+            assert lam_lo <= tol
+        if total - floor > eps:
+            assert lam_hi >= -tol
+
+    def test_budget_met_with_a_nearly_free_asset(self):
+        # ~30 assets want the 6% cap, so the budget binds; asset 0 is so
+        # cheap to trade that one rounding of the budget price moves it by
+        # more than 1e-13 * AUM
+        for seed in range(40):
+            rng = np.random.Generator(np.random.Philox(seed))
+            scores = rng.uniform(-0.5, 0.5, 60)
+            prev = rng.uniform(0, 0.06 * AUM, 60)
+            sigma = rng.uniform(0.01, 0.03, 60)
+            sigma[0] = 1e-9
+            w = pf.optimize_long_only(scores, prev, rng.uniform(1e6, 1e8, 60),
+                                      sigma, AUM, costs.CostModelParams(),
+                                      cap=0.06)
+            assert abs(np.sum(w) - AUM) <= 1e-13 * AUM
 
     def test_monotone_improvement_over_no_trade(self):
         rng = np.random.Generator(np.random.Philox(78))
@@ -438,6 +561,45 @@ class TestBacktest:
         first_trade = lambda r: int(np.argmax(r.traded_notional > 0))  # noqa: E731
         assert first_trade(lag0) == flip - 300
         assert first_trade(lag1) == flip - 300 + 1
+
+    @pytest.fixture(scope="class")
+    def market20(self):
+        """20 assets, 300 days: MOM is warm from day 252."""
+        spec = tm.SyntheticUniverseSpec(
+            n_assets=20, n_periods=300, seed=4, loading_short_scale=0.8,
+            resid_vol_long=0.004, resid_vol_short=0.004, factor_mean=8e-4,
+            factor_vol=0.004, market_mean=3e-4, market_vol=0.012,
+        )
+        panel, truth = tm.generate_universe(spec)
+        return panel, truth, signals.factor_signal(panel, None, "MOM")
+
+    def test_ls_warm_up_goes_flat_like_lh(self, market20):
+        panel, truth, mom = market20
+        kw = dict(start=panel.dates[250])
+        lh = pf.run_backtest(panel, mom, pf.StrategyConfig(mode="LH", aum=AUM),
+                             costs.CostModelParams(), index_returns=truth.market,
+                             **kw)
+        ls = pf.run_backtest(panel, mom, pf.StrategyConfig(mode="LS", aum=AUM),
+                             costs.CostModelParams(), **kw)
+        cold = ~np.any(np.isfinite(mom.scores[250:]), axis=1)
+        assert cold[0] and not cold[-1]
+        for res in (lh, ls):
+            assert np.all(res.positions[cold] == 0.0)
+            assert np.all(res.total_pnl[cold] == 0.0)
+        assert np.all(ls.vol_warning[cold] == 1.0)
+        assert np.all(np.any(ls.positions[~cold] != 0.0, axis=1))
+        assert np.all(lh.vol_warning == 0.0)
+
+    def test_unreachable_vol_target_flagged_every_day(self, market20, tmp_path):
+        panel, _, mom = market20
+        cfg = pf.StrategyConfig(mode="LS", aum=AUM, cap=0.03, vol_target=0.5)
+        res = pf.run_backtest(panel, mom, cfg, costs.CostModelParams(),
+                              start=panel.dates[260])
+        assert np.all(res.vol_warning == 1.0)
+        res.write_csv(tmp_path / "ls.csv")
+        header, first = (tmp_path / "ls.csv").read_text().splitlines()[:2]
+        assert header.split(",")[-1] == "vol_warning"
+        assert first.split(",")[-1] == "1.0"
 
     def test_calendar_gap_rejected(self):
         dates = np.concatenate([

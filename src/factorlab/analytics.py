@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .portfolio import BacktestResult
+from .portfolio import BacktestResult, estimate_beta
 
 TRADING_DAYS = 252
 MONTHS = 12
@@ -131,40 +131,25 @@ def max_sharpe_allocation(returns: np.ndarray, long_mask,
 
 
 def estimate_series_beta(stream: np.ndarray, index: np.ndarray) -> float:
-    """Full-sample OLS slope of one return stream on an index."""
+    """Full-sample OLS slope of one return stream on an index, over the
+    dates where both are present."""
     y = np.asarray(stream, dtype=float)
     x = np.asarray(index, dtype=float)
-    ok = np.isfinite(y) & np.isfinite(x)
-    if np.sum(ok) < 3:
+    if np.sum(np.isfinite(y) & np.isfinite(x)) < 3:
         raise AnalyticsError("not enough overlap to estimate beta")
-    xc = x[ok] - np.mean(x[ok])
-    denom = float(xc @ xc)
-    if denom == 0:
+    beta = estimate_beta(y, x, min_obs=3)
+    if not np.isfinite(beta):
         raise AnalyticsError("index series is constant")
-    return float(xc @ (y[ok] - np.mean(y[ok]))) / denom
+    return beta
 
 
 def rescale_to_unit_beta(leg: np.ndarray, index: np.ndarray) -> np.ndarray:
     """Scale a return stream so its full-sample OLS beta on the index is 1."""
     leg = np.asarray(leg, dtype=float)
-    index = np.asarray(index, dtype=float)
-    ok = np.isfinite(leg) & np.isfinite(index)
-    if np.sum(ok) < 3:
-        raise AnalyticsError("not enough overlap to estimate beta")
-    x = index[ok] - np.mean(index[ok])
-    y = leg[ok] - np.mean(leg[ok])
-    denom = float(x @ x)
-    if denom == 0:
-        raise AnalyticsError("index series is constant")
-    beta = float(x @ y) / denom
+    beta = estimate_series_beta(leg, index)
     if beta <= 0:
         raise AnalyticsError(f"non-positive beta ({beta:.3f}); cannot rescale to one")
     return leg / beta
-
-
-def hedge_leg(leg: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Beta-one rescaling followed by removal of the index contribution."""
-    return rescale_to_unit_beta(leg, index) - np.asarray(index, dtype=float)
 
 
 def smb_diagnostic(long_leg: np.ndarray, short_leg: np.ndarray,
@@ -185,16 +170,8 @@ def smb_diagnostic(long_leg: np.ndarray, short_leg: np.ndarray,
     smb = np.asarray(smb, dtype=float)
     if not (len(long_leg) == len(short_leg) == len(index) == len(smb)):
         raise AnalyticsError("series must share one calendar")
-
-    def _beta(y):
-        xc = index - np.mean(index)
-        d = float(xc @ xc)
-        if d == 0:
-            raise AnalyticsError("index series is constant")
-        return float(xc @ (y - np.mean(y))) / d
-
-    bl = _beta(long_leg) if beta_long is None else beta_long
-    bs = _beta(short_leg) if beta_short is None else beta_short
+    bl = estimate_series_beta(long_leg, index) if beta_long is None else beta_long
+    bs = estimate_series_beta(short_leg, index) if beta_short is None else beta_short
     delta = (long_leg - bl * index) - (bs * index - short_leg)
     scale = np.std(long_leg) + np.std(short_leg) + np.std(index)
     if np.std(delta) <= 1e-12 * max(scale, 1e-300) or np.std(smb) == 0:

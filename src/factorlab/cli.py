@@ -218,9 +218,15 @@ def _load_series(path, panel_dates: np.ndarray) -> np.ndarray:
                 continue
             try:
                 d = np.datetime64(row[0].strip(), "D").item()
-                v = float(row[1])
-            except (ValueError, IndexError):
-                raise ConfigError(f"{path}: line {lineno}: bad row") from None
+            except ValueError:
+                raise ConfigError(f"{path}: line {lineno}: bad date {row[0]!r}") from None
+            cell = row[1] if len(row) > 1 else ""
+            try:
+                v = float(cell)
+            except ValueError:
+                raise ConfigError(
+                    f"{path}: line {lineno}: bad return {cell!r} on {d}"
+                ) from None
             if d in pos:
                 out[pos[d]] = v
     return out

@@ -131,28 +131,18 @@ def load_borrow_fee_overrides(path) -> dict[str, float]:
         for lineno, raw in enumerate(reader, start=2):
             if not raw or not raw[0].strip():
                 continue
+            asset = raw[0].strip()
+            cell = raw[1] if len(raw) > 1 else ""
             try:
-                bps = float(raw[1])
-            except (ValueError, IndexError):
-                raise CostError(f"{path}: line {lineno}: bad row") from None
+                bps = float(cell)
+            except ValueError:
+                raise CostError(
+                    f"{path}: line {lineno}: bad fee {cell!r} for asset {asset!r}"
+                ) from None
             if bps < 0:
-                raise CostError(f"{path}: line {lineno}: negative fee")
-            out[raw[0].strip()] = bps * 1e-4
+                raise CostError(
+                    f"{path}: line {lineno}: negative fee for asset {asset!r}"
+                )
+            out[asset] = bps * 1e-4
     return out
 
-
-@dataclass(frozen=True)
-class CostBreakdown:
-    """Per-period cost components as P&L contributions (all <= 0)."""
-
-    trading_cost: float
-    financing_cost: float
-    borrow_cost: float
-
-    def __post_init__(self):
-        if self.trading_cost > 0 or self.financing_cost > 0 or self.borrow_cost > 0:
-            raise CostError("cost P&L contributions must be non-positive")
-
-    @property
-    def total(self) -> float:
-        return self.trading_cost + self.financing_cost + self.borrow_cost

@@ -1,5 +1,5 @@
-"""Panel storage, CSV ingestion, Fama-French 2x3 building blocks, and
-liquidity-based pool selection.
+"""Panel storage, CSV ingestion, trailing-window statistics, Fama-French 2x3
+building blocks, and liquidity-based pool selection.
 
 Panels are rectangular date x asset stores. Missing cells are NaN and every
 computation in the package treats NaN as "not there" rather than zero.
@@ -96,21 +96,12 @@ class ReturnsPanel:
     def has_field(self, name: str) -> bool:
         return name in self.arrays
 
-    def valid(self, name: str) -> np.ndarray:
-        return np.isfinite(self.field(name))
-
     def date_index(self, date) -> int:
         d = np.datetime64(date, "D")
         i = int(np.searchsorted(self.dates, d))
         if i >= len(self.dates) or self.dates[i] != d:
             raise PanelError(f"date {d} not in panel")
         return i
-
-    def asset_index(self, asset: str) -> int:
-        try:
-            return self.assets.index(asset)
-        except ValueError:
-            raise PanelError(f"asset {asset!r} not in panel") from None
 
 
 @dataclass(frozen=True)
@@ -284,6 +275,34 @@ def forward_fill_field(panel: ReturnsPanel, name: str,
         stale = ~fresh
         usable = stale & np.isfinite(last_val) & (day_num[i] - last_day <= limit_days)
         out[i, usable] = last_val[usable]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# trailing windows
+# ---------------------------------------------------------------------------
+
+def window_sums(a: np.ndarray, window: int) -> np.ndarray:
+    """Column sums of a (T, N) array over the trailing window ending at
+    (including) each row, as differences of cumulative sums. The first
+    window - 1 rows sum over the shorter window the panel holds."""
+    c = np.vstack([np.zeros((1, a.shape[1])), np.cumsum(a, axis=0)])
+    return c[1:] - c[np.maximum(0, np.arange(len(a)) - window + 1)]
+
+
+def rolling_vols(returns: np.ndarray, window: int = 250,
+                 min_obs: int = 20) -> np.ndarray:
+    """Trailing sample volatility (ddof=1) per asset, windows ending at t."""
+    t_total, n = returns.shape
+    valid = np.isfinite(returns)
+    y = np.where(valid, returns, 0.0)
+    cnt = window_sums(valid.astype(float), window)
+    s, ss = window_sums(y, window), window_sums(y * y, window)
+    out = np.full((t_total, n), np.nan)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        var = (ss - s * s / np.maximum(cnt, 1)) / np.maximum(cnt - 1, 1)
+        ok = cnt >= min_obs
+        out[ok] = np.sqrt(np.maximum(var[ok], 0.0))
     return out
 
 
@@ -488,11 +507,15 @@ def load_leg_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             if len(tok) != 6 or not tok.isdigit():
                 raise PanelError(f"{path}: line {lineno}: bad month {raw[0]!r}")
             try:
-                months.append(int(tok))
-                longs.append(float(raw[1]))
-                shorts.append(float(raw[2]))
+                long_r, short_r = float(raw[1]), float(raw[2])
             except (ValueError, IndexError):
-                raise PanelError(f"{path}: line {lineno}: bad row") from None
+                raise PanelError(
+                    f"{path}: line {lineno}: bad long,short returns "
+                    f"{','.join(raw[1:])!r} in month {raw[0].strip()}"
+                ) from None
+            months.append(int(tok))
+            longs.append(long_r)
+            shorts.append(short_r)
     return np.array(months, dtype=np.int64), np.array(longs), np.array(shorts)
 
 

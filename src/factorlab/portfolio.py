@@ -30,7 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import CostModelParams, trade_cost, financing_cost, borrow_cost
-from .data import PoolMask, ReturnsPanel, month_start_indices
+from .data import (
+    PoolMask, ReturnsPanel, month_start_indices, rolling_vols, window_sums,
+)
 
 
 class PortfolioError(ValueError):
@@ -71,13 +73,27 @@ class Portfolio:
 # betas
 # ---------------------------------------------------------------------------
 
+def _ols_slope(n, sx, sy, sxx, sxy, min_obs: int) -> np.ndarray:
+    """OLS slopes of y on x from the window moments (count, sums, sums of
+    squares and cross products). NaN where fewer than min_obs pairs, or
+    where x is constant: its centred sum of squares is at most 1e-12 of the
+    raw one, i.e. at the rounding level of the differenced moments."""
+    out = np.full(np.shape(n), np.nan)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        denom = sxx - sx * sx / np.maximum(n, 1)
+        num = sxy - sx * sy / np.maximum(n, 1)
+        ok = (n >= min_obs) & (denom > 1e-12 * sxx)
+        out[ok] = num[ok] / denom[ok]
+    return out
+
+
 def estimate_beta(asset_returns: np.ndarray, index_returns: np.ndarray,
                   min_obs: int | None = None) -> np.ndarray:
     """OLS slope of each asset on the index over the supplied window.
 
     Accepts a (W,) or (W, N) asset array; rows where either side is missing
     are dropped pairwise. Assets with fewer than min_obs joint observations
-    (default: half the window) come back NaN.
+    (default: half the window), or facing a constant index, come back NaN.
     """
     y = np.asarray(asset_returns, dtype=float)
     squeeze = y.ndim == 1
@@ -91,61 +107,22 @@ def estimate_beta(asset_returns: np.ndarray, index_returns: np.ndarray,
     valid = np.isfinite(y) & np.isfinite(x)[:, None]
     xv = np.where(valid, x[:, None], 0.0)
     yv = np.where(valid, y, 0.0)
-    n = np.sum(valid, axis=0)
-    sx = np.sum(xv, axis=0)
-    sy = np.sum(yv, axis=0)
-    sxx = np.sum(xv * xv, axis=0)
-    sxy = np.sum(xv * yv, axis=0)
-    out = np.full(y.shape[1], np.nan)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        denom = sxx - sx * sx / np.maximum(n, 1)
-        num = sxy - sx * sy / np.maximum(n, 1)
-        ok = (n >= min_obs) & (denom > 0)
-        out[ok] = num[ok] / denom[ok]
+    out = _ols_slope(np.sum(valid, axis=0), np.sum(xv, axis=0),
+                     np.sum(yv, axis=0), np.sum(xv * xv, axis=0),
+                     np.sum(xv * yv, axis=0), min_obs)
     return float(out[0]) if squeeze else out
-
-
-def _window_sums(a: np.ndarray, window: int) -> np.ndarray:
-    """Column sums of a (T, N) array over the trailing window ending at
-    (including) each row, as differences of cumulative sums."""
-    c = np.vstack([np.zeros((1, a.shape[1])), np.cumsum(a, axis=0)])
-    return c[1:] - c[np.maximum(0, np.arange(len(a)) - window + 1)]
 
 
 def rolling_betas(returns: np.ndarray, index_returns: np.ndarray,
                   window: int = 250, min_obs: int | None = None) -> np.ndarray:
     """Trailing-window betas for every date, windows ending at (including) t."""
-    t_total, n = returns.shape
     if min_obs is None:
         min_obs = max(2, window // 2)
     valid = np.isfinite(returns) & np.isfinite(index_returns)[:, None]
     x = np.where(valid, index_returns[:, None], 0.0)
     y = np.where(valid, returns, 0.0)
-    cnt = _window_sums(valid.astype(float), window)
-    sx, sy = _window_sums(x, window), _window_sums(y, window)
-    sxx, sxy = _window_sums(x * x, window), _window_sums(x * y, window)
-    out = np.full((t_total, n), np.nan)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        denom = sxx - sx * sx / np.maximum(cnt, 1)
-        ok = (cnt >= min_obs) & (denom > 0)
-        out[ok] = (sxy[ok] - sx[ok] * sy[ok] / cnt[ok]) / denom[ok]
-    return out
-
-
-def rolling_vols(returns: np.ndarray, window: int = 250,
-                 min_obs: int = 20) -> np.ndarray:
-    """Trailing sample volatility (ddof=1) per asset, windows ending at t."""
-    t_total, n = returns.shape
-    valid = np.isfinite(returns)
-    y = np.where(valid, returns, 0.0)
-    cnt = _window_sums(valid.astype(float), window)
-    s, ss = _window_sums(y, window), _window_sums(y * y, window)
-    out = np.full((t_total, n), np.nan)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        var = (ss - s * s / np.maximum(cnt, 1)) / np.maximum(cnt - 1, 1)
-        ok = cnt >= min_obs
-        out[ok] = np.sqrt(np.maximum(var[ok], 0.0))
-    return out
+    return _ols_slope(*(window_sums(a, window) for a in (
+        valid.astype(float), x, y, x * x, x * y)), min_obs)
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +359,11 @@ def _fill_jumps(lo_book, hi_book, s, target):
     return lo_book + take
 
 
+def _check_min_invested(min_invested: float) -> None:
+    if not 0 <= min_invested <= 1:
+        raise PortfolioError(f"min_invested must be in [0, 1], got {min_invested!r}")
+
+
 def optimize_long_only(scores: np.ndarray, prev_positions: np.ndarray,
                        adv: np.ndarray, sigma_daily: np.ndarray, aum: float,
                        cost_params: CostModelParams, cap: float = 0.03,
@@ -404,6 +386,7 @@ def optimize_long_only(scores: np.ndarray, prev_positions: np.ndarray,
         raise PortfolioError("aum must be positive")
     if not 0 < cap <= 1:
         raise PortfolioError("cap must be in (0, 1]")
+    _check_min_invested(min_invested)
     n = len(scores)
     s = np.where(np.isfinite(scores), np.asarray(scores, dtype=float), 0.0)
     prev = np.where(np.isfinite(prev_positions), prev_positions, 0.0)
@@ -592,6 +575,7 @@ class StrategyConfig:
             raise PortfolioError(f"mode must be LH or LS, got {self.mode!r}")
         if self.exec_lag not in (0, 1):
             raise PortfolioError("exec_lag must be 0 or 1")
+        _check_min_invested(self.min_invested)
 
 
 @dataclass
@@ -682,30 +666,6 @@ def lh_matched_vol_targets(lh_result: BacktestResult, panel_dates: np.ndarray,
         if not np.isfinite(out[i]):
             out[i] = out[i - 1]
     return out
-
-
-def read_backtest_csv(path, mode: str, aum: float) -> BacktestResult:
-    """Round-trip loader for the daily CSV (positions are not serialized)."""
-    import csv as _csv
-
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader)
-        if header != ["date"] + list(BacktestResult.COLUMNS):
-            raise PortfolioError(f"{path}: unexpected backtest CSV header")
-        dates, cols = [], {c: [] for c in BacktestResult.COLUMNS}
-        for row in reader:
-            if not row:
-                continue
-            dates.append(np.datetime64(row[0], "D"))
-            for c, cell in zip(BacktestResult.COLUMNS, row[1:]):
-                cols[c].append(float(cell) if cell else np.nan)
-    n = len(dates)
-    return BacktestResult(
-        dates=np.array(dates, dtype="datetime64[D]"), assets=(), mode=mode,
-        aum=aum, positions=np.zeros((n, 0)),
-        **{c: np.array(cols[c]) for c in BacktestResult.COLUMNS},
-    )
 
 
 def run_backtest(panel: ReturnsPanel, signal, config: StrategyConfig,

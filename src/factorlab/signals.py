@@ -11,8 +11,11 @@ Five descriptor recipes are built in:
 
 Signs are chosen so that a higher score is the side the premium is long
 (low-volatility stocks, small caps); flip weights in `blend` to override.
-Scores are rank-normalized to [-0.5, 0.5] per date, which makes a raw
-signal dollar-neutral by construction.
+Each descriptor is computed once over the whole date x asset panel: the
+trailing means and the volatility are differences of column cumulative sums
+(`data.window_sums`), and each descriptor forward-fills only the
+fundamentals it reads. Scores are then rank-normalized to [-0.5, 0.5] on
+every date at once, which makes a raw signal dollar-neutral by construction.
 """
 
 from __future__ import annotations
@@ -21,7 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import PoolMask, ReturnsPanel, forward_fill_field
+from .data import (
+    PoolMask, ReturnsPanel, forward_fill_field, rolling_vols, window_sums,
+)
 from .toy_model import shorts_threshold
 
 
@@ -55,162 +60,123 @@ class SignalPanel:
         self.scores.setflags(write=False)
 
 
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """Ascending 1..n ranks with ties averaged."""
-    n = len(x)
-    order = np.argsort(x, kind="stable")
-    sorted_x = x[order]
-    pos = np.arange(1, n + 1, dtype=float)
-    starts = np.concatenate([[0], np.nonzero(np.diff(sorted_x) != 0)[0] + 1])
-    ends = np.concatenate([starts[1:], [n]])
-    avg = np.empty(n)
-    for s, e in zip(starts, ends):
-        avg[s:e] = 0.5 * (pos[s] + pos[e - 1])
-    ranks = np.empty(n)
-    ranks[order] = avg
-    return ranks
-
-
 def rank_normalize(values: np.ndarray) -> np.ndarray:
-    """Map a cross-section to scores in [-0.5, 0.5].
+    """Map a cross-section (N,), or each row of a (T, N) panel, to scores in
+    [-0.5, 0.5].
 
-    score = (rank - 0.5) / n_valid - 0.5 with ascending average ranks, so
-    valid scores sum to zero and the map is invariant under any strictly
-    monotone transform of the inputs. Cross-sections with fewer than two
-    valid values come back fully masked.
+    score = (rank - 0.5) / n_valid - 0.5 with ascending ranks, ties taking
+    their average rank, so valid scores sum to zero and the map is invariant
+    under any strictly monotone transform of the inputs. Cross-sections with
+    fewer than two valid values come back fully masked.
     """
     values = np.asarray(values, dtype=float)
-    out = np.full(values.shape, np.nan)
-    ok = np.isfinite(values)
-    n = int(np.sum(ok))
-    if n < 2:
+    x = np.atleast_2d(np.where(np.isfinite(values), values, np.nan))
+    t, n = x.shape
+    valid = ~np.isnan(x)
+    count = np.sum(valid, axis=1, keepdims=True)
+    order = np.argsort(x, axis=1, kind="stable")   # NaN sorts last
+    srt = np.take_along_axis(x, order, axis=1)
+    pos = np.broadcast_to(np.arange(n), (t, n))
+    # a tie group spans [first, last]; NaN != NaN keeps the masked tail apart
+    new = np.ones((t, n), dtype=bool)
+    new[:, 1:] = srt[:, 1:] != srt[:, :-1]
+    first = np.maximum.accumulate(np.where(new, pos, 0), axis=1)
+    ends = np.ones((t, n), dtype=bool)
+    ends[:, :-1] = new[:, 1:]
+    last = np.minimum.accumulate(np.where(ends, pos, n - 1)[:, ::-1], axis=1)[:, ::-1]
+    ranks = np.empty((t, n))
+    np.put_along_axis(ranks, order, 0.5 * ((first + 1.0) + (last + 1.0)), axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = (ranks - 0.5) / count - 0.5
+    out[~valid | (count < 2)] = np.nan
+    return out.reshape(values.shape)
+
+
+# ---------------------------------------------------------------------------
+# descriptors: each maps the panel to a (T, N) array of raw values
+# ---------------------------------------------------------------------------
+
+def _lagged_mean(arr: np.ndarray, lo: int, hi: int, min_obs: int) -> np.ndarray:
+    """Row t holds the column mean over rows t-lo .. t-hi inclusive; NaN
+    before row lo and where fewer than min_obs values are present."""
+    t_total, n = arr.shape
+    out = np.full((t_total, n), np.nan)
+    if t_total <= lo:
         return out
-    ranks = _average_ranks(values[ok])
-    out[ok] = (ranks - 0.5) / n - 0.5
+    valid = np.isfinite(arr)
+    width = lo - hi + 1
+    cnt = window_sums(valid.astype(float), width)
+    total = window_sums(np.where(valid, arr, 0.0), width)
+    # the window ending at row r = t - hi is complete from r = lo - hi on
+    ok = cnt[lo - hi:t_total - hi] >= min_obs
+    out[lo:][ok] = total[lo - hi:t_total - hi][ok] / cnt[lo - hi:t_total - hi][ok]
     return out
 
 
-# ---------------------------------------------------------------------------
-# descriptors
-# ---------------------------------------------------------------------------
-
-def _prepare(panel: ReturnsPanel) -> dict[str, np.ndarray]:
-    prep: dict[str, np.ndarray] = {}
-    if panel.has_field("ret"):
-        prep["ret"] = panel.field("ret")
-    if panel.has_field("price"):
-        prep["price"] = panel.field("price")
-    if panel.has_field("mcap"):
-        prep["mcap"] = panel.field("mcap")
-    for name in ("earnings", "net_income", "total_assets"):
-        if panel.has_field(name):
-            prep[name] = forward_fill_field(panel, name)
-    return prep
-
-
-def _window_mean(arr: np.ndarray, lo: int, hi: int, t: int, min_obs: int) -> np.ndarray:
-    """Mean over rows t-lo .. t-hi inclusive; NaN where too little data."""
-    n = arr.shape[1]
-    if t - lo < 0:
-        return np.full(n, np.nan)
-    window = arr[t - lo : t - hi + 1]
-    cnt = np.sum(np.isfinite(window), axis=0)
-    out = np.full(n, np.nan)
-    enough = cnt >= min_obs
-    if np.any(enough):
-        with np.errstate(invalid="ignore"):
-            out[enough] = np.nanmean(window[:, enough], axis=0)
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den where both are present and den is positive, NaN elsewhere."""
+    out = np.full(num.shape, np.nan)
+    ok = np.isfinite(num) & np.isfinite(den) & (den > 0)
+    out[ok] = num[ok] / den[ok]
     return out
 
 
-def _descriptor_mom(prep, t):
-    return _window_mean(prep["ret"], *MOM_WINDOW, t=t, min_obs=MOM_MIN_OBS)
+def _mom(panel: ReturnsPanel) -> np.ndarray:
+    return _lagged_mean(panel.field("ret"), *MOM_WINDOW, min_obs=MOM_MIN_OBS)
 
 
-def _descriptor_lowvol(prep, t):
-    ret = prep["ret"]
-    n = ret.shape[1]
-    if t - (LOWVOL_WINDOW - 1) < 0:
-        return np.full(n, np.nan)
-    window = ret[t - LOWVOL_WINDOW + 1 : t + 1]
-    cnt = np.sum(np.isfinite(window), axis=0)
-    out = np.full(n, np.nan)
-    enough = cnt >= LOWVOL_MIN_OBS
-    if np.any(enough):
-        with np.errstate(invalid="ignore"):
-            out[enough] = -np.nanstd(window[:, enough], axis=0, ddof=1)
+def _lowvol(panel: ReturnsPanel) -> np.ndarray:
+    out = -rolling_vols(panel.field("ret"), LOWVOL_WINDOW, min_obs=LOWVOL_MIN_OBS)
+    out[:LOWVOL_WINDOW - 1] = np.nan
     return out
 
 
-def _descriptor_smb(prep, t):
-    return -_window_mean(prep["mcap"], *SMB_WINDOW, t=t, min_obs=SMB_MIN_OBS)
+def _smb(panel: ReturnsPanel) -> np.ndarray:
+    return -_lagged_mean(panel.field("mcap"), *SMB_WINDOW, min_obs=SMB_MIN_OBS)
 
 
-def _descriptor_valueear(prep, t):
-    price = prep["price"][t]
-    earn = prep["earnings"][t]
-    out = np.full(price.shape, np.nan)
-    ok = np.isfinite(price) & np.isfinite(earn) & (price > 0)
-    out[ok] = earn[ok] / price[ok]
-    return out
+def _valueear(panel: ReturnsPanel) -> np.ndarray:
+    return _ratio(forward_fill_field(panel, "earnings"), panel.field("price"))
 
 
-def _descriptor_roa(prep, t):
-    ni = prep["net_income"][t]
-    ta = prep["total_assets"][t]
-    out = np.full(ni.shape, np.nan)
-    ok = np.isfinite(ni) & np.isfinite(ta) & (ta > 0)
-    out[ok] = ni[ok] / ta[ok]
-    return out
+def _roa(panel: ReturnsPanel) -> np.ndarray:
+    return _ratio(forward_fill_field(panel, "net_income"),
+                  forward_fill_field(panel, "total_assets"))
 
 
 _DESCRIPTORS = {
-    "MOM": (_descriptor_mom, ("ret",)),
-    "VALUEEAR": (_descriptor_valueear, ("price", "earnings")),
-    "LOWVOL": (_descriptor_lowvol, ("ret",)),
-    "SMB": (_descriptor_smb, ("mcap",)),
-    "ROA": (_descriptor_roa, ("net_income", "total_assets")),
+    "MOM": (_mom, ("ret",)),
+    "VALUEEAR": (_valueear, ("price", "earnings")),
+    "LOWVOL": (_lowvol, ("ret",)),
+    "SMB": (_smb, ("mcap",)),
+    "ROA": (_roa, ("net_income", "total_assets")),
 }
 
 
-def _check_fields(panel: ReturnsPanel, factor_id: str) -> None:
+def _descriptor(panel: ReturnsPanel, factor_id: str) -> np.ndarray:
+    """Raw (T, N) descriptor values of one recipe, after checking that the
+    panel carries the fields it reads."""
     if factor_id not in _DESCRIPTORS:
         raise SignalError(
             f"unknown factor {factor_id!r}; known: {', '.join(FACTOR_IDS)}"
         )
-    missing = [f for f in _DESCRIPTORS[factor_id][1] if not panel.has_field(f)]
+    kernel, fields = _DESCRIPTORS[factor_id]
+    missing = [f for f in fields if not panel.has_field(f)]
     if missing:
         raise SignalError(
             f"factor {factor_id!r} needs field(s) {', '.join(missing)} not in panel"
         )
-
-
-def compute_descriptor(panel: ReturnsPanel, pool: PoolMask | None,
-                       factor_id: str, date) -> np.ndarray:
-    """Raw descriptor cross-section for one date, pool-masked."""
-    _check_fields(panel, factor_id)
-    t = panel.date_index(date)
-    raw = _DESCRIPTORS[factor_id][0](_prepare(panel), t)
-    if pool is not None:
-        raw = np.where(pool.mask[t], raw, np.nan)
-    return raw
+    return kernel(panel)
 
 
 def factor_signal(panel: ReturnsPanel, pool: PoolMask | None,
                   factor_id: str) -> SignalPanel:
     """Full rank-normalized signal panel for one descriptor recipe."""
-    _check_fields(panel, factor_id)
-    prep = _prepare(panel)
-    kernel = _DESCRIPTORS[factor_id][0]
-    t_n = (panel.n_dates, panel.n_assets)
-    scores = np.full(t_n, np.nan)
-    for t in range(panel.n_dates):
-        raw = kernel(prep, t)
-        if pool is not None:
-            raw = np.where(pool.mask[t], raw, np.nan)
-        scores[t] = rank_normalize(raw)
+    raw = _descriptor(panel, factor_id)
+    if pool is not None:
+        raw[~pool.mask] = np.nan
     return SignalPanel(dates=panel.dates, assets=panel.assets,
-                       scores=scores, factor=factor_id)
+                       scores=rank_normalize(raw), factor=factor_id)
 
 
 def scores_from_values(panel: ReturnsPanel, values: np.ndarray,
@@ -372,18 +338,14 @@ class PredictabilityCurve:
 def _forward_mean(resid: np.ndarray, horizon_days: int) -> np.ndarray:
     """Mean residual over [t+1, t+horizon]; NaN unless the window is full."""
     t_total, n = resid.shape
-    filled = np.where(np.isfinite(resid), resid, 0.0)
-    cum = np.vstack([np.zeros(n), np.cumsum(filled, axis=0)])
-    cnt = np.vstack([np.zeros(n), np.cumsum(np.isfinite(resid), axis=0)])
     out = np.full((t_total, n), np.nan)
-    last = t_total - horizon_days
-    if last <= 0:
+    if t_total <= horizon_days:
         return out
-    sums = cum[1 + horizon_days : 1 + horizon_days + last] - cum[1:1 + last]
-    counts = cnt[1 + horizon_days : 1 + horizon_days + last] - cnt[1:1 + last]
-    full = counts == horizon_days
-    rows = out[:last]
-    rows[full] = sums[full] / horizon_days
+    valid = np.isfinite(resid)
+    # the trailing window ending at t + horizon is the forward one from t
+    sums = window_sums(np.where(valid, resid, 0.0), horizon_days)[horizon_days:]
+    full = window_sums(valid.astype(float), horizon_days)[horizon_days:] == horizon_days
+    out[:t_total - horizon_days][full] = sums[full] / horizon_days
     return out
 
 
@@ -452,7 +414,8 @@ def _two_slope_fit(bin_x, bin_y, bin_se):
 def predictability_curve(scores, resid: np.ndarray, horizon_days: int = 21,
                          n_bins: int = 20) -> PredictabilityCurve:
     """Pool (score, future mean residual) pairs into equal-count bins and
-    fit a through-origin line per predictor sign.
+    fit one slope per predictor sign around a shared intercept (see
+    `PredictabilityCurve`).
 
     Sides with fewer than two bins leave their slope (and the ratio)
     undefined.

@@ -161,7 +161,7 @@ class TestHedging:
         rng = np.random.Generator(np.random.Philox(12))
         idx = 0.01 * rng.standard_normal(600)
         leg = 2.0 * idx + 0.005 * rng.standard_normal(600)
-        hedged = analytics.hedge_leg(leg, idx)
+        hedged = analytics.rescale_to_unit_beta(leg, idx) - idx
         assert abs(analytics.estimate_series_beta(hedged, idx)) < 1e-10
 
     def test_non_positive_beta_rejected(self):

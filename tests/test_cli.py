@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from factorlab import cli, toy_model as tm
+from factorlab import cli, costs, data, toy_model as tm
 from conftest import make_ff_fixture
 
 
@@ -276,6 +276,16 @@ class TestBacktest:
         assert "line 10" in err
         assert cells[0] in err
 
+    def test_min_invested_outside_unit_interval_rejected(self, gen_dir, tmp_path,
+                                                         capsys):
+        _, _, out = gen_dir
+        cfg = tmp_path / "bt.cfg"
+        self.write_cfg(cfg, out / "panel.csv", out / "truth_series.csv",
+                       mode="LH", extra="min_invested = 2\n")
+        assert run(["backtest", "--config", str(cfg), "--out",
+                    str(tmp_path / "bt")]) == 1
+        assert "min_invested" in capsys.readouterr().err
+
     def test_missing_panel_cleans_partial_outputs(self, tmp_path, capsys):
         cfg = tmp_path / "bt.cfg"
         cfg.write_text("[backtest]\npanel = nowhere.csv\nmode = LS\n")
@@ -362,3 +372,22 @@ class TestFamaFrench:
         assert run(["famafrench", "--config", str(cfg), "--out",
                     str(tmp_path / 'x')]) == 1
         assert "HML" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, load, error, named", [
+    ("date,ret\n2020-01-02,0.01\n2020-01-03,abc\n",
+     lambda p: cli._load_series(p, data.business_days("2020-01-01", 5)),
+     cli.ConfigError, ["2020-01-03", "'abc'"]),
+    ("asset_id,annual_fee_bps\nAAA,100\nBBB,lots\n",
+     costs.load_borrow_fee_overrides, costs.CostError, ["'BBB'", "'lots'"]),
+    ("date,long,short\n202001,0.01,0.02\n202002,0.01,n/a\n",
+     data.load_leg_csv, data.PanelError, ["202002", "0.01,n/a"]),
+], ids=["index_series", "borrow_fees", "leg_csv"])
+def test_loader_error_names_line_key_and_cell(tmp_path, text, load, error, named):
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    with pytest.raises(error) as info:
+        load(str(path))
+    message = str(info.value)
+    for part in [str(path), "line 3"] + named:
+        assert part in message

@@ -138,9 +138,3 @@ class TestParamsAndSchedule:
         f.write_text("asset_id,annual_fee_bps\nAAA,-5\n")
         with pytest.raises(costs.CostError):
             costs.load_borrow_fee_overrides(str(f))
-
-    def test_breakdown_sums_and_signs(self):
-        b = costs.CostBreakdown(-10.0, -2.0, -1.0)
-        assert b.total == -13.0
-        with pytest.raises(costs.CostError):
-            costs.CostBreakdown(1.0, 0.0, 0.0)

@@ -30,7 +30,7 @@ class TestLoadPanel:
         assert panel.assets == ("AAA", "BBB", "CCC")
         assert panel.regions == ("NA", "EU", "NA")
         assert panel.n_dates == 2
-        assert np.all(panel.valid("ret"))
+        assert np.all(np.isfinite(panel.field("ret")))
 
     def test_blank_cell_masked(self, tmp_path):
         path = write_lines(tmp_path / "p.csv", [
@@ -39,9 +39,9 @@ class TestLoadPanel:
             "2020-01-02,BBB,NA,0.02,50",
         ])
         panel = data.load_panel(path)
-        assert not panel.valid("ret")[0, 0]
-        assert panel.valid("ret")[0, 1]
-        assert panel.valid("price")[0, 0]
+        assert not np.isfinite(panel.field("ret")[0, 0])
+        assert np.isfinite(panel.field("ret")[0, 1])
+        assert np.isfinite(panel.field("price")[0, 0])
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = write_lines(tmp_path / "p.csv", [

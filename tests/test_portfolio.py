@@ -87,6 +87,18 @@ class TestBetas:
                               betas, equal_nan=True)
         assert np.array_equal(pf.rolling_vols(ret, window), vols, equal_nan=True)
 
+    def test_constant_index_gives_no_beta(self):
+        # a constant index has no variance to regress on; the differenced
+        # moments leave only rounding noise, which must not become a beta
+        rng = np.random.Generator(np.random.Philox(3))
+        ret = 0.01 * rng.standard_normal((400, 6))
+        index = np.full(400, 3e-4)
+        assert np.all(np.isnan(pf.rolling_betas(ret, index, window=250)))
+        assert np.all(np.isnan(pf.estimate_beta(ret[-240:], np.full(240, 0.0123))))
+        assert np.isnan(pf.estimate_beta(ret[-240:, 0], np.full(240, 0.0123)))
+        with pytest.raises(analytics.AnalyticsError, match="constant"):
+            analytics.estimate_series_beta(ret[-240:, 0], np.full(240, 0.0123))
+
 
 class TestCleanCorrelation:
     def test_iid_noise_becomes_identity(self):
@@ -343,6 +355,16 @@ class TestLongOnlyOptimizer:
                                   np.full(2, 1e7), np.full(2, 0.02), AUM,
                                   costs.CostModelParams(), cap=0.03,
                                   min_invested=0.5)
+
+    @pytest.mark.parametrize("floor", [2.0, -0.1, float("nan")])
+    def test_min_invested_outside_unit_interval_rejected(self, floor):
+        with pytest.raises(pf.PortfolioError, match="min_invested"):
+            pf.optimize_long_only(np.array([0.1, 0.2]), np.zeros(2),
+                                  np.full(2, 1e7), np.full(2, 0.02), AUM,
+                                  costs.CostModelParams(), cap=0.6,
+                                  min_invested=floor)
+        with pytest.raises(pf.PortfolioError, match="min_invested"):
+            pf.StrategyConfig(mode="LH", min_invested=floor)
 
 
 class TestHedge:
@@ -644,7 +666,17 @@ class TestBacktest:
                               start=panel.dates[300])
         path = tmp_path / "bt.csv"
         res.write_csv(path)
-        loaded = pf.read_backtest_csv(path, mode="LS", aum=AUM)
+        lines = path.read_text().splitlines()
+        assert lines[0].split(",") == ["date"] + list(pf.BacktestResult.COLUMNS)
+        rows = [line.split(",") for line in lines[1:]]
+        cols = {c: np.array([float(r[k + 1]) if r[k + 1] else np.nan for r in rows])
+                for k, c in enumerate(pf.BacktestResult.COLUMNS)}
+        loaded = pf.BacktestResult(
+            dates=np.array([r[0] for r in rows], dtype="datetime64[D]"),
+            assets=(), mode="LS", aum=AUM, positions=np.zeros((len(rows), 0)),
+            **cols,
+        )
+        assert np.array_equal(loaded.dates, res.dates)
         a = analytics.cost_attribution(res)
         b = analytics.cost_attribution(loaded)
         assert a == b

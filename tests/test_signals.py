@@ -72,7 +72,7 @@ class TestDescriptors:
         ret[:, 0] = 0.001
         ret[:, 1] = -0.002
         panel = make_panel({"ret": ret})
-        raw = signals.compute_descriptor(panel, None, "MOM", panel.dates[-1])
+        raw = signals._descriptor(panel, "MOM")[-1]
         assert raw[0] == pytest.approx(0.001)
         assert raw[1] == pytest.approx(-0.002)
 
@@ -81,13 +81,13 @@ class TestDescriptors:
         ret = np.zeros((t, 1))
         ret[-20:, 0] = 0.5  # inside the one-month lag, must be ignored
         panel = make_panel({"ret": ret})
-        raw = signals.compute_descriptor(panel, None, "MOM", panel.dates[-1])
+        raw = signals._descriptor(panel, "MOM")[-1]
         assert raw[0] == pytest.approx(0.0)
 
     def test_mom_insufficient_history_masked(self):
         ret = np.zeros((100, 1))
         panel = make_panel({"ret": ret})
-        raw = signals.compute_descriptor(panel, None, "MOM", panel.dates[-1])
+        raw = signals._descriptor(panel, "MOM")[-1]
         assert np.isnan(raw[0])
 
     def test_mom_ranking_follows_drift(self):
@@ -96,7 +96,7 @@ class TestDescriptors:
         drifts = np.linspace(-0.002, 0.002, n)
         ret = drifts[None, :] + 1e-4 * rng.standard_normal((t, n))
         panel = make_panel({"ret": ret})
-        raw = signals.compute_descriptor(panel, None, "MOM", panel.dates[-1])
+        raw = signals._descriptor(panel, "MOM")[-1]
         assert np.array_equal(np.argsort(raw), np.argsort(drifts))
 
     def test_lowvol_zero_variance_ranks_top(self):
@@ -104,7 +104,7 @@ class TestDescriptors:
         t = 260
         ret = np.column_stack([np.zeros(t), 0.01 * rng.standard_normal(t)])
         panel = make_panel({"ret": ret})
-        raw = signals.compute_descriptor(panel, None, "LOWVOL", panel.dates[-1])
+        raw = signals._descriptor(panel, "LOWVOL")[-1]
         assert raw[0] == 0.0
         assert raw[0] > raw[1]
         scores = signals.rank_normalize(raw)
@@ -114,7 +114,7 @@ class TestDescriptors:
         t = 70
         mcap = np.tile(np.array([1e9, 5e10]), (t, 1))
         panel = make_panel({"mcap": mcap})
-        raw = signals.compute_descriptor(panel, None, "SMB", panel.dates[-1])
+        raw = signals._descriptor(panel, "SMB")[-1]
         assert raw[0] > raw[1]
         assert raw[0] == pytest.approx(-1e9)
 
@@ -126,22 +126,22 @@ class TestDescriptors:
             "net_income": np.tile(np.array([2.0, 4.0]), (t, 1)),
             "total_assets": np.tile(np.array([20.0, 0.0]), (t, 1)),
         })
-        ve = signals.compute_descriptor(panel, None, "VALUEEAR", panel.dates[-1])
+        ve = signals._descriptor(panel, "VALUEEAR")[-1]
         assert ve[0] == pytest.approx(0.1)
         assert np.isnan(ve[1])
-        roa = signals.compute_descriptor(panel, None, "ROA", panel.dates[-1])
+        roa = signals._descriptor(panel, "ROA")[-1]
         assert roa[0] == pytest.approx(0.1)
         assert np.isnan(roa[1])  # non-positive total assets
 
     def test_unknown_factor(self):
         panel = make_panel({"ret": np.zeros((10, 2))})
         with pytest.raises(signals.SignalError, match="unknown factor"):
-            signals.compute_descriptor(panel, None, "NOPE", panel.dates[0])
+            signals.factor_signal(panel, None, "NOPE")
 
     def test_missing_field_named(self):
         panel = make_panel({"ret": np.zeros((10, 2))})
         with pytest.raises(signals.SignalError, match="mcap"):
-            signals.compute_descriptor(panel, None, "SMB", panel.dates[0])
+            signals.factor_signal(panel, None, "SMB")
 
     def test_pool_masks_descriptor(self, small_universe):
         _, panel, _ = small_universe
@@ -159,6 +159,155 @@ class TestDescriptors:
         sums = np.nansum(sig.scores[valid_rows], axis=1)
         assert np.max(np.abs(sums)) < 1e-12
         assert np.nanmax(np.abs(sig.scores)) <= 0.5
+
+
+def reference_ranks(values):
+    """The per-date rank normalization the whole-panel one replaced: one
+    pass per group of tied values."""
+    out = np.full(values.shape, np.nan)
+    ok = np.isfinite(values)
+    n = int(np.sum(ok))
+    if n < 2:
+        return out
+    x = values[ok]
+    order = np.argsort(x, kind="stable")
+    sorted_x = x[order]
+    pos = np.arange(1, n + 1, dtype=float)
+    starts = np.concatenate([[0], np.nonzero(np.diff(sorted_x) != 0)[0] + 1])
+    ends = np.concatenate([starts[1:], [n]])
+    avg = np.empty(n)
+    for s, e in zip(starts, ends):
+        avg[s:e] = 0.5 * (pos[s] + pos[e - 1])
+    ranks = np.empty(n)
+    ranks[order] = avg
+    out[ok] = (ranks - 0.5) / n - 0.5
+    return out
+
+
+def reference_signal(panel, pool, factor):
+    """Descriptor and ranks date by date, each window read afresh."""
+    fields = {name: panel.field(name) for name in ("ret", "price", "mcap")
+              if panel.has_field(name)}
+    for name in ("earnings", "net_income", "total_assets"):
+        if panel.has_field(name):
+            fields[name] = data.forward_fill_field(panel, name)
+
+    def window_mean(arr, lo, hi, t, min_obs):
+        out = np.full(arr.shape[1], np.nan)
+        if t - lo < 0:
+            return out
+        window = arr[t - lo: t - hi + 1]
+        enough = np.sum(np.isfinite(window), axis=0) >= min_obs
+        with np.errstate(invalid="ignore"):
+            out[enough] = np.nanmean(window[:, enough], axis=0)
+        return out
+
+    def ratio(num, den):
+        out = np.full(num.shape, np.nan)
+        ok = np.isfinite(num) & np.isfinite(den) & (den > 0)
+        out[ok] = num[ok] / den[ok]
+        return out
+
+    def descriptor(t):
+        if factor == "MOM":
+            return window_mean(fields["ret"], 252, 21, t, 120)
+        if factor == "SMB":
+            return -window_mean(fields["mcap"], 59, 20, t, 20)
+        if factor == "VALUEEAR":
+            return ratio(fields["earnings"][t], fields["price"][t])
+        if factor == "ROA":
+            return ratio(fields["net_income"][t], fields["total_assets"][t])
+        out = np.full(panel.n_assets, np.nan)
+        if t < 249:
+            return out
+        window = fields["ret"][t - 249: t + 1]
+        enough = np.sum(np.isfinite(window), axis=0) >= 120
+        with np.errstate(invalid="ignore"):
+            out[enough] = -np.nanstd(window[:, enough], axis=0, ddof=1)
+        return out
+
+    scores = np.full((panel.n_dates, panel.n_assets), np.nan)
+    for t in range(panel.n_dates):
+        raw = descriptor(t)
+        if pool is not None:
+            raw = np.where(pool.mask[t], raw, np.nan)
+        scores[t] = reference_ranks(raw)
+    return scores
+
+
+class TestWholePanelSignal:
+    @pytest.fixture(scope="class")
+    def gappy(self):
+        """Returns, sizes and quarterly fundamentals with missing cells, a
+        late listing, a delisting, an asset that stops reporting, duplicated
+        assets (tied values), and a monthly pool that always holds the
+        duplicated pair."""
+        rng = np.random.Generator(np.random.Philox(31))
+        t, n = 420, 14
+        ret = 0.01 * rng.standard_normal((t, n)) + 3e-4
+        ret[rng.random((t, n)) < 0.08] = np.nan
+        ret[:150, 5] = np.nan
+        ret[:, 2] = 0.0
+        mcap = np.exp(rng.normal(21.0, 1.0, n))[None, :] \
+            * np.cumprod(1.0 + np.nan_to_num(ret), axis=0)
+        mcap[rng.random((t, n)) < 0.1] = np.nan
+        mcap[300:, 6] = np.nan
+        price = 50.0 * np.cumprod(1.0 + np.nan_to_num(ret), axis=0)
+        price[:, 7] = -1.0
+        report = (np.arange(t)[:, None] + rng.integers(0, 63, n)) % 63 == 0
+        fund = {
+            "earnings": price * rng.normal(0.05, 0.03, (t, n)),
+            "net_income": rng.normal(1.0, 0.5, (t, n)),
+            "total_assets": rng.normal(20.0, 8.0, (t, n)),
+        }
+        for name, arr in fund.items():
+            arr[~report] = np.nan
+            arr[60:, 8] = np.nan
+        arrays = {"ret": ret, "mcap": mcap, "price": price, **fund}
+        for arr in arrays.values():
+            arr[:, 1] = arr[:, 0]
+        panel = make_panel(arrays)
+        month = np.arange(t) // 21
+        mask = rng.random((month[-1] + 1, n))[month] < 0.8
+        mask[:, :2] = True
+        pool = data.PoolMask(dates=panel.dates, assets=panel.assets, mask=mask,
+                             rebalance_indices=np.arange(0, t, 21))
+        return panel, pool
+
+    @pytest.mark.parametrize("factor", signals.FACTOR_IDS)
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_matches_per_date_reference(self, gappy, factor, pooled):
+        panel, pool = gappy
+        pool = pool if pooled else None
+        got = signals.factor_signal(panel, pool, factor).scores
+        assert np.array_equal(got, reference_signal(panel, pool, factor),
+                              equal_nan=True)
+        tied = np.isfinite(got[:, 0])
+        assert np.any(tied) and np.array_equal(got[tied, 0], got[tied, 1])
+        if pooled:
+            assert np.all(np.isnan(got[~pool.mask]))
+
+    @pytest.mark.parametrize("factor, first", [("LOWVOL", 249), ("MOM", 252),
+                                               ("SMB", 59)])
+    def test_warm_up_edges(self, gappy, factor, first):
+        panel, pool = gappy
+        got = signals.factor_signal(panel, pool, factor).scores
+        assert np.all(np.isnan(got[:first]))
+        assert np.sum(np.isfinite(got[first])) >= 2
+
+    def test_panel_ranks_match_per_row(self):
+        rng = np.random.Generator(np.random.Philox(32))
+        x = rng.integers(0, 6, (50, 9)).astype(float)   # many ties
+        x[rng.random(x.shape) < 0.2] = np.nan
+        x[3] = np.nan
+        x[4, 1:] = np.nan
+        x[5, 0] = np.inf
+        got = signals.rank_normalize(x)
+        for t in range(50):
+            row = np.where(np.isfinite(x[t]), x[t], np.nan)
+            assert np.array_equal(got[t], reference_ranks(row), equal_nan=True)
+            assert np.array_equal(got[t], signals.rank_normalize(x[t]),
+                                  equal_nan=True)
 
 
 class TestEma:

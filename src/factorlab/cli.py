@@ -29,7 +29,8 @@ import numpy as np
 
 from . import analytics, costs, signals
 from .data import (
-    ReturnsPanel, load_famafrench, load_panel, select_pool, write_panel,
+    ReturnsPanel, _day, _fmt, _read_rows, load_famafrench, load_panel,
+    select_pool, write_panel,
 )
 from .portfolio import StrategyConfig, lh_matched_vol_targets, run_backtest
 from .toy_model import (
@@ -40,12 +41,6 @@ from .toy_model import (
 
 class ConfigError(ValueError):
     pass
-
-
-def _fmt(x) -> str:
-    if x is None or (isinstance(x, float) and not np.isfinite(x)):
-        return ""
-    return repr(float(x))
 
 
 class Outputs:
@@ -204,31 +199,29 @@ def _resolve(config_dir: str, path: str) -> str:
     return out
 
 
-def _load_series(path, panel_dates: np.ndarray) -> np.ndarray:
-    """CSV with header date,ret mapped onto the panel calendar (NaN gaps)."""
+def _load_dated_column(path, column: str, panel_dates: np.ndarray) -> np.ndarray:
+    """The `column` of a CSV whose header starts date,<column> (an index
+    series date,ret or a generated truth_series.csv), mapped onto the panel
+    calendar: NaN on panel days the file does not carry."""
     out = np.full(len(panel_dates), np.nan)
-    pos = {d: i for i, d in enumerate(panel_dates.astype("datetime64[D]").tolist())}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = [h.strip().lower() for h in next(reader)]
-        if header[:2] != ["date", "ret"]:
-            raise ConfigError(f"{path}: header must be date,ret")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or not row[0].strip():
-                continue
-            try:
-                d = np.datetime64(row[0].strip(), "D").item()
-            except ValueError:
-                raise ConfigError(f"{path}: line {lineno}: bad date {row[0]!r}") from None
-            cell = row[1] if len(row) > 1 else ""
-            try:
-                v = float(cell)
-            except ValueError:
-                raise ConfigError(
-                    f"{path}: line {lineno}: bad return {cell!r} on {d}"
-                ) from None
-            if d in pos:
-                out[pos[d]] = v
+    pos = {d: i for i, d in enumerate(panel_dates.astype("datetime64[D]")
+                                      .astype(np.int64).tolist())}
+    seen = set()
+    rows = _read_rows(path, ("date", column), ConfigError)
+    next(rows)
+    for lineno, cells in rows:
+        day = _day(cells[0], path, lineno, ConfigError)
+        if day in seen:
+            raise ConfigError(f"{path}: line {lineno}: duplicate date {cells[0]}")
+        seen.add(day)
+        try:
+            value = float(cells[1])
+        except ValueError:
+            raise ConfigError(
+                f"{path}: line {lineno}: bad {column} {cells[1]!r} on {cells[0]}"
+            ) from None
+        if day in pos:
+            out[pos[day]] = value
     return out
 
 
@@ -408,10 +401,11 @@ def cmd_backtest(cfg, config_dir: str, out: Outputs, seed) -> None:
     modes = ["LH", "LS"] if mode_raw == "BOTH" else [mode_raw]
     index = None
     if "index" in sec:
-        index = _load_series(_resolve(config_dir, sec["index"]), panel.dates)
-    elif "truth_series" in sec:
-        index = _load_truth_market(_resolve(config_dir, sec["truth_series"]),
+        index = _load_dated_column(_resolve(config_dir, sec["index"]), "ret",
                                    panel.dates)
+    elif "truth_series" in sec:
+        index = _load_dated_column(_resolve(config_dir, sec["truth_series"]),
+                                   "market", panel.dates)
     start = _get(sec, "start", str, None)
     end = _get(sec, "end", str, None)
 
@@ -454,33 +448,6 @@ def cmd_backtest(cfg, config_dir: str, out: Outputs, seed) -> None:
     if len(modes) == 2 and summary["LH"]["sharpe"] and summary["LS"]["sharpe"]:
         summary["ls_minus_lh_sharpe"] = summary["LS"]["sharpe"] - summary["LH"]["sharpe"]
     out.write_json("backtest_summary.json", summary)
-
-
-def _load_truth_market(path, panel_dates) -> np.ndarray:
-    """Market column of a generated truth_series.csv as an index proxy."""
-    out = np.full(len(panel_dates), np.nan)
-    pos = {d: i for i, d in enumerate(panel_dates.astype("datetime64[D]").tolist())}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:2] != ["date", "market"]:
-            raise ConfigError(f"{path}: expected a truth_series.csv layout")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or not row[0].strip():
-                continue
-            try:
-                d = np.datetime64(row[0].strip(), "D").item()
-            except ValueError:
-                raise ConfigError(f"{path}: line {lineno}: bad date {row[0]!r}") from None
-            try:
-                v = float(row[1])
-            except (ValueError, IndexError):
-                raise ConfigError(
-                    f"{path}: line {lineno}: bad market value on {d}"
-                ) from None
-            if d in pos:
-                out[pos[d]] = v
-    return out
 
 
 def cmd_famafrench(cfg, config_dir: str, out: Outputs, seed) -> None:

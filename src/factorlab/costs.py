@@ -16,11 +16,12 @@ as negative P&L contributions.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
+
+from .data import _read_rows
 
 
 class CostError(ValueError):
@@ -123,26 +124,21 @@ def resolve_borrow_fees(assets, overrides: Mapping[str, float] | None,
 def load_borrow_fee_overrides(path) -> dict[str, float]:
     """Read the borrow-fee override CSV: asset_id,annual_fee_bps."""
     out: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader)]
-        if header != ["asset_id", "annual_fee_bps"]:
-            raise CostError(f"{path}: header must be asset_id,annual_fee_bps")
-        for lineno, raw in enumerate(reader, start=2):
-            if not raw or not raw[0].strip():
-                continue
-            asset = raw[0].strip()
-            cell = raw[1] if len(raw) > 1 else ""
-            try:
-                bps = float(cell)
-            except ValueError:
-                raise CostError(
-                    f"{path}: line {lineno}: bad fee {cell!r} for asset {asset!r}"
-                ) from None
-            if bps < 0:
-                raise CostError(
-                    f"{path}: line {lineno}: negative fee for asset {asset!r}"
-                )
-            out[asset] = bps * 1e-4
+    rows = _read_rows(path, ("asset_id", "annual_fee_bps"), CostError)
+    next(rows)
+    for lineno, cells in rows:
+        asset, cell = cells[0], cells[1]
+        if not asset:
+            raise CostError(f"{path}: line {lineno}: empty asset_id")
+        try:
+            bps = float(cell)
+        except ValueError:
+            raise CostError(
+                f"{path}: line {lineno}: bad fee {cell!r} for asset {asset!r}"
+            ) from None
+        if bps < 0:
+            raise CostError(
+                f"{path}: line {lineno}: negative fee for asset {asset!r}"
+            )
+        out[asset] = bps * 1e-4
     return out
-

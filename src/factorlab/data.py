@@ -9,6 +9,8 @@ Panels are frozen after construction (arrays are marked read-only).
 from __future__ import annotations
 
 import csv
+import math
+from array import array
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -37,11 +39,9 @@ class PanelError(ValueError):
     """Malformed panel input or inconsistent panel operation."""
 
 
-def _fmt(x: float) -> str:
-    """Shortest round-trip decimal form; empty string for missing."""
-    if not np.isfinite(x):
-        return ""
-    return repr(float(x))
+def _fmt(x) -> str:
+    """Shortest round-trip decimal form; empty string for None, NaN or inf."""
+    return "" if x is None or not math.isfinite(x) else repr(float(x))
 
 
 @dataclass(frozen=True)
@@ -130,6 +130,45 @@ def business_days(start, n: int) -> np.ndarray:
 # generic panel CSV
 # ---------------------------------------------------------------------------
 
+def _read_rows(path, columns, error):
+    """Rows of a CSV whose stripped, lower-cased header starts with
+    `columns`, as (line number, stripped cells).
+
+    The header row comes first. Rows whose cells are all blank are
+    skipped; every other row must have as many cells as the header. An
+    empty file, a wrong header and a row of the wrong width raise `error`,
+    naming the path (and the line).
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        raw = next(reader, None)
+        if raw is None:
+            raise error(f"{path}: empty file")
+        header = [h.strip().lower() for h in raw]
+        if header[:len(columns)] != list(columns):
+            raise error(f"{path}: header must start with {','.join(columns)}")
+        yield reader.line_num, header
+        for raw in reader:
+            cells = [c.strip() for c in raw]
+            if not any(cells):
+                continue
+            if len(cells) != len(header):
+                raise error(f"{path}: line {reader.line_num}: expected "
+                            f"{len(header)} cells, got {len(cells)}")
+            yield reader.line_num, cells
+
+
+def _day(text: str, path, lineno: int, error) -> int:
+    """Day number (days since 1970-01-01) of an ISO date cell."""
+    try:
+        day = np.datetime64(text, "D")
+    except ValueError:
+        day = np.datetime64("NaT")
+    if np.isnat(day):
+        raise error(f"{path}: line {lineno}: bad date {text!r}")
+    return int(day.astype(np.int64))
+
+
 def load_panel(path) -> ReturnsPanel:
     """Load a long-format panel CSV.
 
@@ -138,90 +177,79 @@ def load_panel(path) -> ReturnsPanel:
     order-independent: rows may come in any order, the panel is a normal
     form (dates ascending, assets sorted).
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise PanelError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if len(header) < 3 or header[0] != "date" or header[1] != "asset_id":
-            raise PanelError(f"{path}: header must start with date,asset_id")
-        col = 2
-        has_region = col < len(header) and header[col] == "region"
-        if has_region:
-            col += 1
-        field_cols = header[col:]
-        unknown = [c for c in field_cols if c not in PANEL_FIELDS]
-        if unknown:
-            raise PanelError(
-                f"{path}: unknown field column(s) {', '.join(unknown)}; "
-                f"known fields: {', '.join(PANEL_FIELDS)}"
-            )
-        if not field_cols:
-            raise PanelError(f"{path}: no field columns")
+    rows = _read_rows(path, ("date", "asset_id"), PanelError)
+    header = next(rows)[1]
+    col = 3 if header[2:3] == ["region"] else 2
+    names = header[col:]
+    unknown = [c for c in names if c not in PANEL_FIELDS]
+    if unknown:
+        raise PanelError(
+            f"{path}: unknown field column(s) {', '.join(unknown)}; "
+            f"known fields: {', '.join(PANEL_FIELDS)}"
+        )
+    if not names:
+        raise PanelError(f"{path}: no field columns")
 
-        rows = []
-        for lineno, raw in enumerate(reader, start=2):
-            if not raw or (len(raw) == 1 and not raw[0].strip()):
-                continue
-            if len(raw) != len(header):
-                raise PanelError(
-                    f"{path}: line {lineno}: expected {len(header)} cells, got {len(raw)}"
-                )
-            try:
-                date = np.datetime64(raw[0].strip(), "D")
-            except ValueError:
-                raise PanelError(f"{path}: line {lineno}: bad date {raw[0]!r}") from None
-            asset = raw[1].strip()
+    # one pass: each distinct date text is parsed once, assets get codes in
+    # order of first sight, and every row lands in flat typed buffers
+    day_of: dict[str, int] = {}
+    code_of: dict[str, int] = {}
+    region_of: list[str] = []
+    days, codes, lines, values = array("q"), array("q"), array("q"), array("d")
+    for lineno, cells in rows:
+        day = day_of.get(cells[0])
+        if day is None:
+            day = day_of[cells[0]] = _day(cells[0], path, lineno, PanelError)
+        asset, region = cells[1], cells[2] if col == 3 else ""
+        code = code_of.get(asset)
+        if code is None:
             if not asset:
                 raise PanelError(f"{path}: line {lineno}: empty asset_id")
-            region = raw[2].strip() if has_region else ""
-            values = []
-            for name, cell in zip(field_cols, raw[col:]):
-                cell = cell.strip()
-                if cell == "":
-                    values.append(np.nan)
-                    continue
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise PanelError(
-                        f"{path}: line {lineno}: bad value {cell!r} for field {name!r}"
-                    ) from None
-            rows.append((date, asset, region, values, lineno))
-
-    if not rows:
-        raise PanelError(f"{path}: no data rows")
-
-    dates = np.array(sorted({r[0] for r in rows}), dtype="datetime64[D]")
-    assets = tuple(sorted({r[1] for r in rows}))
-    date_idx = {d: i for i, d in enumerate(dates.tolist())}
-    asset_idx = {a: i for i, a in enumerate(assets)}
-
-    regions = [None] * len(assets)
-    arrays = {name: np.full((len(dates), len(assets)), np.nan) for name in field_cols}
-    seen: set[tuple[int, int]] = set()
-    for date, asset, region, values, lineno in rows:
-        i = date_idx[date.astype("datetime64[D]").item()]
-        j = asset_idx[asset]
-        if (i, j) in seen:
-            raise PanelError(f"{path}: line {lineno}: duplicate (date, asset) ({date}, {asset})")
-        seen.add((i, j))
-        if regions[j] is None:
-            regions[j] = region
-        elif regions[j] != region:
+            code = code_of[asset] = len(region_of)
+            region_of.append(region)
+        elif region_of[code] != region:
             raise PanelError(
                 f"{path}: line {lineno}: asset {asset!r} has conflicting regions "
-                f"{regions[j]!r} and {region!r}"
+                f"{region_of[code]!r} and {region!r}"
             )
-        for name, v in zip(field_cols, values):
-            arrays[name][i, j] = v
+        for name, cell in zip(names, cells[col:]):
+            try:
+                values.append(float(cell) if cell else np.nan)
+            except ValueError:
+                raise PanelError(
+                    f"{path}: line {lineno}: bad value {cell!r} for field {name!r}"
+                ) from None
+        days.append(day)
+        codes.append(code)
+        lines.append(lineno)
+    if not days:
+        raise PanelError(f"{path}: no data rows")
 
+    # scatter: rows -> (date, asset) cells of the normal form
+    day_nums, i = np.unique(np.frombuffer(days, np.int64), return_inverse=True)
+    first_seen = list(code_of)
+    by_name = sorted(range(len(first_seen)), key=first_seen.__getitem__)
+    rank = np.empty(len(by_name), np.int64)
+    rank[by_name] = np.arange(len(by_name))
+    j = rank[np.frombuffer(codes, np.int64)]
+    cell = i * len(by_name) + j
+    order = np.argsort(cell, kind="stable")
+    repeats = order[1:][cell[order[1:]] == cell[order[:-1]]]
+    if len(repeats):
+        k = int(repeats.min())  # rows are in file order: the first repeat
+        raise PanelError(
+            f"{path}: line {lines[k]}: duplicate (date, asset) "
+            f"({day_nums[i[k]].astype('datetime64[D]')}, {first_seen[codes[k]]})"
+        )
+    table = np.frombuffer(values, np.float64).reshape(-1, len(names))
+    arrays = {}
+    for k, name in enumerate(names):
+        arrays[name] = np.full((len(day_nums), len(by_name)), np.nan)
+        arrays[name][i, j] = table[:, k]
     return ReturnsPanel(
-        dates=dates,
-        assets=assets,
-        regions=tuple(r or "" for r in regions),
+        dates=day_nums.astype("datetime64[D]"),
+        assets=tuple(first_seen[c] for c in by_name),
+        regions=tuple(region_of[c] for c in by_name),
         arrays=arrays,
     )
 
@@ -494,28 +522,23 @@ def load_leg_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Dates are YYYYMM or YYYY-MM; returns are decimal fractions. Used for
     factor series distributed as ready-made legs rather than 2x3 blocks.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = [h.strip().lower() for h in next(reader)]
-        if header[:3] != ["date", "long", "short"]:
-            raise PanelError(f"{path}: header must be date,long,short")
-        months, longs, shorts = [], [], []
-        for lineno, raw in enumerate(reader, start=2):
-            if not raw or not raw[0].strip():
-                continue
-            tok = raw[0].strip().replace("-", "")
-            if len(tok) != 6 or not tok.isdigit():
-                raise PanelError(f"{path}: line {lineno}: bad month {raw[0]!r}")
-            try:
-                long_r, short_r = float(raw[1]), float(raw[2])
-            except (ValueError, IndexError):
-                raise PanelError(
-                    f"{path}: line {lineno}: bad long,short returns "
-                    f"{','.join(raw[1:])!r} in month {raw[0].strip()}"
-                ) from None
-            months.append(int(tok))
-            longs.append(long_r)
-            shorts.append(short_r)
+    rows = _read_rows(path, ("date", "long", "short"), PanelError)
+    next(rows)
+    months, longs, shorts = [], [], []
+    for lineno, cells in rows:
+        tok = cells[0].replace("-", "")
+        if len(tok) != 6 or not tok.isdigit():
+            raise PanelError(f"{path}: line {lineno}: bad month {cells[0]!r}")
+        try:
+            long_r, short_r = float(cells[1]), float(cells[2])
+        except ValueError:
+            raise PanelError(
+                f"{path}: line {lineno}: bad long,short returns "
+                f"{','.join(cells[1:])!r} in month {cells[0]}"
+            ) from None
+        months.append(int(tok))
+        longs.append(long_r)
+        shorts.append(short_r)
     return np.array(months, dtype=np.int64), np.array(longs), np.array(shorts)
 
 

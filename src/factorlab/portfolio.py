@@ -31,7 +31,7 @@ import numpy as np
 
 from .costs import CostModelParams, trade_cost, financing_cost, borrow_cost
 from .data import (
-    PoolMask, ReturnsPanel, month_start_indices, rolling_vols, window_sums,
+    PoolMask, ReturnsPanel, _fmt, month_start_indices, rolling_vols, window_sums,
 )
 
 
@@ -147,6 +147,14 @@ class CleanedCorrelation:
     leading_eigenvalue: float
 
 
+def _constant_columns(x: np.ndarray) -> np.ndarray:
+    """Columns of a (T, N) return window that are constant up to rounding:
+    all equal, or a standard deviation at most 1e-12 of the mean absolute
+    return."""
+    scale = np.maximum(np.mean(np.abs(x), axis=0), 1e-300)
+    return np.all(x == x[0:1], axis=0) | (np.std(x, axis=0) <= 1e-12 * scale)
+
+
 def clean_correlation(returns_window: np.ndarray,
                       asset_indices: np.ndarray | None = None,
                       asset_names=None) -> CleanedCorrelation:
@@ -161,9 +169,7 @@ def clean_correlation(returns_window: np.ndarray,
         raise PortfolioError("returns window contains missing values")
     if t < 60:
         raise PortfolioError(f"need at least 60 days to clean, got {t}")
-    sd0 = np.std(x, axis=0)
-    scale = np.maximum(np.mean(np.abs(x), axis=0), 1e-300)
-    degenerate = np.all(x == x[0:1], axis=0) | (sd0 <= 1e-12 * scale)
+    degenerate = _constant_columns(x)
     if np.any(degenerate):
         j = int(np.nonzero(degenerate)[0][0])
         name = asset_names[j] if asset_names is not None else f"column {j}"
@@ -175,7 +181,7 @@ def clean_correlation(returns_window: np.ndarray,
             vols=vols, noise_edge=(1.0 + math.sqrt(1.0 / t)) ** 2, n_clipped=0,
             leading_eigenvector=np.array([1.0]), leading_eigenvalue=1.0,
         )
-    z = (x - np.mean(x, axis=0)) / sd0
+    z = (x - np.mean(x, axis=0)) / np.std(x, axis=0)
     corr = z.T @ z / t
     corr = 0.5 * (corr + corr.T)
     eigvals, eigvecs = np.linalg.eigh(corr)
@@ -618,12 +624,9 @@ class BacktestResult:
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("date," + ",".join(self.COLUMNS) + "\n")
-            for i, d in enumerate(self.dates):
-                cells = [str(d)]
-                for c in self.COLUMNS:
-                    x = getattr(self, c)[i]
-                    cells.append(repr(float(x)) if np.isfinite(x) else "")
-                fh.write(",".join(cells) + "\n")
+            columns = [getattr(self, c).tolist() for c in self.COLUMNS]
+            for d, *row in zip(self.dates, *columns):
+                fh.write(",".join([str(d)] + [_fmt(x) for x in row]) + "\n")
 
 
 def lh_matched_vol_targets(lh_result: BacktestResult, panel_dates: np.ndarray,
@@ -637,35 +640,15 @@ def lh_matched_vol_targets(lh_result: BacktestResult, panel_dates: np.ndarray,
     is held until the next refresh. The earliest estimate backfills the days
     before it so every panel day carries a target.
     """
-    rets = lh_result.total_pnl / lh_result.aum
     dates = lh_result.dates
-    marks = set(month_start_indices(dates).tolist())
-    targets = np.full(len(dates), np.nan)
-    current = np.nan
-    for i in range(len(dates)):
-        if i in marks or (np.isnan(current) and i >= min_obs):
-            lo = max(0, i - window)
-            if i - lo >= min_obs:
-                current = float(np.std(rets[lo:i], ddof=1)) \
-                    * math.sqrt(periods_per_year)
-        targets[i] = current
-    finite = np.isfinite(targets)
-    if not np.any(finite):
+    if len(dates) <= min_obs:
         raise PortfolioError("hedged-long track too short to estimate a vol target")
-    targets[~finite] = targets[finite][0]
-
-    out = np.full(len(panel_dates), np.nan)
-    pos = {d: i for i, d in enumerate(panel_dates.tolist())}
-    for i, d in enumerate(dates.tolist()):
-        if d in pos:
-            out[pos[d]] = targets[i]
-    known = np.isfinite(out)
-    first = int(np.argmax(known))
-    out[:first] = out[first]
-    for i in range(1, len(out)):
-        if not np.isfinite(out[i]):
-            out[i] = out[i - 1]
-    return out
+    refresh = month_start_indices(dates)
+    refresh = np.union1d(refresh[refresh >= min_obs], [min_obs])
+    vols = rolling_vols((lh_result.total_pnl / lh_result.aum)[:, None],
+                        window=window, min_obs=min_obs)[refresh - 1, 0]
+    k = np.searchsorted(dates[refresh], panel_dates, side="right") - 1
+    return vols[np.maximum(k, 0)] * math.sqrt(periods_per_year)
 
 
 def run_backtest(panel: ReturnsPanel, signal, config: StrategyConfig,
@@ -752,18 +735,24 @@ def run_backtest(panel: ReturnsPanel, signal, config: StrategyConfig,
                 min_invested=config.min_invested,
             )
             held = target != 0.0
-            beta_row = betas[t]
-            hedge_target = hedge_with_index(
-                target, np.where(held, beta_row, 0.0), asset_names=panel.assets,
-            ) if np.any(held) else 0.0
+            try:
+                hedge_target = hedge_with_index(
+                    target, np.where(held, betas[t], 0.0), asset_names=panel.assets,
+                ) if np.any(held) else 0.0
+            except PortfolioError as exc:
+                raise PortfolioError(
+                    f"{exc} on {panel.dates[t]}: its beta is undefined because "
+                    f"the index is constant over the {config.beta_window}-day "
+                    "beta window or the asset has too few returns joint with it"
+                ) from None
         else:
             if cleaned is None or t in rebal_set:
                 lo = t - config.cov_window + 1
                 eligible = np.isfinite(srow) if pool is None else pool.mask[t]
                 if lo >= 0:
-                    window_ok = np.all(np.isfinite(ret[lo:t + 1]), axis=0)
-                    sd_ok = np.std(ret[max(lo, 0):t + 1], axis=0) > 0
-                    eligible = eligible & window_ok & sd_ok
+                    window = ret[lo:t + 1]
+                    eligible = (eligible & np.all(np.isfinite(window), axis=0)
+                                & ~_constant_columns(window))
                 else:
                     eligible = np.zeros(n, dtype=bool)
                 idx = np.nonzero(eligible)[0]

@@ -374,20 +374,52 @@ class TestFamaFrench:
         assert "HML" in capsys.readouterr().err
 
 
+def _index(path):
+    return cli._load_dated_column(path, "ret", data.business_days("2020-01-01", 5))
+
+
+def _truth(path):
+    return cli._load_dated_column(path, "market",
+                                  data.business_days("2020-01-01", 5))
+
+
 @pytest.mark.parametrize("text, load, error, named", [
     ("date,ret\n2020-01-02,0.01\n2020-01-03,abc\n",
-     lambda p: cli._load_series(p, data.business_days("2020-01-01", 5)),
-     cli.ConfigError, ["2020-01-03", "'abc'"]),
+     _index, cli.ConfigError, ["line 3", "2020-01-03", "'abc'"]),
     ("asset_id,annual_fee_bps\nAAA,100\nBBB,lots\n",
-     costs.load_borrow_fee_overrides, costs.CostError, ["'BBB'", "'lots'"]),
+     costs.load_borrow_fee_overrides, costs.CostError,
+     ["line 3", "'BBB'", "'lots'"]),
     ("date,long,short\n202001,0.01,0.02\n202002,0.01,n/a\n",
-     data.load_leg_csv, data.PanelError, ["202002", "0.01,n/a"]),
-], ids=["index_series", "borrow_fees", "leg_csv"])
+     data.load_leg_csv, data.PanelError, ["line 3", "202002", "0.01,n/a"]),
+    ("", _index, cli.ConfigError, ["empty file"]),
+    ("", _truth, cli.ConfigError, ["empty file"]),
+    ("", costs.load_borrow_fee_overrides, costs.CostError, ["empty file"]),
+    ("", data.load_leg_csv, data.PanelError, ["empty file"]),
+    ("", data.load_panel, data.PanelError, ["empty file"]),
+    ("date,ret\n2020-01-02,0.01\n,0.02\n",
+     _index, cli.ConfigError, ["line 3", "bad date ''"]),
+    ("date,market,factor\n2020-01-02,0.01,0\n ,0.02,0\n",
+     _truth, cli.ConfigError, ["line 3", "bad date ''"]),
+    ("asset_id,annual_fee_bps\nAAA,100\n,25\n",
+     costs.load_borrow_fee_overrides, costs.CostError,
+     ["line 3", "empty asset_id"]),
+    ("date,long,short\n202001,0.01,0.02\n,0.01,0.02\n",
+     data.load_leg_csv, data.PanelError, ["line 3", "bad month ''"]),
+    ("date,ret\n2020-01-02,0.01\n\n2020-01-02,0.02\n",
+     _index, cli.ConfigError, ["line 4", "duplicate date 2020-01-02"]),
+    ("date,market,factor\n2020-01-02,0.01,0\n2020-01-02,0.01,0\n",
+     _truth, cli.ConfigError, ["line 3", "duplicate date 2020-01-02"]),
+], ids=["index_series", "borrow_fees", "leg_csv",
+        "index_series_empty", "truth_series_empty", "borrow_fees_empty",
+        "leg_csv_empty", "panel_empty",
+        "index_series_blank_date", "truth_series_blank_date",
+        "borrow_fees_blank_asset", "leg_csv_blank_month",
+        "index_series_duplicate_date", "truth_series_duplicate_date"])
 def test_loader_error_names_line_key_and_cell(tmp_path, text, load, error, named):
     path = tmp_path / "input.csv"
     path.write_text(text)
     with pytest.raises(error) as info:
         load(str(path))
     message = str(info.value)
-    for part in [str(path), "line 3"] + named:
+    for part in [str(path)] + named:
         assert part in message

@@ -66,7 +66,30 @@ class TestLoadPanel:
             "2020-01-02,AAA,NA,0.01",
             "2020-01-02,AAA,NA,0.02",
         ])
-        with pytest.raises(data.PanelError, match="duplicate"):
+        with pytest.raises(data.PanelError, match="line 3: duplicate"):
+            data.load_panel(path)
+        # the error names the first row that repeats an earlier one
+        path = write_lines(tmp_path / "p.csv", [
+            "date,asset_id,region,ret",
+            *[f"2020-01-02,A{k:02d},NA,0.01" for k in range(30)],
+            "2020-01-02,A07,NA,0.02",
+            "2020-01-02,A03,NA,0.02",
+        ])
+        with pytest.raises(data.PanelError, match=r"line 32: duplicate "
+                                                  r"\(date, asset\) \(2020-01-02, A07\)"):
+            data.load_panel(path)
+
+    def test_conflicting_regions_report_line(self, tmp_path):
+        path = write_lines(tmp_path / "p.csv", [
+            "date,asset_id,region,ret",
+            "2020-01-02,AAA,NA,0.01",
+            "2020-01-02,BBB,EU,0.01",
+            "",
+            " , ,,",
+            "2020-01-03,AAA,EU,0.02",
+        ])
+        with pytest.raises(data.PanelError, match="line 6: asset 'AAA' has "
+                                                  "conflicting regions 'NA' and 'EU'"):
             data.load_panel(path)
 
     def test_unknown_field_lists_known(self, tmp_path):
@@ -133,6 +156,18 @@ class TestLoadPanel:
             sub = panel.field(name)[np.ix_(rows, cols)]
             same = (got == sub) | (np.isnan(got) & np.isnan(sub))
             assert np.all(same)
+        # loading is order-independent: a row-shuffled copy gives the same panel
+        lines = (tmp / "a.csv").read_text().splitlines()
+        rows = lines[1:]
+        order = data_strategy.draw(st.permutations(range(len(rows))))
+        (tmp / "shuffled.csv").write_text(
+            "\n".join([lines[0]] + [rows[k] for k in order]) + "\n")
+        shuffled = data.load_panel(tmp / "shuffled.csv")
+        assert np.array_equal(shuffled.dates, loaded.dates)
+        assert (shuffled.assets, shuffled.regions) == (loaded.assets, loaded.regions)
+        for name in ("ret", "price"):
+            assert np.array_equal(shuffled.field(name), loaded.field(name),
+                                  equal_nan=True)
         data.write_panel(loaded, tmp / "b.csv")
         data.write_panel(data.load_panel(tmp / "b.csv"), tmp / "c.csv")
         assert (tmp / "b.csv").read_bytes() == (tmp / "c.csv").read_bytes()

@@ -623,6 +623,83 @@ class TestBacktest:
         assert header.split(",")[-1] == "vol_warning"
         assert first.split(",")[-1] == "1.0"
 
+    def test_constant_return_asset_never_held_in_ls(self, market20):
+        panel, _, _ = market20
+        ret = panel.field("ret").copy()
+        ret[:, 3] = 0.001  # np.std of this column is 2.2e-19, not 0
+        arrays = dict(panel.arrays, ret=ret)
+        panel = data.ReturnsPanel(dates=panel.dates, assets=panel.assets,
+                                  regions=panel.regions, arrays=arrays)
+        mom = signals.factor_signal(panel, None, "MOM")
+        assert np.isfinite(mom.scores[-1, 3])
+        res = pf.run_backtest(panel, mom, pf.StrategyConfig(mode="LS", aum=AUM),
+                              costs.CostModelParams(), start=panel.dates[260])
+        assert np.all(res.positions[:, 3] == 0.0)
+        assert np.all(np.any(res.positions != 0.0, axis=1))
+
+    def test_constant_hedge_index_names_date_and_cause(self):
+        spec = tm.SyntheticUniverseSpec(
+            n_assets=20, n_periods=300, seed=4, loading_short_scale=0.8,
+            resid_vol_long=0.004, resid_vol_short=0.004, factor_mean=8e-4,
+            factor_vol=0.004, market_mean=3e-4, market_vol=0.0,
+        )
+        panel, truth = tm.generate_universe(spec)
+        mom = signals.factor_signal(panel, None, "MOM")
+        with pytest.raises(pf.PortfolioError) as info:
+            pf.run_backtest(panel, mom, pf.StrategyConfig(mode="LH", aum=AUM),
+                            costs.CostModelParams(), index_returns=truth.market,
+                            start=panel.dates[260])
+        message = str(info.value)
+        for part in ["missing beta", str(panel.dates[260]),
+                     "index is constant over the 250-day beta window",
+                     "too few returns"]:
+            assert part in message
+
+    def test_lh_matched_vol_targets_match_per_day_loop(self):
+        rng = np.random.Generator(np.random.Philox(12))
+        panel_dates = data.business_days("2020-01-01", 700)
+        dates = panel_dates[100:650]
+        pnl = 1e7 * (1e-4 + rng.standard_normal(len(dates)))
+        zeros = np.zeros(len(dates))
+        lh = pf.BacktestResult(
+            dates=dates, assets=(), mode="LH", aum=AUM, ret_pnl=pnl,
+            trading_cost=zeros, financing_cost=zeros, borrow_cost=zeros,
+            total_pnl=pnl, traded_notional=zeros, gross_stock=zeros,
+            net_stock=zeros, hedge_notional=zeros, predicted_vol=zeros,
+            vol_warning=zeros, positions=np.zeros((len(dates), 0)),
+        )
+
+        def per_day_loop(window=250, min_obs=60, periods_per_year=252):
+            rets = lh.total_pnl / lh.aum
+            marks = set(data.month_start_indices(dates).tolist())
+            targets = np.full(len(dates), np.nan)
+            current = np.nan
+            for i in range(len(dates)):
+                if i in marks or (np.isnan(current) and i >= min_obs):
+                    lo = max(0, i - window)
+                    if i - lo >= min_obs:
+                        current = float(np.std(rets[lo:i], ddof=1)) \
+                            * np.sqrt(periods_per_year)
+                targets[i] = current
+            finite = np.isfinite(targets)
+            targets[~finite] = targets[finite][0]
+            out = np.full(len(panel_dates), np.nan)
+            pos = {d: i for i, d in enumerate(panel_dates.tolist())}
+            for i, d in enumerate(dates.tolist()):
+                out[pos[d]] = targets[i]
+            first = int(np.argmax(np.isfinite(out)))
+            out[:first] = out[first]
+            for i in range(1, len(out)):
+                if not np.isfinite(out[i]):
+                    out[i] = out[i - 1]
+            return out
+
+        for kw in (dict(), dict(window=120, min_obs=40, periods_per_year=250)):
+            got = pf.lh_matched_vol_targets(lh, panel_dates, **kw)
+            assert np.allclose(got, per_day_loop(**kw), rtol=1e-12, atol=0)
+        with pytest.raises(pf.PortfolioError, match="too short"):
+            pf.lh_matched_vol_targets(lh, panel_dates, min_obs=len(dates))
+
     def test_calendar_gap_rejected(self):
         dates = np.concatenate([
             data.business_days("2020-01-01", 10),

@@ -130,6 +130,8 @@ def load_borrow_fee_overrides(path) -> dict[str, float]:
         asset, cell = cells[0], cells[1]
         if not asset:
             raise CostError(f"{path}: line {lineno}: empty asset_id")
+        if asset in out:
+            raise CostError(f"{path}: line {lineno}: duplicate asset {asset!r}")
         try:
             bps = float(cell)
         except ValueError:

@@ -34,6 +34,9 @@ DEFAULT_POOL_COUNTS = {"NA": 1200, "EU": 1000, "JP": 900, "AU": 200}
 
 DEFAULT_FFILL_LIMIT_DAYS = 370
 
+# cells formatted per batch by `write_panel`, which bounds its string buffers
+_WRITE_CHUNK = 1 << 16
+
 
 class PanelError(ValueError):
     """Malformed panel input or inconsistent panel operation."""
@@ -266,20 +269,23 @@ def write_panel(panel: ReturnsPanel, path, fields=None) -> None:
     ]
     for f in names:
         panel.field(f)
+    mats = [panel.arrays[f] for f in names]
+    any_valid = np.zeros((panel.n_dates, panel.n_assets), dtype=bool)
+    for m in mats:
+        any_valid |= np.isfinite(m)
+    rows, cols = np.nonzero(any_valid)    # normal-form order: date, then asset
+    days = [str(d) for d in panel.dates]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["date", "asset_id", "region"] + names)
-        mats = [panel.arrays[f] for f in names]
-        any_valid = np.zeros((panel.n_dates, panel.n_assets), dtype=bool)
-        for m in mats:
-            any_valid |= np.isfinite(m)
-        for i, d in enumerate(panel.dates):
-            day = str(d)
-            for j in np.nonzero(any_valid[i])[0]:
-                w.writerow(
-                    [day, panel.assets[j], panel.regions[j]]
-                    + [_fmt(m[i, j]) for m in mats]
-                )
+        for lo in range(0, len(rows), _WRITE_CHUNK):
+            i, j = rows[lo:lo + _WRITE_CHUNK], cols[lo:lo + _WRITE_CHUNK]
+            w.writerows(zip(
+                [days[k] for k in i.tolist()],
+                [panel.assets[k] for k in j.tolist()],
+                [panel.regions[k] for k in j.tolist()],
+                *([_fmt(x) for x in m[i, j].tolist()] for m in mats),
+            ))
 
 
 def forward_fill_field(panel: ReturnsPanel, name: str,
@@ -524,7 +530,7 @@ def load_leg_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     rows = _read_rows(path, ("date", "long", "short"), PanelError)
     next(rows)
-    months, longs, shorts = [], [], []
+    legs: dict[int, tuple[float, float]] = {}
     for lineno, cells in rows:
         tok = cells[0].replace("-", "")
         if len(tok) != 6 or not tok.isdigit():
@@ -536,10 +542,11 @@ def load_leg_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 f"{path}: line {lineno}: bad long,short returns "
                 f"{','.join(cells[1:])!r} in month {cells[0]}"
             ) from None
-        months.append(int(tok))
-        longs.append(long_r)
-        shorts.append(short_r)
-    return np.array(months, dtype=np.int64), np.array(longs), np.array(shorts)
+        if int(tok) in legs:
+            raise PanelError(f"{path}: line {lineno}: duplicate month {cells[0]}")
+        legs[int(tok)] = (long_r, short_r)
+    pairs = np.array(list(legs.values()), dtype=float).reshape(-1, 2)
+    return np.array(list(legs), dtype=np.int64), pairs[:, 0], pairs[:, 1]
 
 
 def load_famafrench(block_paths: Mapping[str, str],

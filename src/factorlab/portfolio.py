@@ -214,21 +214,6 @@ def clean_correlation(returns_window: np.ndarray,
 # long-only optimizer
 # ---------------------------------------------------------------------------
 
-def project_capped_simplex(x: np.ndarray, cap: float, budget: float) -> np.ndarray:
-    """Euclidean projection onto {0 <= w <= cap, sum(w) <= budget}."""
-    w = np.clip(x, 0.0, cap)
-    if np.sum(w) <= budget:
-        return w
-    lo, hi = 0.0, float(np.max(x))
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if np.sum(np.clip(x - mid, 0.0, cap)) > budget:
-            lo = mid
-        else:
-            hi = mid
-    return np.clip(x - hi, 0.0, cap)
-
-
 def _greedy_fill(scores: np.ndarray, cap: float, budget: float,
                  floor_total: float = 0.0) -> np.ndarray:
     """Exact solution of max s.w over {0 <= w <= cap, sum w <= budget} plus

@@ -252,19 +252,67 @@ def blend(signals: list[SignalPanel], weights) -> SignalPanel:
 # residual returns and predictability
 # ---------------------------------------------------------------------------
 
+# Power iteration for the leading correlation mode (`_leading_vector`): it
+# stops once successive unit iterates differ by less than _POWER_TOL, accepts
+# an iterate v only if |A v - lam v| <= _RAYLEIGH_TOL * lam, and past
+# _POWER_MAX_ITER steps (a spectral gap too small to resolve) falls back to
+# eigh, at about the cost of that many steps.
+_POWER_TOL = 1e-13
+_RAYLEIGH_TOL = 1e-12
+_POWER_MAX_ITER = 100
+
+
+def _leading_vector(matvec, start: np.ndarray, floor: float = 0.0) -> np.ndarray:
+    """Unit leading eigenvector of a symmetric positive semi-definite matrix
+    A known only through `matvec`, which maps a vector or an (n, k) block.
+
+    Power iteration v <- A v / |A v| from `start` (non-zero). The returned
+    vector has passed the Rayleigh check above, and its eigenvalue is at
+    least `floor`, a lower bound on the top eigenvalue such as A's largest
+    diagonal entry. The floor rejects a start that is itself a lesser
+    eigenvector below it, as all ones is for two assets with equal window
+    counts that move against each other. Otherwise A is formed as
+    matvec(I) and handed to eigh. The sign is left as found.
+    """
+    v = start / np.linalg.norm(start)
+    for _ in range(_POWER_MAX_ITER):
+        w = matvec(v)
+        lam = float(v @ w)
+        if not lam > 0:
+            break
+        nxt = w / np.linalg.norm(w)
+        if np.linalg.norm(nxt - v) < _POWER_TOL:
+            if (lam >= (1.0 - _RAYLEIGH_TOL) * floor
+                    and np.linalg.norm(w - lam * v) <= _RAYLEIGH_TOL * lam):
+                return v
+            break
+        v = nxt
+    return np.linalg.eigh(matvec(np.eye(len(v))))[1][:, -1]
+
+
 def residual_returns(panel: ReturnsPanel, lookback_days: int = 250,
                      pool: PoolMask | None = None,
                      min_frac: float = 0.8) -> np.ndarray:
     """Strip each stock's projection on the leading correlation mode.
 
-    Per date t, the leading eigenvector of the trailing correlation matrix
-    of daily returns defines a market-mode series; each stock's return is
-    regressed on it over the same window and the fitted component removed:
-    resid_i = r_i - beta_i * mode_t.
+    Per date t, the leading eigenvector v of the trailing correlation
+    matrix of daily returns (sign chosen so that sum(v) >= 0) defines a
+    market-mode series mode = z v, where z holds the window's standardized
+    returns with gaps imputed at the mean (z = 0). Each stock's return is
+    regressed on the mode over the same window and the fitted component
+    removed: resid_i = r_i - beta_i * mode_t.
 
-    Assets need at least min_frac of the window valid (gaps are mean-imputed
-    in the standardized returns). Returns a (T, N) array, NaN where
-    undefined.
+    An asset takes part on date t if it has a return that day, at least
+    min_frac of the window valid, is in `pool` (when given), and is not
+    constant: a window standard deviation at most 1e-12 of its mean
+    absolute return drops it. Window counts and means come from
+    `window_sums` over the whole panel. The standard deviation comes from
+    the centred window that z is built from: one from cumulative sums of
+    squares would bury a constant asset's zero spread in rounding error.
+    The correlation matrix is never formed: v comes from `_leading_vector`
+    on u -> z'(z u), started from the previous date's vector restricted to
+    today's assets (all ones on the first date). Returns a (T, N) array,
+    NaN where undefined.
     """
     ret = panel.field("ret")
     t_total, n = ret.shape
@@ -272,34 +320,48 @@ def residual_returns(panel: ReturnsPanel, lookback_days: int = 250,
     if lookback_days < 10:
         raise SignalError("lookback_days too short")
     min_obs = int(np.ceil(min_frac * lookback_days))
+    valid = np.isfinite(ret)
+    cnt = window_sums(valid.astype(float), lookback_days)
+    eligible = valid & (cnt >= min_obs)
+    if pool is not None:
+        eligible &= pool.mask
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean = window_sums(np.where(valid, ret, 0.0), lookback_days) / cnt
+        abs_mean = window_sums(np.where(valid, np.abs(ret), 0.0),
+                               lookback_days) / cnt
+    prev = np.zeros(n)
     for t in range(lookback_days - 1, t_total):
-        window = ret[t - lookback_days + 1 : t + 1]
-        cnt = np.sum(np.isfinite(window), axis=0)
-        use = (cnt >= min_obs) & np.isfinite(ret[t])
-        if pool is not None:
-            use &= pool.mask[t]
-        idx = np.nonzero(use)[0]
+        idx = np.nonzero(eligible[t])[0]
         if len(idx) < 2:
             continue
-        x = window[:, idx]
-        mu = np.nanmean(x, axis=0)
-        sd = np.nanstd(x, axis=0)
-        pos = sd > 0
-        idx = idx[pos]
-        if len(idx) < 2:
-            continue
-        z = (x[:, pos] - mu[pos]) / sd[pos]
-        z[~np.isfinite(z)] = 0.0
-        corr = z.T @ z / z.shape[0]
-        eigvals, eigvecs = np.linalg.eigh(corr)
-        v = eigvecs[:, -1]
+        dev = ret[t - lookback_days + 1:t + 1, idx] - mean[t, idx]
+        dev[~np.isfinite(dev)] = 0.0
+        # corrected two-pass variance: the sum of dev takes out the rounding
+        # error of the window mean, so a constant asset reads as constant
+        c = cnt[t, idx]
+        sq = np.einsum("ij,ij->j", dev, dev)
+        var = np.maximum(sq - np.sum(dev, axis=0) ** 2 / c, 0.0) / c
+        keep = var > (1e-12 * abs_mean[t, idx]) ** 2
+        if not np.all(keep):
+            idx, dev, sq, var = idx[keep], dev[:, keep], sq[keep], var[keep]
+            if len(idx) < 2:
+                continue
+        sd = np.sqrt(var)
+        z = dev / sd
+        start = prev[idx]
+        # z'z has the diagonal sq / var, a floor under its top eigenvalue
+        v = _leading_vector(lambda u: z.T @ (z @ u),
+                            start if np.any(start) else np.ones(len(idx)),
+                            floor=float(np.max(sq / var)))
         if np.sum(v) < 0:
             v = -v
+        prev[:] = 0.0
+        prev[idx] = v
         mode = z @ v
         var_mode = float(mode @ mode)
         if var_mode <= 0:
             continue
-        betas = sd[pos] * (z.T @ mode) / var_mode
+        betas = sd * (z.T @ mode) / var_mode
         out[t, idx] = ret[t, idx] - betas * mode[-1]
     return out
 

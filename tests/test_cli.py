@@ -409,12 +409,18 @@ def _truth(path):
      _index, cli.ConfigError, ["line 4", "duplicate date 2020-01-02"]),
     ("date,market,factor\n2020-01-02,0.01,0\n2020-01-02,0.01,0\n",
      _truth, cli.ConfigError, ["line 3", "duplicate date 2020-01-02"]),
+    ("asset_id,annual_fee_bps\nAAA,100\nBBB,50\nAAA,25\n",
+     costs.load_borrow_fee_overrides, costs.CostError,
+     ["line 4", "duplicate asset 'AAA'"]),
+    ("date,long,short\n202001,0.01,0.02\n2020-01,0.01,0.02\n",
+     data.load_leg_csv, data.PanelError, ["line 3", "duplicate month 2020-01"]),
 ], ids=["index_series", "borrow_fees", "leg_csv",
         "index_series_empty", "truth_series_empty", "borrow_fees_empty",
         "leg_csv_empty", "panel_empty",
         "index_series_blank_date", "truth_series_blank_date",
         "borrow_fees_blank_asset", "leg_csv_blank_month",
-        "index_series_duplicate_date", "truth_series_duplicate_date"])
+        "index_series_duplicate_date", "truth_series_duplicate_date",
+        "borrow_fees_duplicate_asset", "leg_csv_duplicate_month"])
 def test_loader_error_names_line_key_and_cell(tmp_path, text, load, error, named):
     path = tmp_path / "input.csv"
     path.write_text(text)

@@ -108,6 +108,29 @@ class TestLoadPanel:
         data.write_panel(data.load_panel(out1), out2)
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("chunk", [3, 1 << 16])
+    def test_writer_matches_cell_loop(self, tmp_path, monkeypatch, chunk):
+        rng = np.random.Generator(np.random.Philox(8))
+        t, n = 9, 4
+        arrays = {f: rng.standard_normal((t, n)) for f in ("ret", "price")}
+        arrays["ret"][rng.random((t, n)) < 0.3] = np.nan
+        arrays["price"][rng.random((t, n)) < 0.5] = np.nan
+        arrays["ret"][2] = arrays["price"][2] = np.nan     # an empty date
+        panel = data.ReturnsPanel(dates=data.business_days("2020-01-01", t),
+                                  assets=("A", "B", "C", "D"),
+                                  regions=("NA", "EU", "NA", ""), arrays=arrays)
+        monkeypatch.setattr(data, "_WRITE_CHUNK", chunk)
+        data.write_panel(panel, tmp_path / "p.csv")
+        # the per-date, per-asset loop the batched writer replaced
+        lines = ["date,asset_id,region,ret,price"]
+        for i, d in enumerate(panel.dates):
+            for j in range(n):
+                cells = [data._fmt(arrays[f][i, j]) for f in ("ret", "price")]
+                if any(cells):
+                    lines.append(",".join([str(d), panel.assets[j],
+                                           panel.regions[j]] + cells))
+        assert (tmp_path / "p.csv").read_text() == "\n".join(lines) + "\n"
+
     def test_panel_is_immutable(self, three_asset_csv):
         panel = data.load_panel(three_asset_csv)
         with pytest.raises(ValueError):

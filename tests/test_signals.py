@@ -439,6 +439,191 @@ class TestResiduals:
         assert np.all(np.isnan(res[:249]))
 
 
+def reference_residuals(panel, lookback_days, pool=None, min_frac=0.8):
+    """The per-date loop the power iteration replaced: nanmean and nanstd
+    of each window, the full correlation matrix and its eigh."""
+    ret = panel.field("ret")
+    t_total, n = ret.shape
+    out = np.full((t_total, n), np.nan)
+    min_obs = int(np.ceil(min_frac * lookback_days))
+    for t in range(lookback_days - 1, t_total):
+        window = ret[t - lookback_days + 1: t + 1]
+        cnt = np.sum(np.isfinite(window), axis=0)
+        use = (cnt >= min_obs) & np.isfinite(ret[t])
+        if pool is not None:
+            use &= pool.mask[t]
+        idx = np.nonzero(use)[0]
+        if len(idx) < 2:
+            continue
+        x = window[:, idx]
+        mu = np.nanmean(x, axis=0)
+        sd = np.nanstd(x, axis=0)
+        pos = sd > 0
+        idx = idx[pos]
+        if len(idx) < 2:
+            continue
+        z = (x[:, pos] - mu[pos]) / sd[pos]
+        z[~np.isfinite(z)] = 0.0
+        v = np.linalg.eigh(z.T @ z / z.shape[0])[1][:, -1]
+        if np.sum(v) < 0:
+            v = -v
+        mode = z @ v
+        var_mode = float(mode @ mode)
+        if var_mode <= 0:
+            continue
+        betas = sd[pos] * (z.T @ mode) / var_mode
+        out[t, idx] = ret[t, idx] - betas * mode[-1]
+    return out
+
+
+def assert_same_residuals(got, ref):
+    assert np.array_equal(np.isfinite(got), np.isfinite(ref))
+    ok = np.isfinite(ref)
+    assert np.any(ok)
+    scale = np.max(np.abs(ref[ok]))
+    assert np.max(np.abs(got[ok] - ref[ok])) <= 1e-12 * scale
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Counts the calls to np.linalg.eigh made while a test runs."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+class TestResidualsAgainstEigh:
+    LOOKBACK = 120
+
+    @pytest.fixture(scope="class")
+    def market(self):
+        """A market mode plus noise, with gaps, a late listing, a delisting
+        and a monthly pool."""
+        rng = np.random.Generator(np.random.Philox(41))
+        t, n = 330, 24
+        beta = rng.uniform(0.5, 1.5, n)
+        ret = 0.01 * rng.standard_normal(t)[:, None] * beta \
+            + 0.008 * rng.standard_normal((t, n)) + 2e-4
+        ret[rng.random((t, n)) < 0.05] = np.nan
+        ret[:200, 3] = np.nan       # lists late
+        ret[280:, 4] = np.nan       # delists
+        panel = make_panel({"ret": ret})
+        month = np.arange(t) // 21
+        mask = rng.random((month[-1] + 1, n))[month] < 0.85
+        pool = data.PoolMask(dates=panel.dates, assets=panel.assets, mask=mask,
+                             rebalance_indices=np.arange(0, t, 21))
+        return panel, pool
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_matches_eigh_loop(self, market, pooled, eigh_calls):
+        panel, pool = market
+        pool = pool if pooled else None
+        got = signals.residual_returns(panel, self.LOOKBACK, pool=pool)
+        assert eigh_calls == []     # the power iteration settled every date
+        assert np.any(np.isfinite(got[:, 3])) and np.any(np.isfinite(got[:, 4]))
+        assert np.all(np.isnan(got[:200, 3])) and np.all(np.isnan(got[280:, 4]))
+        if pooled:
+            assert np.all(np.isnan(got[~pool.mask]))
+        assert_same_residuals(got, reference_residuals(panel, self.LOOKBACK, pool))
+
+    def test_close_eigenvalues_fall_back_to_eigh(self, eigh_calls):
+        # two sectors driven by the same factor five days apart: their modes
+        # carry about the same variance in every window
+        rng = np.random.Generator(np.random.Philox(40))
+        t, n = 300, 16
+        f = 0.01 * rng.standard_normal(t + 5)
+        sector = np.column_stack([f[5:], f[:-5]])
+        ret = np.repeat(sector, n // 2, axis=1) + 0.008 * rng.standard_normal((t, n))
+        panel = make_panel({"ret": ret})
+        got = signals.residual_returns(panel, self.LOOKBACK)
+        n_dates = t - self.LOOKBACK + 1
+        assert len(eigh_calls) > n_dates // 2
+        ref = reference_residuals(panel, self.LOOKBACK)
+        gaps = []
+        for d in range(self.LOOKBACK - 1, t):
+            w = ret[d - self.LOOKBACK + 1: d + 1]
+            z = (w - w.mean(axis=0)) / w.std(axis=0)
+            top = np.linalg.eigvalsh(z.T @ z)[-2:]
+            gaps.append(1.0 - top[0] / top[1])
+        assert np.median(gaps) < 0.1
+        assert_same_residuals(got, ref)
+
+    def test_two_assets_moving_against_each_other(self):
+        # all ones, the first start, is then the lesser eigenvector
+        rng = np.random.Generator(np.random.Philox(5))
+        f = rng.standard_normal(200)
+        ret = 0.01 * np.column_stack([f + 0.5 * rng.standard_normal(200),
+                                      -f + 0.5 * rng.standard_normal(200)])
+        panel = make_panel({"ret": ret})
+        assert_same_residuals(signals.residual_returns(panel, self.LOOKBACK),
+                              reference_residuals(panel, self.LOOKBACK))
+
+    @pytest.mark.parametrize("history, jitter", [(0.001, 0.0), (1e3, 0.0),
+                                                 (0.001, 1e-14)])
+    def test_constant_asset_dropped(self, market, history, jitter):
+        # a return of 0.001 held from day 150 on, up to a relative jitter
+        # far below 1e-12; a large return before it makes the cumulative
+        # sums behind the window mean large
+        panel, _ = market
+        ret = panel.field("ret").copy()
+        ret[:150, 7] = history
+        noise = np.random.Generator(np.random.Philox(42)).standard_normal(180)
+        ret[150:, 7] = 0.001 * (1.0 + jitter * noise)
+        constant = slice(150 + self.LOOKBACK - 1, None)
+        with_constant = signals.residual_returns(
+            make_panel({"ret": ret}), self.LOOKBACK)[constant]
+        assert np.all(np.isnan(with_constant[:, 7]))
+        others = np.delete(np.arange(panel.n_assets), 7)
+        without = signals.residual_returns(
+            make_panel({"ret": ret[:, others]}), self.LOOKBACK)[constant]
+        assert_same_residuals(with_constant[:, others], without)
+
+
+class TestLeadingVector:
+    def matrix(self, eigvals, seed):
+        q, _ = np.linalg.qr(np.random.Generator(np.random.Philox(seed))
+                            .standard_normal((len(eigvals), len(eigvals))))
+        return (q * eigvals) @ q.T, q[:, 0]
+
+    def test_known_matrix(self, eigh_calls):
+        a, top = self.matrix([5.0, 2.0, 1.0, 0.5, 0.1], seed=50)
+        v = signals._leading_vector(lambda u: a @ u, np.ones(5))
+        assert eigh_calls == []
+        assert np.linalg.norm(v) == pytest.approx(1.0)
+        assert np.max(np.abs(v * np.sign(v @ top) - top)) < 1e-12
+
+    def test_warm_start_converges_at_once(self):
+        a, top = self.matrix([5.0, 2.0, 1.0, 0.5, 0.1], seed=51)
+        steps = []
+
+        def matvec(u):
+            steps.append(1)
+            return a @ u
+
+        v = signals._leading_vector(matvec, top)
+        assert len(steps) <= 2
+        assert np.max(np.abs(v - top)) < 1e-14
+
+    def test_start_on_a_lesser_eigenvector(self, eigh_calls):
+        a = np.array([[1.0, -0.5], [-0.5, 1.0]])
+        v = signals._leading_vector(lambda u: a @ u, np.ones(2),
+                                    floor=np.max(np.diag(a)))
+        assert eigh_calls == [(2, 2)]
+        assert abs(v @ np.array([1.0, -1.0])) == pytest.approx(np.sqrt(2.0))
+
+    def test_small_gap_falls_back_to_eigh(self, eigh_calls):
+        a, top = self.matrix([1.0, 0.999, 0.5, 0.2], seed=52)
+        v = signals._leading_vector(lambda u: a @ u, np.ones(4))
+        assert eigh_calls == [(4, 4)]
+        assert np.max(np.abs(v * np.sign(v @ top) - top)) < 1e-12
+
+
 class TestForwardMean:
     def test_matches_brute_force(self):
         rng = np.random.Generator(np.random.Philox(11))

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import analytics, costs, signals
 from .data import (
-    ReturnsPanel, _day, _fmt, _read_rows, load_famafrench, load_panel,
+    ReturnsPanel, _day, _each_row, _fmt, load_famafrench, load_panel,
     select_pool, write_panel,
 )
 from .portfolio import StrategyConfig, lh_matched_vol_targets, run_backtest
@@ -207,7 +207,7 @@ def _load_dated_column(path, column: str, panel_dates: np.ndarray) -> np.ndarray
     pos = {d: i for i, d in enumerate(panel_dates.astype("datetime64[D]")
                                       .astype(np.int64).tolist())}
     seen = set()
-    rows = _read_rows(path, ("date", column), ConfigError)
+    rows = _each_row(path, ("date", column), ConfigError)
     next(rows)
     for lineno, cells in rows:
         day = _day(cells[0], path, lineno, ConfigError)

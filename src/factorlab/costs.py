@@ -21,7 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .data import _read_rows
+from .data import _each_row
 
 
 class CostError(ValueError):
@@ -124,7 +124,7 @@ def resolve_borrow_fees(assets, overrides: Mapping[str, float] | None,
 def load_borrow_fee_overrides(path) -> dict[str, float]:
     """Read the borrow-fee override CSV: asset_id,annual_fee_bps."""
     out: dict[str, float] = {}
-    rows = _read_rows(path, ("asset_id", "annual_fee_bps"), CostError)
+    rows = _each_row(path, ("asset_id", "annual_fee_bps"), CostError)
     next(rows)
     for lineno, cells in rows:
         asset, cell = cells[0], cells[1]

@@ -12,6 +12,8 @@ import csv
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import accumulate, islice
+from operator import itemgetter
 from typing import Mapping
 
 import numpy as np
@@ -36,6 +38,12 @@ DEFAULT_FFILL_LIMIT_DAYS = 370
 
 # cells formatted per batch by `write_panel`, which bounds its string buffers
 _WRITE_CHUNK = 1 << 16
+
+# rows parsed per block by `_read_rows`, which bounds the loaders' working set
+_READ_BLOCK = 1024
+
+# a blank field cell of a panel is a missing value
+_BLANK_AS_NAN = {"": np.nan}
 
 
 class PanelError(ValueError):
@@ -133,14 +141,24 @@ def business_days(start, n: int) -> np.ndarray:
 # generic panel CSV
 # ---------------------------------------------------------------------------
 
+def _line_breaks(row) -> int:
+    """Line breaks inside the (quoted) cells of a parsed CSV row."""
+    text = ",".join(row)
+    return text.count("\n") + text.count("\r") - text.count("\r\n")
+
+
 def _read_rows(path, columns, error):
     """Rows of a CSV whose stripped, lower-cased header starts with
-    `columns`, as (line number, stripped cells).
+    `columns`, a block at a time.
 
-    The header row comes first. Rows whose cells are all blank are
+    Yields the header, then blocks of up to `_READ_BLOCK` rows as (line
+    numbers, rows of unstripped cells). Rows whose cells are all blank are
     skipped; every other row must have as many cells as the header. An
     empty file, a wrong header and a row of the wrong width raise `error`,
-    naming the path (and the line).
+    naming the path (and the line). A row of the wrong width, or one the
+    csv module cannot read, is raised after the rows before it are yielded,
+    so a caller that checks each block before it takes the next names the
+    first bad line of the file.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -150,15 +168,49 @@ def _read_rows(path, columns, error):
         header = [h.strip().lower() for h in raw]
         if header[:len(columns)] != list(columns):
             raise error(f"{path}: header must start with {','.join(columns)}")
-        yield reader.line_num, header
-        for raw in reader:
-            cells = [c.strip() for c in raw]
-            if not any(cells):
-                continue
-            if len(cells) != len(header):
-                raise error(f"{path}: line {reader.line_num}: expected "
-                            f"{len(header)} cells, got {len(cells)}")
-            yield reader.line_num, cells
+        yield header
+        width, done = len(header), reader.line_num
+        while True:
+            rows, failure = [], None
+            try:
+                rows.extend(islice(reader, _READ_BLOCK))
+            except (csv.Error, UnicodeDecodeError) as exc:
+                failure = exc
+            if not rows and failure is None:
+                return
+            if reader.line_num - done == len(rows):
+                lines = range(done + 1, reader.line_num + 1)
+            else:  # a quoted cell spans lines, or a row could not be read
+                lines = list(accumulate(
+                    (1 + _line_breaks(row) for row in rows), initial=done))[1:]
+            done = reader.line_num
+            # a row of blank cells has a blank first cell
+            if (set(map(len, rows)) != {width}
+                    or not all(map(str.strip, set(map(itemgetter(0), rows))))):
+                keep = []
+                for k, row in enumerate(rows):
+                    if not any(map(str.strip, row)):
+                        continue
+                    if len(row) != width:
+                        failure = error(f"{path}: line {lines[k]}: expected "
+                                        f"{width} cells, got {len(row)}")
+                        break
+                    keep.append(k)
+                lines, rows = [lines[k] for k in keep], [rows[k] for k in keep]
+            if rows:
+                yield lines, rows
+            if failure is not None:
+                raise failure
+
+
+def _each_row(path, columns, error):
+    """`_read_rows` a row at a time: the header, then (line number,
+    stripped cells) for each row."""
+    blocks = _read_rows(path, columns, error)
+    yield next(blocks)
+    for lines, rows in blocks:
+        for lineno, row in zip(lines, rows):
+            yield lineno, [c.strip() for c in row]
 
 
 def _day(text: str, path, lineno: int, error) -> int:
@@ -179,9 +231,13 @@ def load_panel(path) -> ReturnsPanel:
     must be a subset of PANEL_FIELDS. Empty cells are missing. Loading is
     order-independent: rows may come in any order, the panel is a normal
     form (dates ascending, assets sorted).
+
+    The file is parsed `_READ_BLOCK` rows at a time, a column at a time, so
+    the working memory is one block of cells plus typed buffers that hold
+    each row's day, asset and line and its field values.
     """
-    rows = _read_rows(path, ("date", "asset_id"), PanelError)
-    header = next(rows)[1]
+    blocks = _read_rows(path, ("date", "asset_id"), PanelError)
+    header = next(blocks)
     col = 3 if header[2:3] == ["region"] else 2
     names = header[col:]
     unknown = [c for c in names if c not in PANEL_FIELDS]
@@ -193,45 +249,85 @@ def load_panel(path) -> ReturnsPanel:
     if not names:
         raise PanelError(f"{path}: no field columns")
 
-    # one pass: each distinct date text is parsed once, assets get codes in
-    # order of first sight, and every row lands in flat typed buffers
-    day_of: dict[str, int] = {}
-    code_of: dict[str, int] = {}
+    # one pass, a block at a time: each distinct date text and (asset,
+    # region) text pair is resolved once, assets get codes in order of first
+    # sight, and each block lands in flat typed buffers
+    day_of: dict[str, int] = {}    # date text, as read or stripped -> day
+    code_of: dict[str, int] = {}   # asset text, as read or stripped -> code
+    asset_of: list[str] = []
     region_of: list[str] = []
+    checked: set[tuple[str, str]] = set()   # (asset, region) texts as read
     days, codes, lines, values = array("q"), array("q"), array("q"), array("d")
-    for lineno, cells in rows:
-        day = day_of.get(cells[0])
-        if day is None:
-            day = day_of[cells[0]] = _day(cells[0], path, lineno, PanelError)
-        asset, region = cells[1], cells[2] if col == 3 else ""
-        code = code_of.get(asset)
-        if code is None:
-            if not asset:
-                raise PanelError(f"{path}: line {lineno}: empty asset_id")
-            code = code_of[asset] = len(region_of)
-            region_of.append(region)
-        elif region_of[code] != region:
-            raise PanelError(
-                f"{path}: line {lineno}: asset {asset!r} has conflicting regions "
-                f"{region_of[code]!r} and {region!r}"
-            )
-        for name, cell in zip(names, cells[col:]):
+    for block_lines, rows in blocks:
+        cols = list(zip(*rows))
+        dates, assets = cols[0], cols[1]
+        keys = list(zip(assets, cols[2] if col == 3 else ("",) * len(rows)))
+        # each check's first bad row in the block, as (row, rank of the
+        # check within a row, error): the least is the file's first bad line
+        bad = []
+        k = 0
+        for text in dict.fromkeys(dates):   # in first-seen order, so k grows
+            if text in day_of:
+                continue
+            k = dates.index(text, k)
+            stripped = text.strip()
+            if stripped not in day_of:
+                try:
+                    day_of[stripped] = _day(stripped, path, block_lines[k],
+                                            PanelError)
+                except PanelError as exc:
+                    bad.append((k, 0, exc))
+                    break
+            day_of[text] = day_of[stripped]
+        k = 0
+        for key in dict.fromkeys(keys):
+            if key in checked:
+                continue
+            k = keys.index(key, k)
+            asset, region = key[0].strip(), key[1].strip()
+            code = code_of.get(asset)
+            if code is None:
+                if not asset:
+                    bad.append((k, 1, PanelError(
+                        f"{path}: line {block_lines[k]}: empty asset_id")))
+                    break
+                code = code_of[asset] = len(asset_of)
+                asset_of.append(asset)
+                region_of.append(region)
+            elif region_of[code] != region:
+                bad.append((k, 1, PanelError(
+                    f"{path}: line {block_lines[k]}: asset {asset!r} has "
+                    f"conflicting regions {region_of[code]!r} and {region!r}")))
+                break
+            code_of[key[0]] = code
+            checked.add(key)
+        block = np.empty((len(rows), len(names)))
+        for f, (name, cells) in enumerate(zip(names, cols[col:])):
+            texts = map(_BLANK_AS_NAN.get, cells, cells) if "" in cells else cells
             try:
-                values.append(float(cell) if cell else np.nan)
-            except ValueError:
-                raise PanelError(
-                    f"{path}: line {lineno}: bad value {cell!r} for field {name!r}"
-                ) from None
-        days.append(day)
-        codes.append(code)
-        lines.append(lineno)
+                block[:, f] = np.fromiter(map(float, texts), np.float64, len(cells))
+            except ValueError:   # a padded blank cell, or a bad one
+                for k, cell in enumerate(cells):
+                    cell = cell.strip()
+                    try:
+                        block[k, f] = float(cell) if cell else np.nan
+                    except ValueError:
+                        bad.append((k, 2 + f, PanelError(
+                            f"{path}: line {block_lines[k]}: bad value "
+                            f"{cell!r} for field {name!r}")))
+                        break
+        if bad:
+            raise min(bad, key=lambda b: b[:2])[2]
+        days.extend(map(day_of.__getitem__, dates))
+        codes.extend(map(code_of.__getitem__, assets))
+        lines.extend(block_lines)
+        values.frombytes(block.view(np.uint8))
     if not days:
         raise PanelError(f"{path}: no data rows")
 
     # scatter: rows -> (date, asset) cells of the normal form
     day_nums, i = np.unique(np.frombuffer(days, np.int64), return_inverse=True)
-    first_seen = list(code_of)
-    by_name = sorted(range(len(first_seen)), key=first_seen.__getitem__)
+    by_name = sorted(range(len(asset_of)), key=asset_of.__getitem__)
     rank = np.empty(len(by_name), np.int64)
     rank[by_name] = np.arange(len(by_name))
     j = rank[np.frombuffer(codes, np.int64)]
@@ -242,8 +338,11 @@ def load_panel(path) -> ReturnsPanel:
         k = int(repeats.min())  # rows are in file order: the first repeat
         raise PanelError(
             f"{path}: line {lines[k]}: duplicate (date, asset) "
-            f"({day_nums[i[k]].astype('datetime64[D]')}, {first_seen[codes[k]]})"
+            f"({day_nums[i[k]].astype('datetime64[D]')}, {asset_of[codes[k]]})"
         )
+    # the row buffers and sort keys go before the (T, N) arrays come, so the
+    # loader's peak memory is the field values, the arrays and two indices
+    del days, codes, lines, cell, order
     table = np.frombuffer(values, np.float64).reshape(-1, len(names))
     arrays = {}
     for k, name in enumerate(names):
@@ -251,7 +350,7 @@ def load_panel(path) -> ReturnsPanel:
         arrays[name][i, j] = table[:, k]
     return ReturnsPanel(
         dates=day_nums.astype("datetime64[D]"),
-        assets=tuple(first_seen[c] for c in by_name),
+        assets=tuple(asset_of[c] for c in by_name),
         regions=tuple(region_of[c] for c in by_name),
         arrays=arrays,
     )
@@ -297,18 +396,14 @@ def forward_fill_field(panel: ReturnsPanel, name: str,
     Returns a fresh writable array; the panel itself is never mutated.
     """
     raw = panel.field(name)
-    t, n = raw.shape
-    out = raw.copy()
+    fresh = np.isfinite(raw)
+    # row of the latest valid value at or before each row, -1 before any
+    last = np.where(fresh, np.arange(len(raw))[:, None], -1)
+    np.maximum.accumulate(last, axis=0, out=last)
     day_num = panel.dates.astype("datetime64[D]").astype(np.int64)
-    last_val = np.full(n, np.nan)
-    last_day = np.full(n, -(10 ** 9), dtype=np.int64)
-    for i in range(t):
-        fresh = np.isfinite(raw[i])
-        last_val[fresh] = raw[i, fresh]
-        last_day[fresh] = day_num[i]
-        stale = ~fresh
-        usable = stale & np.isfinite(last_val) & (day_num[i] - last_day <= limit_days)
-        out[i, usable] = last_val[usable]
+    usable = ~fresh & (last >= 0) & (day_num[:, None] - day_num[last] <= limit_days)
+    out = raw.copy()
+    out[usable] = raw[last, np.arange(raw.shape[1])][usable]
     return out
 
 
@@ -472,7 +567,7 @@ def read_ff_table(path) -> tuple[np.ndarray, list[str], np.ndarray]:
     if header is None:
         raise PanelError(f"{path}: no header row above the data block")
     names = [c for c in header[1:] if c]
-    months, rows = [], []
+    rows: dict[int, list[float]] = {}   # month -> values, in file order
     for lineno in range(start, len(lines)):
         cells = [c.strip() for c in lines[lineno].split(",")]
         first = cells[0]
@@ -484,12 +579,11 @@ def read_ff_table(path) -> tuple[np.ndarray, list[str], np.ndarray]:
             row = [float(c) for c in cells[1 : 1 + len(names)]]
         except ValueError:
             raise PanelError(f"{path}: line {lineno + 1}: bad numeric cell") from None
-        months.append(int(first))
-        rows.append(row)
-    months_arr = np.array(months, dtype=np.int64)
-    if len(np.unique(months_arr)) != len(months_arr):
-        raise PanelError(f"{path}: duplicate months in data block")
-    return months_arr, names, np.array(rows, dtype=float)
+        if int(first) in rows:
+            raise PanelError(f"{path}: line {lineno + 1}: duplicate month {first}")
+        rows[int(first)] = row
+    return (np.array(list(rows), dtype=np.int64), names,
+            np.array(list(rows.values()), dtype=float))
 
 
 def _yyyymm_to_month(months: np.ndarray) -> np.ndarray:
@@ -528,7 +622,7 @@ def load_leg_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Dates are YYYYMM or YYYY-MM; returns are decimal fractions. Used for
     factor series distributed as ready-made legs rather than 2x3 blocks.
     """
-    rows = _read_rows(path, ("date", "long", "short"), PanelError)
+    rows = _each_row(path, ("date", "long", "short"), PanelError)
     next(rows)
     legs: dict[int, tuple[float, float]] = {}
     for lineno, cells in rows:

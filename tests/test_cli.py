@@ -414,13 +414,16 @@ def _truth(path):
      ["line 4", "duplicate asset 'AAA'"]),
     ("date,long,short\n202001,0.01,0.02\n2020-01,0.01,0.02\n",
      data.load_leg_csv, data.PanelError, ["line 3", "duplicate month 2020-01"]),
+    ("French data\n,Lo,Hi\n199001,1.0,2.0\n199002,1.0,2.0\n199001,1.5,2.5\n",
+     data.read_ff_table, data.PanelError, ["line 5", "duplicate month 199001"]),
 ], ids=["index_series", "borrow_fees", "leg_csv",
         "index_series_empty", "truth_series_empty", "borrow_fees_empty",
         "leg_csv_empty", "panel_empty",
         "index_series_blank_date", "truth_series_blank_date",
         "borrow_fees_blank_asset", "leg_csv_blank_month",
         "index_series_duplicate_date", "truth_series_duplicate_date",
-        "borrow_fees_duplicate_asset", "leg_csv_duplicate_month"])
+        "borrow_fees_duplicate_asset", "leg_csv_duplicate_month",
+        "ff_table_duplicate_month"])
 def test_loader_error_names_line_key_and_cell(tmp_path, text, load, error, named):
     path = tmp_path / "input.csv"
     path.write_text(text)

@@ -1,3 +1,7 @@
+import csv
+import io
+from array import array
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +26,188 @@ def three_asset_csv(tmp_path):
         "2020-01-03,BBB,EU,0.005,50.2,2000000",
         "2020-01-03,CCC,NA,0.0,20,400000",
     ])
+
+
+# ---------------------------------------------------------------------------
+# reference loader: the row-at-a-time reader and loader the block-parsing
+# `data._read_rows` and `data.load_panel` replaced
+# ---------------------------------------------------------------------------
+
+def reference_read_rows(path, columns, error):
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        raw = next(reader, None)
+        if raw is None:
+            raise error(f"{path}: empty file")
+        header = [h.strip().lower() for h in raw]
+        if header[:len(columns)] != list(columns):
+            raise error(f"{path}: header must start with {','.join(columns)}")
+        yield reader.line_num, header
+        for raw in reader:
+            cells = [c.strip() for c in raw]
+            if not any(cells):
+                continue
+            if len(cells) != len(header):
+                raise error(f"{path}: line {reader.line_num}: expected "
+                            f"{len(header)} cells, got {len(cells)}")
+            yield reader.line_num, cells
+
+
+def reference_load_panel(path):
+    PanelError = data.PanelError
+    rows = reference_read_rows(path, ("date", "asset_id"), PanelError)
+    header = next(rows)[1]
+    col = 3 if header[2:3] == ["region"] else 2
+    names = header[col:]
+    unknown = [c for c in names if c not in data.PANEL_FIELDS]
+    if unknown:
+        raise PanelError(
+            f"{path}: unknown field column(s) {', '.join(unknown)}; "
+            f"known fields: {', '.join(data.PANEL_FIELDS)}"
+        )
+    if not names:
+        raise PanelError(f"{path}: no field columns")
+    day_of, code_of, region_of = {}, {}, []
+    days, codes, lines, values = array("q"), array("q"), array("q"), array("d")
+    for lineno, cells in rows:
+        day = day_of.get(cells[0])
+        if day is None:
+            day = day_of[cells[0]] = data._day(cells[0], path, lineno, PanelError)
+        asset, region = cells[1], cells[2] if col == 3 else ""
+        code = code_of.get(asset)
+        if code is None:
+            if not asset:
+                raise PanelError(f"{path}: line {lineno}: empty asset_id")
+            code = code_of[asset] = len(region_of)
+            region_of.append(region)
+        elif region_of[code] != region:
+            raise PanelError(
+                f"{path}: line {lineno}: asset {asset!r} has conflicting regions "
+                f"{region_of[code]!r} and {region!r}"
+            )
+        for name, cell in zip(names, cells[col:]):
+            try:
+                values.append(float(cell) if cell else np.nan)
+            except ValueError:
+                raise PanelError(
+                    f"{path}: line {lineno}: bad value {cell!r} for field {name!r}"
+                ) from None
+        days.append(day)
+        codes.append(code)
+        lines.append(lineno)
+    if not days:
+        raise PanelError(f"{path}: no data rows")
+    day_nums, i = np.unique(np.frombuffer(days, np.int64), return_inverse=True)
+    first_seen = list(code_of)
+    by_name = sorted(range(len(first_seen)), key=first_seen.__getitem__)
+    rank = np.empty(len(by_name), np.int64)
+    rank[by_name] = np.arange(len(by_name))
+    j = rank[np.frombuffer(codes, np.int64)]
+    cell = i * len(by_name) + j
+    order = np.argsort(cell, kind="stable")
+    repeats = order[1:][cell[order[1:]] == cell[order[:-1]]]
+    if len(repeats):
+        k = int(repeats.min())
+        raise PanelError(
+            f"{path}: line {lines[k]}: duplicate (date, asset) "
+            f"({day_nums[i[k]].astype('datetime64[D]')}, {first_seen[codes[k]]})"
+        )
+    table = np.frombuffer(values, np.float64).reshape(-1, len(names))
+    arrays = {}
+    for k, name in enumerate(names):
+        arrays[name] = np.full((len(day_nums), len(by_name)), np.nan)
+        arrays[name][i, j] = table[:, k]
+    return data.ReturnsPanel(
+        dates=day_nums.astype("datetime64[D]"),
+        assets=tuple(first_seen[c] for c in by_name),
+        regions=tuple(region_of[c] for c in by_name),
+        arrays=arrays,
+    )
+
+
+def load_outcome(load, path):
+    """The panel `load` returns, or the type and message of what it raises."""
+    try:
+        return load(path)
+    except (data.PanelError, csv.Error, UnicodeDecodeError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert isinstance(got, data.ReturnsPanel), got
+    assert got.dates.dtype == want.dates.dtype
+    assert np.array_equal(got.dates, want.dates)
+    assert (got.assets, got.regions) == (want.assets, want.regions)
+    assert list(got.arrays) == list(want.arrays)
+    for name, arr in want.arrays.items():
+        assert got.arrays[name].dtype == arr.dtype
+        # bit for bit: NaN against NaN, and -0.0 apart from 0.0
+        assert np.array_equal(got.arrays[name].view(np.int64), arr.view(np.int64))
+
+
+_NUMBER_CELLS = st.one_of(
+    st.floats(width=64, allow_nan=False).map(repr),
+    st.sampled_from(["", " ", " \t ", "inf", "-inf", "nan", "1_0", "-0.0",
+                     " 1e-3 ", "\x1f2.5\x1f", "7"]),
+)
+_PADS = st.sampled_from(["", "", " ", "  ", "\t"])
+
+
+@st.composite
+def panel_texts(draw):
+    """Panel CSV text with blank lines, all-blank rows, padded cells, quoted
+    asset ids holding commas, CRLF line endings, a quoted cell that spans
+    lines, shuffled rows and up to two bad rows."""
+    fields = draw(st.sampled_from([["ret"], ["ret", "price"],
+                                   ["price", "adv", "ret"]]))
+    with_region = draw(st.booleans())
+    assets = draw(st.lists(st.sampled_from(["AAA", "B,1", "C, 2", "D\"4", "E"]),
+                           min_size=1, max_size=4, unique=True))
+    region = {a: draw(st.sampled_from(["NA", "EU", ""])) for a in assets}
+    dates = [str(d) for d in data.business_days("2020-01-01",
+                                               draw(st.integers(1, 5)))]
+    pad = lambda text: draw(_PADS) + text + draw(_PADS)  # noqa: E731
+    rows = []
+    for d in dates:
+        for a in assets:
+            if draw(st.integers(0, 4)) == 0:
+                continue
+            row = [pad(d), pad(a)] + ([pad(region[a])] if with_region else [])
+            rows.append(row + [draw(_NUMBER_CELLS) for _ in fields])
+    if rows and draw(st.booleans()):   # one quoted cell that spans lines
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        c = draw(st.integers(0, len(row) - 1))
+        newline = draw(st.sampled_from(["\n", "\r\n", "\r", "\n\n "]))
+        row[c] = draw(st.sampled_from([newline + row[c], row[c] + newline]))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        # a bad copy of a row; a plain copy repeats its (date, asset)
+        row = list(rows[draw(st.integers(0, len(rows) - 1))])
+        kind = draw(st.sampled_from(["date", "value", "width", "region",
+                                     "duplicate", "asset"]))
+        if kind == "date":
+            row[0] = draw(st.sampled_from(["2020-02-30", "x", "", " "]))
+        elif kind == "value":
+            row[-1] = draw(st.sampled_from(["abc", "1.2.3", "--1"]))
+        elif kind == "width":
+            row = row[:-1] if draw(st.booleans()) else row + ["0"]
+        elif kind == "region" and with_region:
+            row[0], row[2] = pad("2021-06-01"), pad(row[2].strip() + "X")
+        elif kind == "asset":
+            row[1] = draw(_PADS)
+        rows.append(row)
+    rows = [rows[k] for k in draw(st.permutations(range(len(rows))))]
+    for _ in range(draw(st.integers(0, 3))):
+        blank = draw(st.sampled_from([[], [" "], [" ", " ", "", ""], ["", ""]]))
+        rows.insert(draw(st.integers(0, len(rows))), blank)
+    header = ["date", "asset_id"] + (["region"] if with_region else []) + fields
+    header[0] = draw(st.sampled_from(["date", " Date "]))
+    out = io.StringIO()
+    csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))
+               ).writerows([header] + rows)
+    return out.getvalue()
 
 
 class TestLoadPanel:
@@ -131,6 +317,36 @@ class TestLoadPanel:
                                            panel.regions[j]] + cells))
         assert (tmp_path / "p.csv").read_text() == "\n".join(lines) + "\n"
 
+    @pytest.mark.parametrize("block", [1, 3, data._READ_BLOCK])
+    @settings(max_examples=40)
+    @given(text=panel_texts())
+    def test_matches_row_loader(self, tmp_path_factory, block, text):
+        path = tmp_path_factory.mktemp("blocks") / "p.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        want = load_outcome(reference_load_panel, path)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "_READ_BLOCK", block)
+            assert_same_outcome(load_outcome(data.load_panel, path), want)
+
+    @pytest.mark.parametrize("first_bad", [True, False])
+    @pytest.mark.parametrize("unreadable", ["\xff", "x" * (csv.field_size_limit() + 1)])
+    def test_unreadable_row_comes_after_earlier_rows(self, tmp_path, first_bad,
+                                                     unreadable):
+        # a row the csv module cannot read (an oversized cell, or bytes that
+        # are not UTF-8 past the first decoded chunk) is raised only after
+        # the rows before it are checked, as a row-at-a-time reader would
+        lines = ["date,asset_id,ret"]
+        lines += [f"2020-01-02,A{k:03d},0.0{k}" for k in range(600)]
+        if first_bad:
+            lines[3] = "2020-01-02,A002,zork"
+        lines[500] = f"2020-01-02,A499,{unreadable}"
+        path = tmp_path / "p.csv"
+        path.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape")
+                         .replace(b"\xc3\xbf", b"\xff") + b"\n")
+        want = load_outcome(reference_load_panel, path)
+        assert isinstance(want, tuple) and (want[0] is data.PanelError) == first_bad
+        assert_same_outcome(load_outcome(data.load_panel, path), want)
+
     def test_panel_is_immutable(self, three_asset_csv):
         panel = data.load_panel(three_asset_csv)
         with pytest.raises(ValueError):
@@ -196,7 +412,44 @@ class TestLoadPanel:
         assert (tmp / "b.csv").read_bytes() == (tmp / "c.csv").read_bytes()
 
 
+def reference_forward_fill(panel, name, limit_days):
+    """The per-date loop the whole-panel `data.forward_fill_field` replaced."""
+    raw = panel.field(name)
+    t, n = raw.shape
+    out = raw.copy()
+    day_num = panel.dates.astype("datetime64[D]").astype(np.int64)
+    last_val = np.full(n, np.nan)
+    last_day = np.full(n, -(10 ** 9), dtype=np.int64)
+    for i in range(t):
+        fresh = np.isfinite(raw[i])
+        last_val[fresh] = raw[i, fresh]
+        last_day[fresh] = day_num[i]
+        stale = ~fresh
+        usable = stale & np.isfinite(last_val) & (day_num[i] - last_day <= limit_days)
+        out[i, usable] = last_val[usable]
+    return out
+
+
 class TestForwardFill:
+    @settings(max_examples=40)
+    @given(st.data())
+    def test_matches_per_date_loop(self, data_strategy):
+        t = data_strategy.draw(st.integers(1, 12))
+        n = data_strategy.draw(st.integers(0, 4))
+        cells = data_strategy.draw(st.lists(
+            st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.5, -2.0]),
+            min_size=t * n, max_size=t * n))
+        gaps = data_strategy.draw(st.lists(st.integers(1, 9), min_size=t, max_size=t))
+        dates = np.datetime64("2020-01-01", "D") + np.cumsum(gaps)
+        panel = data.ReturnsPanel(dates=dates, assets=tuple(f"A{j}" for j in range(n)),
+                                  regions=("",) * n,
+                                  arrays={"earnings": np.array(cells).reshape(t, n)})
+        limit = data_strategy.draw(st.integers(0, 30))
+        got = data.forward_fill_field(panel, "earnings", limit_days=limit)
+        want = reference_forward_fill(panel, "earnings", limit)
+        assert got.flags.writeable
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_limit_honored(self):
         dates = data.business_days("2020-01-06", 5)
         earnings = np.array([[1.0], [np.nan], [np.nan], [np.nan], [np.nan]])

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import chain, compress, islice, repeat
 from operator import itemgetter
 from typing import Mapping
 
@@ -41,9 +42,6 @@ _WRITE_CHUNK = 1 << 16
 
 # rows parsed per block by `_read_rows`, which bounds the loaders' working set
 _READ_BLOCK = 1024
-
-# a blank field cell of a panel is a missing value
-_BLANK_AS_NAN = {"": np.nan}
 
 
 class PanelError(ValueError):
@@ -141,24 +139,25 @@ def business_days(start, n: int) -> np.ndarray:
 # generic panel CSV
 # ---------------------------------------------------------------------------
 
-def _line_breaks(row) -> int:
-    """Line breaks inside the (quoted) cells of a parsed CSV row."""
-    text = ",".join(row)
-    return text.count("\n") + text.count("\r") - text.count("\r\n")
-
-
 def _read_rows(path, columns, error):
-    """Rows of a CSV whose stripped, lower-cased header starts with
+    """Cells of a CSV whose stripped, lower-cased header starts with
     `columns`, a block at a time.
 
-    Yields the header, then blocks of up to `_READ_BLOCK` rows as (line
-    numbers, rows of unstripped cells). Rows whose cells are all blank are
-    skipped; every other row must have as many cells as the header. An
+    Yields the header, then blocks of about `_READ_BLOCK` lines as (line
+    numbers, columns of unstripped cells). Rows whose cells are all blank
+    are skipped; every other row must have as many cells as the header. An
     empty file, a wrong header and a row of the wrong width raise `error`,
     naming the path (and the line). A row of the wrong width, or one the
     csv module cannot read, is raised after the rows before it are yielded,
     so a caller that checks each block before it takes the next names the
     first bad line of the file.
+
+    A plain block (no quote, CR or NUL, one comma fewer than the header has
+    cells on every line, no blank first cell, no line longer than the csv
+    field limit) is split on its commas straight into columns. Any other
+    block is read by `csv.reader`, which reads on past the block while a
+    quoted cell is open; a block with a blank or ragged row is then checked
+    row by row. Both give the cells and line numbers the csv module gives.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -171,19 +170,45 @@ def _read_rows(path, columns, error):
         yield header
         width, done = len(header), reader.line_num
         while True:
-            rows, failure = [], None
+            lines, failure = [], None
             try:
-                rows.extend(islice(reader, _READ_BLOCK))
+                lines.extend(islice(fh, _READ_BLOCK))
+            except UnicodeDecodeError as exc:
+                failure = exc
+            if not lines and failure is None:
+                return
+            text = "".join(lines)
+            quoted = '"' in text
+            if (not quoted and "\r" not in text and "\0" not in text
+                    and set(map(str.count, lines, repeat(","))) == {width - 1}
+                    and max(map(len, lines)) <= csv.field_size_limit()):
+                cells = text.removesuffix("\n").replace("\n", ",").split(",")
+                cols = [cells[k::width] for k in range(width)]
+                # a row of blank cells has a blank first cell
+                if all(map(str.strip, set(cols[0]))):
+                    yield range(done + 1, done + len(lines) + 1), cols
+                    done += len(lines)
+                    if failure is not None:
+                        raise failure
+                    continue
+            # the file is not read again after it failed
+            reader = csv.reader(chain(lines, fh if failure is None
+                                      else _raising(failure)))
+            rows, nums = [], []
+            try:
+                if quoted:   # read on while a quoted cell is open
+                    for row in reader:
+                        rows.append(row)
+                        nums.append(done + reader.line_num)
+                        if reader.line_num >= len(lines):
+                            break
+                else:   # no cell spans lines: a line is a row
+                    rows.extend(islice(reader, len(lines)))
             except (csv.Error, UnicodeDecodeError) as exc:
                 failure = exc
-            if not rows and failure is None:
-                return
-            if reader.line_num - done == len(rows):
-                lines = range(done + 1, reader.line_num + 1)
-            else:  # a quoted cell spans lines, or a row could not be read
-                lines = list(accumulate(
-                    (1 + _line_breaks(row) for row in rows), initial=done))[1:]
-            done = reader.line_num
+            if not quoted:
+                nums = range(done + 1, done + len(rows) + 1)
+            done += reader.line_num
             # a row of blank cells has a blank first cell
             if (set(map(len, rows)) != {width}
                     or not all(map(str.strip, set(map(itemgetter(0), rows))))):
@@ -192,15 +217,21 @@ def _read_rows(path, columns, error):
                     if not any(map(str.strip, row)):
                         continue
                     if len(row) != width:
-                        failure = error(f"{path}: line {lines[k]}: expected "
+                        failure = error(f"{path}: line {nums[k]}: expected "
                                         f"{width} cells, got {len(row)}")
                         break
                     keep.append(k)
-                lines, rows = [lines[k] for k in keep], [rows[k] for k in keep]
+                nums, rows = [nums[k] for k in keep], [rows[k] for k in keep]
             if rows:
-                yield lines, rows
+                yield nums, list(zip(*rows))
             if failure is not None:
                 raise failure
+
+
+def _raising(exc):
+    """An iterator that raises `exc` when it is read."""
+    raise exc
+    yield
 
 
 def _each_row(path, columns, error):
@@ -208,18 +239,22 @@ def _each_row(path, columns, error):
     stripped cells) for each row."""
     blocks = _read_rows(path, columns, error)
     yield next(blocks)
-    for lines, rows in blocks:
-        for lineno, row in zip(lines, rows):
+    for lines, cols in blocks:
+        for lineno, row in zip(lines, zip(*cols)):
             yield lineno, [c.strip() for c in row]
 
 
+# a date cell: YYYY-MM-DD in ASCII digits
+_ISO_DAY = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
 def _day(text: str, path, lineno: int, error) -> int:
-    """Day number (days since 1970-01-01) of an ISO date cell."""
+    """Day number (days since 1970-01-01) of a YYYY-MM-DD date cell."""
     try:
-        day = np.datetime64(text, "D")
+        day = np.datetime64(text, "D") if _ISO_DAY.fullmatch(text) else None
     except ValueError:
-        day = np.datetime64("NaT")
-    if np.isnat(day):
+        day = None
+    if day is None:
         raise error(f"{path}: line {lineno}: bad date {text!r}")
     return int(day.astype(np.int64))
 
@@ -232,9 +267,12 @@ def load_panel(path) -> ReturnsPanel:
     order-independent: rows may come in any order, the panel is a normal
     form (dates ascending, assets sorted).
 
-    The file is parsed `_READ_BLOCK` rows at a time, a column at a time, so
-    the working memory is one block of cells plus typed buffers that hold
-    each row's day, asset and line and its field values.
+    `_read_rows` hands over the file a block of about `_READ_BLOCK` rows at
+    a time, as columns of cells, and each column is parsed at once: a date
+    or (asset, region) text is resolved the first time it is seen, and
+    `float` runs on the non-blank cells of a field column only. So the
+    working memory is one block of cells plus typed buffers that hold each
+    row's day, asset and line and its field values.
     """
     blocks = _read_rows(path, ("date", "asset_id"), PanelError)
     header = next(blocks)
@@ -258,10 +296,10 @@ def load_panel(path) -> ReturnsPanel:
     region_of: list[str] = []
     checked: set[tuple[str, str]] = set()   # (asset, region) texts as read
     days, codes, lines, values = array("q"), array("q"), array("q"), array("d")
-    for block_lines, rows in blocks:
-        cols = list(zip(*rows))
+    for block_lines, cols in blocks:
+        n = len(block_lines)
         dates, assets = cols[0], cols[1]
-        keys = list(zip(assets, cols[2] if col == 3 else ("",) * len(rows)))
+        keys = list(zip(assets, cols[2] if col == 3 else repeat("")))
         # each check's first bad row in the block, as (row, rank of the
         # check within a row, error): the least is the file's first bad line
         bad = []
@@ -301,11 +339,15 @@ def load_panel(path) -> ReturnsPanel:
                 break
             code_of[key[0]] = code
             checked.add(key)
-        block = np.empty((len(rows), len(names)))
+        block = np.full((n, len(names)), np.nan)
         for f, (name, cells) in enumerate(zip(names, cols[col:])):
-            texts = map(_BLANK_AS_NAN.get, cells, cells) if "" in cells else cells
             try:
-                block[:, f] = np.fromiter(map(float, texts), np.float64, len(cells))
+                if "" in cells:   # a blank cell stays NaN; float parses the rest
+                    at = np.fromiter(compress(range(n), cells), np.intp)
+                    block[at, f] = np.fromiter(map(float, compress(cells, cells)),
+                                               np.float64, len(at))
+                else:
+                    block[:, f] = np.fromiter(map(float, cells), np.float64, n)
             except ValueError:   # a padded blank cell, or a bad one
                 for k, cell in enumerate(cells):
                     cell = cell.strip()

@@ -565,44 +565,39 @@ def bootstrap_slope_ratio(scores, resid: np.ndarray, horizon_days: int = 21,
     xn = np.where(ok & (score_arr < 0), score_arr, 0.0)
     yy = np.where(ok, y, 0.0)
     # (T, N) entries of X'X and X'y for design columns (1, x_pos, x_neg)
-    mats = {
-        "n": ok.astype(float),
-        "sxp": xp,
-        "sxn": xn,
-        "sxxp": xp * xp,
-        "sxxn": xn * xn,
-        "sy": yy,
-        "sxyp": xp * yy,
-        "sxyn": xn * yy,
-    }
+    mats = [ok.astype(float), xp, xn, xp * xp, xn * xn, yy, xp * yy, xn * yy]
     t, n = ok.shape
     block = min(block_days, t)
     n_blocks = max(1, int(np.ceil(t / block)))
 
-    def slopes(date_mult, asset_mult):
-        tot = {k: float(date_mult @ m @ asset_mult) for k, m in mats.items()}
+    def slopes(tot):
+        count, sxp, sxn, sxxp, sxxn, sy, sxyp, sxyn = tot
         a = np.array([
-            [tot["n"], tot["sxp"], tot["sxn"]],
-            [tot["sxp"], tot["sxxp"], 0.0],
-            [tot["sxn"], 0.0, tot["sxxn"]],
+            [count, sxp, sxn],
+            [sxp, sxxp, 0.0],
+            [sxn, 0.0, sxxn],
         ])
-        b = np.array([tot["sy"], tot["sxyp"], tot["sxyn"]])
-        if tot["sxxp"] <= 0 or tot["sxxn"] <= 0 or np.linalg.cond(a) > 1e12:
+        b = np.array([sy, sxyp, sxyn])
+        if sxxp <= 0 or sxxn <= 0 or np.linalg.cond(a) > 1e12:
             return np.nan, np.nan
         _, sp, sn = np.linalg.solve(a, b)
         return sp, sn
 
-    point_sp, point_sn = slopes(np.ones(t), np.ones(n))
+    point_sp, point_sn = slopes([np.ones(t) @ m @ np.ones(n) for m in mats])
+    # the block of dates that starts at s sums to the trailing window that
+    # ends at s + block - 1, so a draw adds up n_blocks rows of window sums
+    sums = np.empty((t, len(mats), n))
+    for k, m in enumerate(mats):
+        sums[:, k] = window_sums(m, block)
+    del mats
     rng = np.random.Generator(np.random.Philox(seed))
     sp_samples = np.empty(n_boot)
     sn_samples = np.empty(n_boot)
     for k in range(n_boot):
-        dm = np.zeros(t)
         starts = rng.integers(0, max(t - block, 0) + 1, size=n_blocks)
-        for s in starts:
-            dm[s:s + block] += 1.0
         am = np.bincount(rng.integers(0, n, size=n), minlength=n).astype(float)
-        sp_samples[k], sn_samples[k] = slopes(dm, am)
+        sp_samples[k], sn_samples[k] = slopes(
+            sums[starts + block - 1].sum(axis=0) @ am)
     with np.errstate(invalid="ignore", divide="ignore"):
         samples = sn_samples / sp_samples
     finite = samples[np.isfinite(samples)]

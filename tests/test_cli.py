@@ -432,3 +432,18 @@ def test_loader_error_names_line_key_and_cell(tmp_path, text, load, error, named
     message = str(info.value)
     for part in [str(path)] + named:
         assert part in message
+
+
+@pytest.mark.parametrize("text", ["today", "now", "2020-01", "2020", "20200102",
+                                  "2020-01-02T23:59"])
+@pytest.mark.parametrize("load, error, header, tail", [
+    (data.load_panel, data.PanelError, "date,asset_id,ret", ",AAA,0.01"),
+    (_index, cli.ConfigError, "date,ret", ",0.01"),
+    (_truth, cli.ConfigError, "date,market,factor", ",0.01,0"),
+], ids=["panel", "index_series", "truth_series"])
+def test_dates_are_yyyy_mm_dd_only(tmp_path, text, load, error, header, tail):
+    path = tmp_path / "input.csv"
+    path.write_text(f"{header}\n2020-01-02{tail}\n{text}{tail}\n")
+    with pytest.raises(error) as info:
+        load(str(path))
+    assert str(info.value) == f"{path}: line 3: bad date {text!r}"

@@ -1,6 +1,7 @@
 import csv
 import io
 from array import array
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,6 +211,17 @@ def panel_texts(draw):
     return out.getvalue()
 
 
+def count_readers(monkeypatch):
+    """The calls made to `csv.reader` from now on, one entry each."""
+    calls, real = [], csv.reader
+
+    def reader(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(data.csv, "reader", reader)
+    return calls
+
+
 class TestLoadPanel:
     def test_well_formed_fixture(self, three_asset_csv):
         panel = data.load_panel(three_asset_csv)
@@ -346,6 +358,119 @@ class TestLoadPanel:
         want = load_outcome(reference_load_panel, path)
         assert isinstance(want, tuple) and (want[0] is data.PanelError) == first_bad
         assert_same_outcome(load_outcome(data.load_panel, path), want)
+
+    def test_ragged_rows_whose_commas_cancel(self, tmp_path):
+        # a row a cell short and a row a cell long leave the block with as
+        # many commas as a plain one; the short row is still named
+        lines = ["date,asset_id,ret,price"]
+        lines += [f"2020-01-02,A{k},0.{k},1" for k in range(6)]
+        lines[2] = "2020-01-02,A1,0.1"
+        lines[5] = "2020-01-02,A4,0.4,1,9"
+        path = write_lines(tmp_path / "p.csv", lines)
+        want = load_outcome(reference_load_panel, path)
+        assert want == (data.PanelError, f"{path}: line 3: expected 4 cells, got 3")
+        assert_same_outcome(load_outcome(data.load_panel, path), want)
+
+    @pytest.mark.parametrize("bad_after", [False, True])
+    @pytest.mark.parametrize("block", [1, 3, 1024])
+    def test_quoted_cell_across_block_boundary(self, tmp_path, monkeypatch,
+                                               block, bad_after):
+        # the last row of the first block opens a quoted cell that closes on
+        # the next line; the blocks after it are plain again
+        lines = ["date,asset_id,ret"]
+        lines += [f"2020-01-{2 + k // 50:02d},A{k % 50:02d},0.{k}"
+                  for k in range(1100)]
+        lines[block] = lines[block].replace(",A", ',"A\n', 1).replace(",0.", '",0.')
+        if bad_after:
+            lines[block + 6] = lines[block + 6].rsplit(",", 1)[0] + ",zork"
+        path = write_lines(tmp_path / "p.csv", lines)
+        monkeypatch.setattr(data, "_READ_BLOCK", block)
+        want = load_outcome(reference_load_panel, path)
+        assert isinstance(want, tuple) == bad_after
+        if bad_after:
+            assert f"line {block + 8}: bad value 'zork'" in want[1]
+        readers = count_readers(monkeypatch)
+        assert_same_outcome(load_outcome(data.load_panel, path), want)
+        assert len(readers) == 2   # the header's, and the quoted block's
+
+    @pytest.mark.parametrize("line", [
+        "2020-01-02,A05,0.5\r",                          # a CRLF line end
+        "2020-01-02,A\r05,0.5",                          # a lone CR
+        "2020-01-02,A\x0005,0.5",                        # a NUL in a cell
+        "2020-01-02,A05," + "1" * csv.field_size_limit(),  # a line over the limit
+        "2020-01-02,A05," + "1" * (csv.field_size_limit() + 1),  # a cell over it
+    ], ids=["crlf", "lone_cr", "nul", "long_line", "long_cell"])
+    def test_irregular_line_in_plain_block(self, tmp_path, monkeypatch, line):
+        lines = ["date,asset_id,ret"]
+        lines += [f"2020-01-02,A{k:02d},0.{k}" for k in range(10)]
+        lines[6] = line
+        path = tmp_path / "p.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
+        want = load_outcome(reference_load_panel, path)
+        readers = count_readers(monkeypatch)
+        assert_same_outcome(load_outcome(data.load_panel, path), want)
+        assert len(readers) == 2
+
+    @pytest.mark.parametrize("open_quote", [False, True])
+    @pytest.mark.parametrize("block", [7, 1024])
+    def test_unreadable_bytes_in_a_quoted_block(self, tmp_path, monkeypatch,
+                                                block, open_quote):
+        # the file stops decoding in a block that holds a quoted cell, or
+        # whose last readable line opens one, so that block goes to the csv
+        # module after the file failed
+        lines = ["date,asset_id,ret"]
+        lines += [f"2020-01-02,A{k:03d},0.0{k}" for k in range(600)]
+        lines[500] = "2020-01-02,A499,\xff"
+        path = tmp_path / "p.csv"
+
+        def write():
+            path.write_bytes("\n".join(lines).encode("utf-8")
+                             .replace(b"\xc3\xbf", b"\xff") + b"\n")
+        write()
+        readable = []
+        with pytest.raises(UnicodeDecodeError):
+            with open(path, encoding="utf-8", newline="") as fh:
+                readable.extend(fh)
+        last = len(readable) - 1
+        assert 100 < last < 500
+        lines[last - 2] = '2020-01-02,"A,q",0.5'
+        if open_quote:
+            lines[last] = '2020-01-02,"A'
+        write()
+        monkeypatch.setattr(data, "_READ_BLOCK", block)
+        want = load_outcome(reference_load_panel, path)
+        assert want[0] is UnicodeDecodeError
+        assert_same_outcome(load_outcome(data.load_panel, path), want)
+
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1e", "\x85", "\u2028"])
+    def test_other_line_breaks_stay_in_their_cell(self, tmp_path, monkeypatch,
+                                                  char):
+        # str.splitlines would break a line here; the csv module and a
+        # plain block do not
+        path = tmp_path / "p.csv"
+        path.write_text(f"date,asset_id,ret\n2020-01-02,A{char}B,0.1\n"
+                        f"2020-01-02,C,{char}0.2\n", encoding="utf-8",
+                        newline="")
+        want = reference_load_panel(path)
+        readers = count_readers(monkeypatch)
+        panel = data.load_panel(path)
+        assert len(readers) == 1
+        assert panel.assets == (f"A{char}B", "C")
+        assert_same_outcome(panel, want)
+
+    def test_plain_panel_builds_no_body_reader(self, three_asset_csv,
+                                               tmp_path, monkeypatch):
+        text = Path(three_asset_csv).read_text().replace("BBB", '"B,B"')
+        quoted = tmp_path / "q.csv"
+        quoted.write_text(text)
+        want = [reference_load_panel(p) for p in (three_asset_csv, quoted)]
+        readers = count_readers(monkeypatch)
+        assert_same_outcome(data.load_panel(three_asset_csv), want[0])
+        assert len(readers) == 1   # the header's
+        panel = data.load_panel(quoted)
+        assert len(readers) == 3
+        assert panel.assets == ("AAA", "B,B", "CCC")
+        assert_same_outcome(panel, want[1])
 
     def test_panel_is_immutable(self, three_asset_csv):
         panel = data.load_panel(three_asset_csv)

@@ -643,6 +643,41 @@ class TestForwardMean:
                     assert np.isnan(got[t, j])
 
 
+def reference_bootstrap_slopes(scores, resid, horizon_days, n_boot, seed,
+                               block_days):
+    """The per-draw bilinear forms the block-sum `bootstrap_slope_ratio`
+    replaced: every draw weights all T dates of the 8 moment matrices.
+    Returns the point slopes and the positive and negative slope samples."""
+    y = signals._forward_mean(resid, horizon_days)
+    ok = np.isfinite(scores) & np.isfinite(y)
+    xp = np.where(ok & (scores > 0), scores, 0.0)
+    xn = np.where(ok & (scores < 0), scores, 0.0)
+    yy = np.where(ok, y, 0.0)
+    mats = [ok.astype(float), xp, xn, xp * xp, xn * xn, yy, xp * yy, xn * yy]
+    t, n = ok.shape
+    block = min(block_days, t)
+    n_blocks = max(1, int(np.ceil(t / block)))
+
+    def slopes(date_mult, asset_mult):
+        c, sxp, sxn, sxxp, sxxn, sy, sxyp, sxyn = (
+            float(date_mult @ m @ asset_mult) for m in mats)
+        a = np.array([[c, sxp, sxn], [sxp, sxxp, 0.0], [sxn, 0.0, sxxn]])
+        if sxxp <= 0 or sxxn <= 0 or np.linalg.cond(a) > 1e12:
+            return np.nan, np.nan
+        _, sp, sn = np.linalg.solve(a, np.array([sy, sxyp, sxyn]))
+        return sp, sn
+
+    rng = np.random.Generator(np.random.Philox(seed))
+    samples = np.empty((n_boot, 2))
+    for k in range(n_boot):
+        dm = np.zeros(t)
+        for s in rng.integers(0, max(t - block, 0) + 1, size=n_blocks):
+            dm[s:s + block] += 1.0
+        am = np.bincount(rng.integers(0, n, size=n), minlength=n).astype(float)
+        samples[k] = slopes(dm, am)
+    return slopes(np.ones(t), np.ones(n)), samples
+
+
 class TestPredictability:
     def antisymmetric_panel(self, slope=0.004, noise=0.0005, t=700, n=30, seed=13):
         rng = np.random.Generator(np.random.Philox(seed))
@@ -688,6 +723,29 @@ class TestPredictability:
                                            n_boot=120, seed=4)
         assert abs(bs.positive_slope) < 2 * bs.positive_slope_se
         assert abs(bs.negative_slope) < 2 * bs.negative_slope_se
+
+    @pytest.mark.parametrize("t, block_days", [(600, None), (600, 7),
+                                               (60, 200)])
+    def test_bootstrap_matches_per_draw_forms(self, t, block_days):
+        rng = np.random.Generator(np.random.Philox(17))
+        n, horizon = 25, 5
+        scores = np.apply_along_axis(signals.rank_normalize, 1,
+                                     rng.standard_normal((t, n)))
+        scores[rng.random((t, n)) < 0.1] = np.nan
+        resid = 0.002 * scores + 0.004 * rng.standard_normal((t, n))
+        resid[rng.random((t, n)) < 0.05] = np.nan
+        bs = signals.bootstrap_slope_ratio(scores, resid, horizon_days=horizon,
+                                           n_boot=60, seed=3,
+                                           block_days=block_days)
+        (sp, sn), want = reference_bootstrap_slopes(
+            scores, resid, horizon, 60, 3, block_days or 2 * horizon)
+        assert (bs.positive_slope, bs.negative_slope) == (sp, sn)
+        ratio = want[:, 1] / want[:, 0]
+        assert np.all(np.isfinite(ratio))
+        assert np.max(np.abs(bs.samples - ratio) / np.abs(ratio)) <= 1e-9
+        se = np.std(want, axis=0, ddof=1)
+        assert bs.positive_slope_se == pytest.approx(se[0], rel=1e-9)
+        assert bs.negative_slope_se == pytest.approx(se[1], rel=1e-9)
 
     def test_two_point_scores_unidentifiable(self):
         rng = np.random.Generator(np.random.Philox(16))

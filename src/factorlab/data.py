@@ -106,7 +106,14 @@ class ReturnsPanel:
         return name in self.arrays
 
     def date_index(self, date) -> int:
-        d = np.datetime64(date, "D")
+        """Row of `date`: a datetime64, or text in the YYYY-MM-DD form the
+        CSV loaders accept."""
+        try:
+            if isinstance(date, str) and not _ISO_DAY.fullmatch(date):
+                raise ValueError
+            d = np.datetime64(date, "D")
+        except ValueError:
+            raise PanelError(f"bad date {date!r}: want a YYYY-MM-DD day") from None
         i = int(np.searchsorted(self.dates, d))
         if i >= len(self.dates) or self.dates[i] != d:
             raise PanelError(f"date {d} not in panel")
@@ -178,8 +185,7 @@ def _read_rows(path, columns, error):
             if not lines and failure is None:
                 return
             text = "".join(lines)
-            quoted = '"' in text
-            if (not quoted and "\r" not in text and "\0" not in text
+            if ('"' not in text and "\r" not in text and "\0" not in text
                     and set(map(str.count, lines, repeat(","))) == {width - 1}
                     and max(map(len, lines)) <= csv.field_size_limit()):
                 cells = text.removesuffix("\n").replace("\n", ",").split(",")
@@ -196,18 +202,14 @@ def _read_rows(path, columns, error):
                                       else _raising(failure)))
             rows, nums = [], []
             try:
-                if quoted:   # read on while a quoted cell is open
-                    for row in reader:
-                        rows.append(row)
-                        nums.append(done + reader.line_num)
-                        if reader.line_num >= len(lines):
-                            break
-                else:   # no cell spans lines: a line is a row
-                    rows.extend(islice(reader, len(lines)))
+                # read on while a quoted cell is open
+                for row in reader:
+                    rows.append(row)
+                    nums.append(done + reader.line_num)
+                    if reader.line_num >= len(lines):
+                        break
             except (csv.Error, UnicodeDecodeError) as exc:
                 failure = exc
-            if not quoted:
-                nums = range(done + 1, done + len(rows) + 1)
             done += reader.line_num
             # a row of blank cells has a blank first cell
             if (set(map(len, rows)) != {width}
@@ -586,8 +588,9 @@ def read_ff_table(path) -> tuple[np.ndarray, list[str], np.ndarray]:
     """Parse the first monthly block of a Kenneth-French-layout CSV.
 
     The files carry a free-text preamble, then a header row, then rows whose
-    first cell is a YYYYMM integer. Reading stops at the first line that no
-    longer matches (annual blocks, second tables, blank lines). Values stay
+    first cell is a YYYYMM integer. Reading stops at the first line whose
+    first cell is not six digits (annual blocks, second tables, blank
+    lines); six digits with a month outside 01-12 are an error. Values stay
     in percent; sentinels are not masked here.
     """
     with open(path, "r", encoding="latin-1", newline="") as fh:
@@ -615,17 +618,30 @@ def read_ff_table(path) -> tuple[np.ndarray, list[str], np.ndarray]:
         first = cells[0]
         if len(first) != 6 or not first.isdigit():
             break
+        month = _month(first, path, lineno + 1)
         if len(cells) < 1 + len(names):
             raise PanelError(f"{path}: line {lineno + 1}: expected {len(names)} values")
         try:
             row = [float(c) for c in cells[1 : 1 + len(names)]]
         except ValueError:
             raise PanelError(f"{path}: line {lineno + 1}: bad numeric cell") from None
-        if int(first) in rows:
+        if month in rows:
             raise PanelError(f"{path}: line {lineno + 1}: duplicate month {first}")
-        rows[int(first)] = row
+        rows[month] = row
     return (np.array(list(rows), dtype=np.int64), names,
             np.array(list(rows.values()), dtype=float))
+
+
+# a month cell: YYYYMM, or YYYY-MM where a dash is allowed, in ASCII digits
+_MONTH = re.compile(r"([0-9]{4})(-?)([0-9]{2})")
+
+
+def _month(text: str, path, lineno: int, dash: bool = False) -> int:
+    """YYYYMM number of a month cell whose month is 01-12."""
+    m = _MONTH.fullmatch(text)
+    if m is None or (m[2] and not dash) or not 1 <= int(m[3]) <= 12:
+        raise PanelError(f"{path}: line {lineno}: bad month {text!r}")
+    return int(m[1] + m[3])
 
 
 def _yyyymm_to_month(months: np.ndarray) -> np.ndarray:
@@ -661,16 +677,15 @@ def _mask_percent(values: np.ndarray) -> np.ndarray:
 def load_leg_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pre-built monthly legs: CSV with header date,long,short.
 
-    Dates are YYYYMM or YYYY-MM; returns are decimal fractions. Used for
-    factor series distributed as ready-made legs rather than 2x3 blocks.
+    Dates are YYYYMM or YYYY-MM with a month of 01-12; returns are decimal
+    fractions. Used for factor series distributed as ready-made legs rather
+    than 2x3 blocks.
     """
     rows = _each_row(path, ("date", "long", "short"), PanelError)
     next(rows)
     legs: dict[int, tuple[float, float]] = {}
     for lineno, cells in rows:
-        tok = cells[0].replace("-", "")
-        if len(tok) != 6 or not tok.isdigit():
-            raise PanelError(f"{path}: line {lineno}: bad month {cells[0]!r}")
+        month = _month(cells[0], path, lineno, dash=True)
         try:
             long_r, short_r = float(cells[1]), float(cells[2])
         except ValueError:
@@ -678,9 +693,9 @@ def load_leg_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 f"{path}: line {lineno}: bad long,short returns "
                 f"{','.join(cells[1:])!r} in month {cells[0]}"
             ) from None
-        if int(tok) in legs:
+        if month in legs:
             raise PanelError(f"{path}: line {lineno}: duplicate month {cells[0]}")
-        legs[int(tok)] = (long_r, short_r)
+        legs[month] = (long_r, short_r)
     pairs = np.array(list(legs.values()), dtype=float).reshape(-1, 2)
     return np.array(list(legs), dtype=np.int64), pairs[:, 0], pairs[:, 1]
 

@@ -18,8 +18,9 @@ budget coupling, so it is solved exactly through the single dual price of
 the budget: every asset takes its closed-form best response to that price,
 and the price that fills the budget is found among the sorted breakpoints
 of the responses (water filling; Patriksson, "A survey on the continuous
-nonlinear resource allocation problem", EJOR 2008). The zero-cost case is
-dispatched to the exact greedy solution of the underlying linear program.
+nonlinear resource allocation problem", EJOR 2008). At zero cost every
+response is a step at the asset's score, and the same search fills the book
+best score first, meeting a minimum-investment floor exactly.
 """
 
 from __future__ import annotations
@@ -41,32 +42,6 @@ class PortfolioError(ValueError):
 
 class InfeasibleConstraints(PortfolioError):
     """The requested constraint set has no feasible portfolio."""
-
-
-@dataclass(frozen=True)
-class Portfolio:
-    """Dated snapshot of a book: stock notionals, index overlay, cash."""
-
-    date: np.datetime64
-    positions: np.ndarray
-    hedge_notional: float
-    cash: float
-    aum: float
-
-    def validate(self, mode: str, cap: float, tol: float = 1e-9) -> None:
-        slack = tol * self.aum
-        if mode == "LH":
-            if np.any(self.positions < -slack):
-                raise PortfolioError("long-only book has a short position")
-            if np.sum(self.positions) > self.aum + slack:
-                raise PortfolioError("long-only book exceeds the AUM budget")
-        elif mode == "LS":
-            if self.hedge_notional != 0.0:
-                raise PortfolioError("long-short book must not carry an index hedge")
-        else:
-            raise PortfolioError(f"unknown mode {mode!r}")
-        if np.any(np.abs(self.positions) > cap * self.aum + slack):
-            raise PortfolioError("per-asset position cap violated")
 
 
 # ---------------------------------------------------------------------------
@@ -175,30 +150,22 @@ def clean_correlation(returns_window: np.ndarray,
         name = asset_names[j] if asset_names is not None else f"column {j}"
         raise PortfolioError(f"degenerate (constant) return series: {name}")
     vols = np.std(x, axis=0, ddof=1)
-    if n == 1:
-        return CleanedCorrelation(
-            asset_indices=np.asarray(asset_indices), corr=np.array([[1.0]]),
-            vols=vols, noise_edge=(1.0 + math.sqrt(1.0 / t)) ** 2, n_clipped=0,
-            leading_eigenvector=np.array([1.0]), leading_eigenvalue=1.0,
-        )
     z = (x - np.mean(x, axis=0)) / np.std(x, axis=0)
     corr = z.T @ z / t
     corr = 0.5 * (corr + corr.T)
     eigvals, eigvecs = np.linalg.eigh(corr)
+    # the eigenvalues average 1 and the edge is above 1, so the bulk is
+    # never empty
     edge = (1.0 + math.sqrt(n / t)) ** 2
     bulk = eigvals < edge
     n_clipped = int(np.sum(bulk))
-    if n_clipped > 0:
-        cleaned_vals = eigvals.copy()
-        cleaned_vals[bulk] = float(np.mean(eigvals[bulk]))
-        cleaned = (eigvecs * cleaned_vals) @ eigvecs.T
-        d = np.sqrt(np.diag(cleaned))
-        cleaned = cleaned / np.outer(d, d)
-        cleaned = 0.5 * (cleaned + cleaned.T)
-        np.fill_diagonal(cleaned, 1.0)
-    else:
-        cleaned = corr.copy()
-        np.fill_diagonal(cleaned, 1.0)
+    cleaned_vals = eigvals.copy()
+    cleaned_vals[bulk] = float(np.mean(eigvals[bulk]))
+    cleaned = (eigvecs * cleaned_vals) @ eigvecs.T
+    d = np.sqrt(np.diag(cleaned))
+    cleaned = cleaned / np.outer(d, d)
+    cleaned = 0.5 * (cleaned + cleaned.T)
+    np.fill_diagonal(cleaned, 1.0)
     top_vals, top_vecs = np.linalg.eigh(cleaned)
     v = top_vecs[:, -1]
     if np.sum(v) < 0:
@@ -213,27 +180,6 @@ def clean_correlation(returns_window: np.ndarray,
 # ---------------------------------------------------------------------------
 # long-only optimizer
 # ---------------------------------------------------------------------------
-
-def _greedy_fill(scores: np.ndarray, cap: float, budget: float,
-                 floor_total: float = 0.0) -> np.ndarray:
-    """Exact solution of max s.w over {0 <= w <= cap, sum w <= budget} plus
-    an optional minimum-investment floor: fill best scores first."""
-    n = len(scores)
-    order = np.lexsort((np.arange(n), -scores))
-    w = np.zeros(n)
-    remaining = budget
-    total = 0.0
-    for i in order:
-        if remaining <= 0:
-            break
-        if scores[i] <= 0 and total >= floor_total:
-            break
-        take = min(cap, remaining)
-        w[i] = take
-        remaining -= take
-        total += take
-    return w
-
 
 def _piece_argmax(lam, a, c, p, d, lo, hi):
     """Per-asset argmax over [lo, hi] of (s - lam)*w - lin*|w - p| - k*|w - p|^1.5.
@@ -262,7 +208,8 @@ def _solve_budget_dual(s, p, lin, d, u, budget, floor):
     lam. A binary search over the sorted breakpoints finds the segment that
     holds the target total, and the quadratic is solved there exactly.
     Assets with d = 0 are step functions of lam: at a breakpoint their jumps
-    are filled by score, then by index, as the greedy fill does.
+    are filled by score, then by index. At zero cost (lin = 0, d = 0 for all)
+    that is the greedy fill of the linear program.
     """
     a, c = s - lin, s + lin
     b1 = a - d * np.sqrt(np.maximum(u - p, 0.0))
@@ -270,6 +217,13 @@ def _solve_budget_dual(s, p, lin, d, u, budget, floor):
     b5 = c + d * np.sqrt(p)
     step = d == 0
     has_step = bool(np.any(step))
+    order = np.lexsort((np.arange(len(s)), -s))
+
+    def unfilled(w, total):
+        """total less the book, one asset at a time, best score first: the
+        arithmetic of a greedy fill, so the zero-cost book is the greedy
+        linear-program book to the last bit."""
+        return np.subtract.accumulate(np.concatenate(([total], w[order])))[-1]
 
     def book(lam):
         """Right and left limits in lam of the per-asset response."""
@@ -280,12 +234,12 @@ def _solve_budget_dual(s, p, lin, d, u, budget, floor):
                 np.where(step & (a == lam), u, w))
 
     lo_book, hi_book = book(0.0)
-    if np.sum(lo_book) > budget:
+    if unfilled(lo_book, budget) < 0:
         target = budget
-    elif np.sum(hi_book) < floor:
+    elif unfilled(hi_book, floor) > 0:
         target = floor
     else:
-        return _fill_jumps(lo_book, hi_book, s, max(float(np.sum(lo_book)), floor))
+        return _fill_jumps(lo_book, hi_book, order, unfilled(lo_book, floor))
 
     grid = np.sort(np.concatenate([b1, a, c, b4, b5, [0.0]]))
     # invariant: total(grid[left]) > target >= total(grid[right]), where the
@@ -293,14 +247,14 @@ def _solve_budget_dual(s, p, lin, d, u, budget, floor):
     left, right = -1, len(grid) - 1
     while right - left > 1:
         probe = (left + right) // 2
-        if np.sum(book(grid[probe])[0]) > target:
+        if unfilled(book(grid[probe])[0], target) < 0:
             left = probe
         else:
             right = probe
     lam_hi = grid[right]
     lo_book, hi_book = book(lam_hi)
-    if np.sum(hi_book) >= target or left < 0:
-        return _fill_jumps(lo_book, hi_book, s, target)
+    if unfilled(hi_book, target) <= 0 or left < 0:
+        return _fill_jumps(lo_book, hi_book, order, unfilled(lo_book, target))
 
     # the total crosses the target strictly inside (lam_lo, lam_hi), where
     # no asset changes regime: sum(w) = A0 + A1*x + A2*x^2 with x = lam - lam_lo
@@ -336,17 +290,16 @@ def _solve_budget_dual(s, p, lin, d, u, budget, floor):
     return w
 
 
-def _fill_jumps(lo_book, hi_book, s, target):
-    """Raise lo_book toward hi_book until it totals target, best score
-    first, ties by index."""
+def _fill_jumps(lo_book, hi_book, order, short):
+    """Raise lo_book toward hi_book by short in total, taking each asset's
+    room in `order` (best score first, ties by index) until short runs
+    out, as a greedy fill does."""
     room = hi_book - lo_book
-    short = target - float(np.sum(lo_book))
     if short <= 0 or not np.any(room > 0):
         return lo_book
-    order = np.lexsort((np.arange(len(s)), -s))
-    before = np.cumsum(room[order]) - room[order]
+    rest = np.subtract.accumulate(np.concatenate(([short], room[order])))
     take = np.empty_like(room)
-    take[order] = np.clip(short - before, 0.0, room[order])
+    take[order] = np.clip(rest[:-1], 0.0, room[order])
     return lo_book + take
 
 
@@ -370,8 +323,9 @@ def optimize_long_only(scores: np.ndarray, prev_positions: np.ndarray,
     score counts as zero so the cost barrier decides whether the position
     survives.
 
-    The returned book is the exact optimum (see _solve_budget_dual); at
-    zero cost it is the greedy linear-program fill.
+    The returned book is the exact optimum (see _solve_budget_dual) at
+    every cost level. At zero cost (is_free, or cost_aversion = 0) it is the
+    greedy linear-program fill, and a binding floor is met exactly.
     """
     if aum <= 0:
         raise PortfolioError("aum must be positive")
@@ -383,8 +337,8 @@ def optimize_long_only(scores: np.ndarray, prev_positions: np.ndarray,
     prev = np.where(np.isfinite(prev_positions), prev_positions, 0.0)
     prev = np.maximum(prev, 0.0)
 
-    free = cost_params.is_free or cost_aversion == 0.0
-    if not free and cost_params.impact_coeff > 0:
+    priced_impact = cost_params.impact_coeff > 0 and cost_aversion != 0.0
+    if priced_impact:
         # impact pricing needs liquidity and vol inputs; without them the
         # position is frozen rather than traded blind
         tradable = np.isfinite(adv) & (np.asarray(adv) > 0) & np.isfinite(sigma_daily)
@@ -407,13 +361,9 @@ def optimize_long_only(scores: np.ndarray, prev_positions: np.ndarray,
     if len(idx) == 0:
         return out
 
-    if free:
-        out[idx] = _greedy_fill(s[idx], u, budget, floor_total=min_invested * aum)
-        return out
-
     lin = cost_aversion * cost_params.linear_rate
     kv = np.zeros(len(idx))
-    if cost_params.impact_coeff > 0:
+    if priced_impact:
         kv = cost_aversion * cost_params.impact_coeff * \
             np.asarray(sigma_daily, dtype=float)[idx] / np.sqrt(np.asarray(adv, dtype=float)[idx])
     floor = min(min_invested * aum, budget, n_free * u)
@@ -452,12 +402,17 @@ def _neutral_projection(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
+# project-rescale-clip rounds before build_long_short falls back to shrinking
+# the neutral book until its caps hold
+_LS_CAP_ROUNDS = 100
+
+
 def build_long_short(scores: np.ndarray, cleaned: CleanedCorrelation,
                      vol_target: float, aum: float,
                      prev_positions: np.ndarray, adv: np.ndarray,
                      cost_params: CostModelParams, cap: float = 0.03,
-                     cost_aversion: float = 1.0, periods_per_year: int = 252,
-                     max_iter: int = 100) -> tuple[np.ndarray, float, bool]:
+                     cost_aversion: float = 1.0,
+                     periods_per_year: int = 252) -> tuple[np.ndarray, float, bool]:
     """Dollar-neutral, market-mode-neutral book scaled to a volatility target.
 
     scores/prev_positions/adv are full panel cross-sections; the book lives
@@ -486,7 +441,7 @@ def build_long_short(scores: np.ndarray, cleaned: CleanedCorrelation,
     d = _neutral_projection(s - np.mean(s), v)
     norm = float(np.linalg.norm(d))
     warning = False
-    if norm < 1e-15 or k < 2:
+    if norm < 1e-15:
         out = np.zeros(len(scores))
         return out, 0.0, True
 
@@ -498,7 +453,7 @@ def build_long_short(scores: np.ndarray, cleaned: CleanedCorrelation,
 
     def finalize(wv):
         nonlocal warning
-        for _ in range(max_iter):
+        for _ in range(_LS_CAP_ROUNDS):
             wv = _neutral_projection(wv, v)
             var = daily_var(wv)
             if var <= 0:
@@ -545,6 +500,10 @@ def build_long_short(scores: np.ndarray, cleaned: CleanedCorrelation,
 # backtest
 # ---------------------------------------------------------------------------
 
+# the backtest refuses a date range with a longer hole in its calendar
+_MAX_CALENDAR_GAP_DAYS = 10
+
+
 @dataclass(frozen=True)
 class StrategyConfig:
     """Everything the daily loop needs besides the data itself."""
@@ -559,7 +518,6 @@ class StrategyConfig:
     vol_window: int = 250
     exec_lag: int = 0
     min_invested: float = 0.0
-    max_calendar_gap_days: int = 10
 
     def __post_init__(self):
         if self.mode not in ("LH", "LS"):
@@ -665,10 +623,10 @@ def run_backtest(panel: ReturnsPanel, signal, config: StrategyConfig,
     if i1 <= i0:
         raise PortfolioError("empty backtest date range")
     gaps = np.diff(panel.dates[i0:i1].astype("datetime64[D]").astype(np.int64))
-    if len(gaps) and np.max(gaps) > config.max_calendar_gap_days:
+    if len(gaps) and np.max(gaps) > _MAX_CALENDAR_GAP_DAYS:
         at = panel.dates[i0 + int(np.argmax(gaps))]
         raise PortfolioError(
-            f"calendar gap longer than {config.max_calendar_gap_days} days after {at}"
+            f"calendar gap longer than {_MAX_CALENDAR_GAP_DAYS} days after {at}"
         )
 
     if config.mode == "LH":

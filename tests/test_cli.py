@@ -286,6 +286,17 @@ class TestBacktest:
                     str(tmp_path / "bt")]) == 1
         assert "min_invested" in capsys.readouterr().err
 
+    def test_start_must_be_a_full_day(self, gen_dir, tmp_path, capsys):
+        _, _, out = gen_dir
+        cfg = tmp_path / "bt.cfg"
+        self.write_cfg(cfg, out / "panel.csv", out / "truth_series.csv",
+                       mode="LS")
+        cfg.write_text(cfg.read_text().replace("start = 2001-01-08",
+                                               "start = 2001-01"))
+        assert run(["backtest", "--config", str(cfg), "--out",
+                    str(tmp_path / "bt")]) == 1
+        assert "bad date '2001-01'" in capsys.readouterr().err
+
     def test_missing_panel_cleans_partial_outputs(self, tmp_path, capsys):
         cfg = tmp_path / "bt.cfg"
         cfg.write_text("[backtest]\npanel = nowhere.csv\nmode = LS\n")
@@ -416,6 +427,10 @@ def _truth(path):
      data.load_leg_csv, data.PanelError, ["line 3", "duplicate month 2020-01"]),
     ("French data\n,Lo,Hi\n199001,1.0,2.0\n199002,1.0,2.0\n199001,1.5,2.5\n",
      data.read_ff_table, data.PanelError, ["line 5", "duplicate month 199001"]),
+    ("date,long,short\n202001,0.01,0.02\n20-20-01,0.01,0.02\n",
+     data.load_leg_csv, data.PanelError, ["line 3", "bad month '20-20-01'"]),
+    ("French data\n,Lo,Hi\n199012,1.0,2.0\n199013,1.0,2.0\n",
+     data.read_ff_table, data.PanelError, ["line 4", "bad month '199013'"]),
 ], ids=["index_series", "borrow_fees", "leg_csv",
         "index_series_empty", "truth_series_empty", "borrow_fees_empty",
         "leg_csv_empty", "panel_empty",
@@ -423,7 +438,7 @@ def _truth(path):
         "borrow_fees_blank_asset", "leg_csv_blank_month",
         "index_series_duplicate_date", "truth_series_duplicate_date",
         "borrow_fees_duplicate_asset", "leg_csv_duplicate_month",
-        "ff_table_duplicate_month"])
+        "ff_table_duplicate_month", "leg_csv_bad_month", "ff_table_bad_month"])
 def test_loader_error_names_line_key_and_cell(tmp_path, text, load, error, named):
     path = tmp_path / "input.csv"
     path.write_text(text)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from factorlab import analytics, costs, data, portfolio as pf, signals, toy_model as tm
 
@@ -216,6 +216,15 @@ class TestLongOnlyOptimizer:
                                   cap=0.3)
         assert np.allclose(w, [0.3 * AUM, 0.3 * AUM, 0.0, 0.0])
 
+    def test_zero_cost_floor_met_exactly(self):
+        # nothing scores above zero: the book buys the least bad assets up
+        # to the floor and no further
+        scores = np.array([-0.1, -0.2, -0.3, -0.4])
+        w = pf.optimize_long_only(scores, np.zeros(4), np.full(4, 1e7),
+                                  np.full(4, 0.02), AUM, costs.ZERO_COSTS,
+                                  cap=0.3, min_invested=0.5)
+        assert np.allclose(w, [0.3 * AUM, 0.2 * AUM, 0.0, 0.0])
+
     def test_zero_signal_nonzero_costs_no_trade(self):
         n = 10
         prev = np.full(n, 0.01 * AUM)
@@ -265,6 +274,8 @@ class TestLongOnlyOptimizer:
            cap=st.floats(0.01, 0.5), linear_rate=st.sampled_from([0.0, 5e-4, 1e-2]),
            impact=st.sampled_from([0.0, 1.0]), zero_vol=st.sampled_from([0.0, 0.3]),
            min_invested=st.sampled_from([0.0, 0.4, 0.95]))
+    @example(seed=3, n=3, cap=0.5, linear_rate=0.0, impact=0.0, zero_vol=0.0,
+             min_invested=0.95)
     def test_kkt_conditions(self, seed, n, cap, linear_rate, impact, zero_vol,
                             min_invested):
         """The book is optimal: one price lam on the total supports every
@@ -287,8 +298,6 @@ class TestLongOnlyOptimizer:
         assert np.all(w >= 0) and np.all(w <= u)
         total = float(np.sum(w))
         assert floor * (1 - 1e-12) <= total <= AUM * (1 + 1e-12)
-        if params.is_free:
-            return
         lin, k = linear_rate, impact * sigma / np.sqrt(adv)
 
         def slope(x, right):
@@ -773,19 +782,3 @@ class TestBacktest:
         a = analytics.cost_attribution(res)
         b = analytics.cost_attribution(loaded)
         assert a == b
-
-    def test_portfolio_validate(self):
-        p = pf.Portfolio(date=np.datetime64("2020-01-02"),
-                         positions=np.array([0.02, 0.01]) * AUM,
-                         hedge_notional=-0.03 * AUM, cash=0.97 * AUM, aum=AUM)
-        p.validate("LH", cap=0.03)
-        bad = pf.Portfolio(date=np.datetime64("2020-01-02"),
-                           positions=np.array([0.05]) * AUM,
-                           hedge_notional=0.0, cash=AUM, aum=AUM)
-        with pytest.raises(pf.PortfolioError):
-            bad.validate("LH", cap=0.03)
-        ls_with_hedge = pf.Portfolio(date=np.datetime64("2020-01-02"),
-                                     positions=np.array([0.01]) * AUM,
-                                     hedge_notional=1.0, cash=AUM, aum=AUM)
-        with pytest.raises(pf.PortfolioError):
-            ls_with_hedge.validate("LS", cap=0.03)

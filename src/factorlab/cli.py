@@ -29,7 +29,7 @@ import numpy as np
 
 from . import analytics, costs, signals
 from .data import (
-    ReturnsPanel, _day, _each_row, _fmt, load_famafrench, load_panel,
+    ReturnsPanel, _day, _each_row, _fmt, _fmt_column, load_famafrench, load_panel,
     select_pool, write_panel,
 )
 from .portfolio import StrategyConfig, lh_matched_vol_targets, run_backtest
@@ -285,10 +285,10 @@ def cmd_generate(cfg, config_dir: str, out: Outputs, seed) -> None:
     panel, truth = generate_universe(spec)
     write_panel(panel, out.path("panel.csv"))
     out.write_csv("truth_loadings.csv", ["asset_id", "loading"],
-                  [[a, _fmt(x)] for a, x in zip(panel.assets, truth.loadings)])
+                  zip(panel.assets, _fmt_column(truth.loadings)))
     out.write_csv("truth_series.csv", ["date", "market", "factor"],
-                  [[str(d), _fmt(m), _fmt(f)]
-                   for d, m, f in zip(panel.dates, truth.market, truth.factor)])
+                  zip(map(str, panel.dates), _fmt_column(truth.market),
+                      _fmt_column(truth.factor)))
 
 
 def _build_signal(cfg, panel, pool):

@@ -15,6 +15,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat
 from operator import itemgetter
+from types import SimpleNamespace
 from typing import Mapping
 
 import numpy as np
@@ -37,7 +38,7 @@ DEFAULT_POOL_COUNTS = {"NA": 1200, "EU": 1000, "JP": 900, "AU": 200}
 
 DEFAULT_FFILL_LIMIT_DAYS = 370
 
-# cells formatted per batch by `write_panel`, which bounds its string buffers
+# rows formatted per batch by `write_panel`, which bounds its string buffers
 _WRITE_CHUNK = 1 << 16
 
 # rows parsed per block by `_read_rows`, which bounds the loaders' working set
@@ -51,6 +52,15 @@ class PanelError(ValueError):
 def _fmt(x) -> str:
     """Shortest round-trip decimal form; empty string for None, NaN or inf."""
     return "" if x is None or not math.isfinite(x) else repr(float(x))
+
+
+def _fmt_column(values) -> list[str]:
+    """`[_fmt(x) for x in values]` for a float or bool column, formatted a
+    column at a time: `repr` of each finite value, "" for every other."""
+    v = np.asarray(values, dtype=np.float64)
+    fin = np.isfinite(v)
+    cells = map(repr, v[fin].tolist())
+    return [next(cells) if f else "" for f in fin.tolist()]
 
 
 @dataclass(frozen=True)
@@ -405,7 +415,9 @@ def write_panel(panel: ReturnsPanel, path, fields=None) -> None:
 
     Emits one row per (date, asset) cell that carries at least one valid
     field, in normal-form order. write(load(f)) is a stable normal form:
-    re-loading and re-writing reproduces the file byte for byte.
+    re-loading and re-writing reproduces the file byte for byte. Values are
+    written in their shortest round-trip `repr`, non-finite ones as blank
+    cells, and ids and regions as the csv module quotes them.
     """
     names = list(fields) if fields is not None else [
         f for f in PANEL_FIELDS if f in panel.arrays
@@ -418,17 +430,16 @@ def write_panel(panel: ReturnsPanel, path, fields=None) -> None:
         any_valid |= np.isfinite(m)
     rows, cols = np.nonzero(any_valid)    # normal-form order: date, then asset
     days = [str(d) for d in panel.dates]
+    # a csv writer's writerow returns what its file's write returns: the line
+    line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+    keys = [line(key)[:-1] for key in zip(panel.assets, panel.regions)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["date", "asset_id", "region"] + names)
+        fh.write(line(["date", "asset_id", "region"] + names))
         for lo in range(0, len(rows), _WRITE_CHUNK):
             i, j = rows[lo:lo + _WRITE_CHUNK], cols[lo:lo + _WRITE_CHUNK]
-            w.writerows(zip(
-                [days[k] for k in i.tolist()],
-                [panel.assets[k] for k in j.tolist()],
-                [panel.regions[k] for k in j.tolist()],
-                *([_fmt(x) for x in m[i, j].tolist()] for m in mats),
-            ))
+            fh.write("".join([",".join(row) + "\n" for row in zip(
+                [days[k] for k in i.tolist()], [keys[k] for k in j.tolist()],
+                *(_fmt_column(m[i, j]) for m in mats))]))
 
 
 def forward_fill_field(panel: ReturnsPanel, name: str,

@@ -32,7 +32,7 @@ import numpy as np
 
 from .costs import CostModelParams, trade_cost, financing_cost, borrow_cost
 from .data import (
-    PoolMask, ReturnsPanel, _fmt, month_start_indices, rolling_vols, window_sums,
+    PoolMask, ReturnsPanel, _fmt_column, month_start_indices, rolling_vols, window_sums,
 )
 
 
@@ -308,6 +308,11 @@ def _check_min_invested(min_invested: float) -> None:
         raise PortfolioError(f"min_invested must be in [0, 1], got {min_invested!r}")
 
 
+def _check_cost_aversion(cost_aversion: float) -> None:
+    if not 0 <= cost_aversion < math.inf:
+        raise PortfolioError(f"cost_aversion must be in [0, inf), got {cost_aversion!r}")
+
+
 def optimize_long_only(scores: np.ndarray, prev_positions: np.ndarray,
                        adv: np.ndarray, sigma_daily: np.ndarray, aum: float,
                        cost_params: CostModelParams, cap: float = 0.03,
@@ -332,6 +337,7 @@ def optimize_long_only(scores: np.ndarray, prev_positions: np.ndarray,
     if not 0 < cap <= 1:
         raise PortfolioError("cap must be in (0, 1]")
     _check_min_invested(min_invested)
+    _check_cost_aversion(cost_aversion)
     n = len(scores)
     s = np.where(np.isfinite(scores), np.asarray(scores, dtype=float), 0.0)
     prev = np.where(np.isfinite(prev_positions), prev_positions, 0.0)
@@ -425,6 +431,7 @@ def build_long_short(scores: np.ndarray, cleaned: CleanedCorrelation,
         raise PortfolioError("vol_target must be positive")
     if aum <= 0 or not 0 < cap <= 1:
         raise PortfolioError("bad aum or cap")
+    _check_cost_aversion(cost_aversion)
     idx = cleaned.asset_indices
     k = len(idx)
     s = np.where(np.isfinite(scores[idx]), scores[idx], 0.0)
@@ -525,6 +532,7 @@ class StrategyConfig:
         if self.exec_lag not in (0, 1):
             raise PortfolioError("exec_lag must be 0 or 1")
         _check_min_invested(self.min_invested)
+        _check_cost_aversion(self.cost_aversion)
 
 
 @dataclass
@@ -567,9 +575,9 @@ class BacktestResult:
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("date," + ",".join(self.COLUMNS) + "\n")
-            columns = [getattr(self, c).tolist() for c in self.COLUMNS]
-            for d, *row in zip(self.dates, *columns):
-                fh.write(",".join([str(d)] + [_fmt(x) for x in row]) + "\n")
+            columns = [_fmt_column(getattr(self, c)) for c in self.COLUMNS]
+            fh.write("".join([",".join(row) + "\n"
+                              for row in zip(map(str, self.dates), *columns)]))
 
 
 def lh_matched_vol_targets(lh_result: BacktestResult, panel_dates: np.ndarray,

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 
@@ -286,6 +287,16 @@ class TestBacktest:
                     str(tmp_path / "bt")]) == 1
         assert "min_invested" in capsys.readouterr().err
 
+    def test_negative_cost_aversion_rejected(self, gen_dir, tmp_path, capsys):
+        _, _, out = gen_dir
+        cfg = tmp_path / "bt.cfg"
+        self.write_cfg(cfg, out / "panel.csv", out / "truth_series.csv",
+                       mode="LH", extra="cost_aversion = -1\n")
+        assert run(["backtest", "--config", str(cfg), "--out",
+                    str(tmp_path / "bt")]) == 1
+        assert "cost_aversion must be in [0, inf), got -1.0" \
+            in capsys.readouterr().err
+
     def test_start_must_be_a_full_day(self, gen_dir, tmp_path, capsys):
         _, _, out = gen_dir
         cfg = tmp_path / "bt.cfg"
@@ -462,3 +473,44 @@ def test_dates_are_yyyy_mm_dd_only(tmp_path, text, load, error, header, tail):
     with pytest.raises(error) as info:
         load(str(path))
     assert str(info.value) == f"{path}: line 3: bad date {text!r}"
+
+
+# sha256 of each output of a small fixed `generate` and LS `backtest` run.
+# A change to how any cell is formatted, quoted or ordered moves a hash.
+GOLDEN_SHA256 = {
+    "gen/panel.csv":
+        "c678495780025972883b3c7ea283a7584f34167476c5d1473031b716534d47c1",
+    "gen/truth_loadings.csv":
+        "a953d7efeb52a5e05292a0014d0358480d12cc6ecda9db8eebaccb64b4f86c7c",
+    "gen/truth_series.csv":
+        "3cac6dbba9abdbffb94b1757379c325ecb022eaec7913b766098f7b4785bdd8e",
+    # flat and vol-warning days (1.0) before the signal is warm, then 0.0
+    "bt/backtest_LS.csv":
+        "5371e9b8e299f816bb0dfa54f86761a204dab34e2fc9276d87d12cc96fb45d83",
+}
+
+
+def test_golden_output_bytes(tmp_path):
+    gen_cfg = tmp_path / "gen.cfg"
+    gen_cfg.write_text(
+        "[generate]\nn_assets = 12\nn_periods = 320\nseed = 7\n"
+        "alpha2 = 0.8\nresid_vol_long = 0.004\nresid_vol_short = 0.004\n"
+        "factor_mean = 0.0008\nfactor_vol = 0.004\n"
+        "market_mean = 0.0003\nmarket_vol = 0.012\n"
+    )
+    assert run(["generate", "--config", str(gen_cfg),
+                "--out", str(tmp_path / "gen")]) == 0
+    bt_cfg = tmp_path / "bt.cfg"
+    bt_cfg.write_text(
+        "[backtest]\n"
+        f"panel = {tmp_path / 'gen' / 'panel.csv'}\nmode = LS\n"
+        f"truth_series = {tmp_path / 'gen' / 'truth_series.csv'}\n"
+        "aum = 1e9\ncap = 0.3\nvol_target = 0.05\nstart = 2000-11-01\n"
+        "[signals]\nfactors = MOM\nema_span = 20\n"
+        "[costs]\nlinear_rate = 5e-4\nimpact_coeff = 1.0\n"
+    )
+    assert run(["backtest", "--config", str(bt_cfg),
+                "--out", str(tmp_path / "bt")]) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in GOLDEN_SHA256}
+    assert got == GOLDEN_SHA256

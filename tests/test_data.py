@@ -211,6 +211,23 @@ def panel_texts(draw):
     return out.getvalue()
 
 
+def reference_write_panel(panel, path, fields=None):
+    """The per-cell writer the column-at-a-time `data.write_panel` replaced:
+    `_fmt` on every cell and `csv.writer` on every row, date by date and
+    asset by asset."""
+    names = list(fields) if fields is not None else [
+        f for f in data.PANEL_FIELDS if f in panel.arrays]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["date", "asset_id", "region"] + names)
+        for i, d in enumerate(panel.dates):
+            for j in range(panel.n_assets):
+                cells = [data._fmt(panel.arrays[f][i, j]) for f in names]
+                if any(cells):
+                    w.writerow([str(d), panel.assets[j], panel.regions[j]]
+                               + cells)
+
+
 def count_readers(monkeypatch):
     """The calls made to `csv.reader` from now on, one entry each."""
     calls, real = [], csv.reader
@@ -319,15 +336,53 @@ class TestLoadPanel:
                                   regions=("NA", "EU", "NA", ""), arrays=arrays)
         monkeypatch.setattr(data, "_WRITE_CHUNK", chunk)
         data.write_panel(panel, tmp_path / "p.csv")
-        # the per-date, per-asset loop the batched writer replaced
-        lines = ["date,asset_id,region,ret,price"]
-        for i, d in enumerate(panel.dates):
-            for j in range(n):
-                cells = [data._fmt(arrays[f][i, j]) for f in ("ret", "price")]
-                if any(cells):
-                    lines.append(",".join([str(d), panel.assets[j],
-                                           panel.regions[j]] + cells))
-        assert (tmp_path / "p.csv").read_text() == "\n".join(lines) + "\n"
+        reference_write_panel(panel, tmp_path / "want.csv")
+        assert (tmp_path / "p.csv").read_bytes() == \
+            (tmp_path / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize("chunk", [1, 3, 1 << 16])
+    def test_writer_quotes_ids_and_keeps_edge_values(self, tmp_path,
+                                                     monkeypatch, chunk):
+        assets = ("A,B", 'Q"T', "N\nL", " lead", "plain")
+        regions = ("R,1", '"', " E", "x\ny", "")
+        edge = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e16, 1e-5, 0.1 + 0.2]
+        ret = np.array([edge[:5], edge[3:]])
+        price = np.array([[1.5, np.nan, np.inf, 2.0, np.nan],
+                          [np.nan, np.nan, -np.inf, 7.0, np.nan]])
+        # the third date has one valid field: price alone, on one asset
+        ret = np.vstack([ret, np.full(5, np.nan)])
+        price = np.vstack([price, [np.nan, np.nan, np.nan, np.nan, 3.25]])
+        panel = data.ReturnsPanel(dates=data.business_days("2020-01-01", 3),
+                                  assets=assets, regions=regions,
+                                  arrays={"ret": ret, "price": price})
+        monkeypatch.setattr(data, "_WRITE_CHUNK", chunk)
+        data.write_panel(panel, tmp_path / "p.csv")
+        reference_write_panel(panel, tmp_path / "want.csv")
+        got = (tmp_path / "p.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        # ids and regions quoted as the csv module quotes them, values in
+        # their shortest repr, non-finite cells blank, empty rows left out
+        assert got.decode() == (
+            "date,asset_id,region,ret,price\n"
+            '2020-01-01,"A,B","R,1",-0.0,1.5\n'
+            '2020-01-01, lead,"x\ny",,2.0\n'
+            "2020-01-01,plain,,5e-324,\n"
+            '2020-01-02,"Q""T","""",5e-324,\n'
+            '2020-01-02,"N\nL", E,1e+16,\n'
+            '2020-01-02, lead,"x\ny",1e-05,7.0\n'
+            "2020-01-02,plain,,0.30000000000000004,\n"
+            "2020-01-03,plain,,,3.25\n"
+        )
+
+    @settings(max_examples=60)
+    @given(st.one_of(
+        st.lists(st.floats(width=64), max_size=40).map(
+            lambda xs: np.array(xs, dtype=np.float64)),
+        st.lists(st.booleans(), max_size=40).map(
+            lambda xs: np.array(xs, dtype=bool)),
+    ))
+    def test_column_formatter_matches_cell_formatter(self, column):
+        assert data._fmt_column(column) == [data._fmt(x) for x in column.tolist()]
 
     @pytest.mark.parametrize("block", [1, 3, data._READ_BLOCK])
     @settings(max_examples=40)

@@ -391,6 +391,25 @@ class TestLongOnlyOptimizer:
         with pytest.raises(pf.PortfolioError, match="min_invested"):
             pf.StrategyConfig(mode="LH", min_invested=floor)
 
+    @pytest.mark.parametrize("aversion", [-1.0, float("nan"), float("inf")])
+    def test_cost_aversion_negative_or_not_finite_rejected(self, aversion):
+        with pytest.raises(pf.PortfolioError,
+                           match=f"cost_aversion .*got {aversion!r}"):
+            pf.optimize_long_only(np.array([0.01, -0.01]),
+                                  np.array([0.01 * AUM, 0.0]),
+                                  np.full(2, 1e7), np.full(2, 0.02), AUM,
+                                  costs.CostModelParams(), cap=0.03,
+                                  cost_aversion=aversion)
+        with pytest.raises(pf.PortfolioError, match="cost_aversion"):
+            pf.StrategyConfig(mode="LS", cost_aversion=aversion)
+        rng = np.random.Generator(np.random.Philox(30))
+        cleaned = pf.clean_correlation(0.01 * rng.standard_normal((300, 20)))
+        with pytest.raises(pf.PortfolioError, match="cost_aversion"):
+            pf.build_long_short(np.linspace(-0.5, 0.5, 20), cleaned, 0.05, AUM,
+                                np.zeros(20), np.full(20, 1e7),
+                                costs.CostModelParams(), cap=0.1,
+                                cost_aversion=aversion)
+
 
 class TestHedge:
     def test_unit_betas_fully_invested(self):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .portfolio import BacktestResult, estimate_beta
+from .portfolio import BacktestResult, _ols_slope
 
 TRADING_DAYS = 252
 MONTHS = 12
@@ -135,9 +135,13 @@ def estimate_series_beta(stream: np.ndarray, index: np.ndarray) -> float:
     dates where both are present."""
     y = np.asarray(stream, dtype=float)
     x = np.asarray(index, dtype=float)
-    if np.sum(np.isfinite(y) & np.isfinite(x)) < 3:
+    valid = np.isfinite(y) & np.isfinite(x)
+    if np.sum(valid) < 3:
         raise AnalyticsError("not enough overlap to estimate beta")
-    beta = estimate_beta(y, x, min_obs=3)
+    xv = np.where(valid, x, 0.0)
+    yv = np.where(valid, y, 0.0)
+    beta = float(_ols_slope(np.sum(valid), np.sum(xv), np.sum(yv),
+                            np.sum(xv * xv), np.sum(xv * yv), 3))
     if not np.isfinite(beta):
         raise AnalyticsError("index series is constant")
     return beta
@@ -153,9 +157,7 @@ def rescale_to_unit_beta(leg: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 
 def smb_diagnostic(long_leg: np.ndarray, short_leg: np.ndarray,
-                   index: np.ndarray, smb: np.ndarray,
-                   beta_long: float | None = None,
-                   beta_short: float | None = None) -> float:
+                   index: np.ndarray, smb: np.ndarray) -> float:
     """Correlation between the size factor and the spread left after hedging
     both legs with the same index.
 
@@ -170,8 +172,8 @@ def smb_diagnostic(long_leg: np.ndarray, short_leg: np.ndarray,
     smb = np.asarray(smb, dtype=float)
     if not (len(long_leg) == len(short_leg) == len(index) == len(smb)):
         raise AnalyticsError("series must share one calendar")
-    bl = estimate_series_beta(long_leg, index) if beta_long is None else beta_long
-    bs = estimate_series_beta(short_leg, index) if beta_short is None else beta_short
+    bl = estimate_series_beta(long_leg, index)
+    bs = estimate_series_beta(short_leg, index)
     delta = (long_leg - bl * index) - (bs * index - short_leg)
     scale = np.std(long_leg) + np.std(short_leg) + np.std(index)
     if np.std(delta) <= 1e-12 * max(scale, 1e-300) or np.std(smb) == 0:

@@ -186,9 +186,7 @@ def _parse_costs(cfg, config_dir: str):
     overrides = None
     if "borrow_file" in sec:
         overrides = costs.load_borrow_fee_overrides(
-            os.path.join(config_dir, sec["borrow_file"])
-            if not os.path.isabs(sec["borrow_file"]) else sec["borrow_file"]
-        )
+            _resolve(config_dir, sec["borrow_file"]))
     return params, overrides
 
 
@@ -294,38 +292,31 @@ def cmd_generate(cfg, config_dir: str, out: Outputs, seed) -> None:
 def _build_signal(cfg, panel, pool):
     """Blended, optionally EMA-slowed signal per the [signals] section;
     an absent section or empty factor list means a zero signal."""
-    if not cfg.has_section("signals"):
-        return signals.SignalPanel(
-            dates=panel.dates, assets=panel.assets,
-            scores=np.zeros((panel.n_dates, panel.n_assets)), factor="none",
-        ), []
-    sec = cfg["signals"]
+    sec = cfg["signals"] if cfg.has_section("signals") else {}
     names = _get(sec, "factors", str, "").split()
     span = _get(sec, "ema_span", int, 150)
     if not names:
         return signals.SignalPanel(
             dates=panel.dates, assets=panel.assets,
             scores=np.zeros((panel.n_dates, panel.n_assets)), factor="none",
-        ), []
+        )
     weights = _get(sec, "weights", _floats, [1.0] * len(names))
     if len(weights) != len(names):
         raise ConfigError("weights must match factors one for one")
-    built, used, skipped = [], [], []
+    built, used = [], []
     for name, weight in zip(names, weights):
         try:
             sig = signals.factor_signal(panel, pool, name)
         except signals.SignalError as exc:
-            skipped.append((name, str(exc)))
+            print(f"warning: skipping factor {name}: {exc}", file=sys.stderr)
             continue
         if span > 0:
             sig = signals.smooth_ema(sig, span_days=span)
         built.append(sig)
         used.append(weight)
-    for name, why in skipped:
-        print(f"warning: skipping factor {name}: {why}", file=sys.stderr)
     if not built:
         raise ConfigError("no usable factors")
-    return signals.blend(built, used), [n for n, _ in skipped]
+    return signals.blend(built, used)
 
 
 def cmd_predictability(cfg, config_dir: str, out: Outputs, seed) -> None:
@@ -395,7 +386,7 @@ def cmd_backtest(cfg, config_dir: str, out: Outputs, seed) -> None:
     pool = _parse_pool(cfg, panel)
     params, overrides = _parse_costs(cfg, config_dir)
     fees = costs.resolve_borrow_fees(panel.assets, overrides, params)
-    signal, _ = _build_signal(cfg, panel, pool)
+    signal = _build_signal(cfg, panel, pool)
 
     mode_raw = _get(sec, "mode", str, required=True).upper()
     modes = ["LH", "LS"] if mode_raw == "BOTH" else [mode_raw]
@@ -467,6 +458,9 @@ def cmd_famafrench(cfg, config_dir: str, out: Outputs, seed) -> None:
     }
     leg_paths = {}
     if "vol_legs" in sec:
+        if "vol" in map(str.lower, block_paths):
+            raise ConfigError("factor VOL is given both as blocks (key 'vol') "
+                              "and as legs (key 'vol_legs'); keep one")
         leg_paths["VOL"] = _resolve(config_dir, sec["vol_legs"])
     legs = load_famafrench(
         block_paths,

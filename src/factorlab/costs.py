@@ -52,15 +52,6 @@ class CostModelParams:
 ZERO_COSTS = CostModelParams(0.0, 0.0, 0.0, 0.0, 252)
 
 
-def linear_cost(q, params: CostModelParams):
-    """Linear component alone; q is unsigned traded notional."""
-    q = np.asarray(q, dtype=float)
-    if np.any(q < 0):
-        raise CostError("traded notional must be non-negative")
-    out = params.linear_rate * q
-    return float(out) if out.ndim == 0 else out
-
-
 def impact_cost(q, adv, sigma_daily, params: CostModelParams):
     """Square-root impact component alone: Y * sigma * sqrt(q/adv) * q."""
     q = np.asarray(q, dtype=float)
@@ -75,10 +66,10 @@ def impact_cost(q, adv, sigma_daily, params: CostModelParams):
 
 
 def trade_cost(q, adv, sigma_daily, params: CostModelParams):
-    """Total one-way trading cost; strictly convex in q."""
-    out = np.asarray(linear_cost(q, params)) + np.asarray(
-        impact_cost(q, adv, sigma_daily, params)
-    )
+    """Total one-way trading cost, the linear term plus `impact_cost`;
+    strictly convex in q."""
+    out = params.linear_rate * np.asarray(q, dtype=float) + np.asarray(
+        impact_cost(q, adv, sigma_daily, params))
     return float(out) if out.ndim == 0 else out
 
 

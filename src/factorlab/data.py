@@ -31,9 +31,6 @@ PANEL_FIELDS = (
     "borrow_fee",
 )
 
-# forward-filled by `forward_fill_field` (annual reporting cadence)
-FUNDAMENTAL_FIELDS = ("earnings", "net_income", "total_assets", "borrow_fee")
-
 DEFAULT_POOL_COUNTS = {"NA": 1200, "EU": 1000, "JP": 900, "AU": 200}
 
 DEFAULT_FFILL_LIMIT_DAYS = 370
@@ -410,31 +407,29 @@ def load_panel(path) -> ReturnsPanel:
     )
 
 
-def write_panel(panel: ReturnsPanel, path, fields=None) -> None:
+def write_panel(panel: ReturnsPanel, path) -> None:
     """Write a panel in the same long-format layout `load_panel` reads.
 
     Emits one row per (date, asset) cell that carries at least one valid
     field, in normal-form order. write(load(f)) is a stable normal form:
     re-loading and re-writing reproduces the file byte for byte. Values are
     written in their shortest round-trip `repr`, non-finite ones as blank
-    cells, and ids and regions as the csv module quotes them.
+    cells, and ids and regions as the csv module quotes them, where a cell
+    that holds a CR or LF is quoted.
     """
-    names = list(fields) if fields is not None else [
-        f for f in PANEL_FIELDS if f in panel.arrays
-    ]
-    for f in names:
-        panel.field(f)
+    names = [f for f in PANEL_FIELDS if f in panel.arrays]
     mats = [panel.arrays[f] for f in names]
     any_valid = np.zeros((panel.n_dates, panel.n_assets), dtype=bool)
     for m in mats:
         any_valid |= np.isfinite(m)
     rows, cols = np.nonzero(any_valid)    # normal-form order: date, then asset
     days = [str(d) for d in panel.dates]
-    # a csv writer's writerow returns what its file's write returns: the line
-    line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
-    keys = [line(key)[:-1] for key in zip(panel.assets, panel.regions)]
+    # a csv writer's writerow returns what its file's write returns: the
+    # line, here cut of its "\r\n", which makes the writer quote a CR too
+    line = csv.writer(SimpleNamespace(write=str), lineterminator="\r\n").writerow
+    keys = [line(key)[:-2] for key in zip(panel.assets, panel.regions)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(line(["date", "asset_id", "region"] + names))
+        fh.write(",".join(["date", "asset_id", "region"] + names) + "\n")
         for lo in range(0, len(rows), _WRITE_CHUNK):
             i, j = rows[lo:lo + _WRITE_CHUNK], cols[lo:lo + _WRITE_CHUNK]
             fh.write("".join([",".join(row) + "\n" for row in zip(
@@ -575,24 +570,23 @@ _FF_MISSING_CUTOFF = -99.0  # sentinel codes -99.99 / -999
 
 @dataclass(frozen=True)
 class LegPanel:
-    """Monthly 2x3 building blocks and the per-factor long/short legs.
+    """Per-factor monthly long and short legs and their block markets.
 
-    All series share one monthly calendar and are decimal returns. Each
-    factor carries its six size-x-sort blocks, the equal-weight mean of
-    those blocks (a half-small half-big market), and its two legs: the
-    long leg averages the small and big blocks of the long tertile, the
-    short leg the two blocks of the opposite tertile.
+    All series share one calendar and are decimal returns. From 2x3
+    blocks, the long leg averages the small and big blocks of the long
+    tertile, the short leg the two blocks of the opposite tertile, and the
+    block market is the equal-weight mean of the blocks (a half-small
+    half-big market). Pre-built legs take the mean block market, or
+    `market_vw` when there are no blocks.
     """
 
     months: np.ndarray
     factors: tuple[str, ...]
-    blocks: dict[str, dict[str, np.ndarray]]
     long_leg: dict[str, np.ndarray]
     short_leg: dict[str, np.ndarray]
     block_market: dict[str, np.ndarray]
     market_vw: np.ndarray
     smb: np.ndarray
-    rf: np.ndarray
 
 
 def read_ff_table(path) -> tuple[np.ndarray, list[str], np.ndarray]:
@@ -601,8 +595,8 @@ def read_ff_table(path) -> tuple[np.ndarray, list[str], np.ndarray]:
     The files carry a free-text preamble, then a header row, then rows whose
     first cell is a YYYYMM integer. Reading stops at the first line whose
     first cell is not six digits (annual blocks, second tables, blank
-    lines); six digits with a month outside 01-12 are an error. Values stay
-    in percent; sentinels are not masked here.
+    lines); six digits with a month outside 01-12, and a repeated column
+    name, are errors. Values stay in percent; sentinels are not masked here.
     """
     with open(path, "r", encoding="latin-1", newline="") as fh:
         lines = fh.read().splitlines()
@@ -623,6 +617,9 @@ def read_ff_table(path) -> tuple[np.ndarray, list[str], np.ndarray]:
     if header is None:
         raise PanelError(f"{path}: no header row above the data block")
     names = [c for c in header[1:] if c]
+    repeated = [c for k, c in enumerate(names) if c in names[:k]]
+    if repeated:
+        raise PanelError(f"{path}: line {j + 1}: repeated column {repeated[0]!r}")
     rows: dict[int, list[float]] = {}   # month -> values, in file order
     for lineno in range(start, len(lines)):
         cells = [c.strip() for c in lines[lineno].split(",")]
@@ -711,120 +708,83 @@ def load_leg_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.array(list(legs), dtype=np.int64), pairs[:, 0], pairs[:, 1]
 
 
-def load_famafrench(block_paths: Mapping[str, str],
-                    factors_path,
-                    long_tertile: Mapping[str, str] | None = None,
+def load_famafrench(block_paths: Mapping[str, str], factors_path,
                     leg_paths: Mapping[str, str] | None = None) -> LegPanel:
     """Assemble a LegPanel from Kenneth-French-layout files.
 
     block_paths   factor name -> 2x3 portfolio CSV (six size-x-sort blocks)
     factors_path  the research-factors CSV providing Mkt-RF, SMB and RF
-    long_tertile  overrides for which tertile a factor is long
     leg_paths     extra factors shipped as pre-built legs (date,long,short)
 
     Percent returns become decimal fractions, sentinel codes become missing,
     and everything is aligned on the intersection of the monthly calendars.
     """
-    tertile_map = dict(DEFAULT_LONG_TERTILE)
-    if long_tertile:
-        tertile_map.update({k: v.lower() for k, v in long_tertile.items()})
-
     fac_months, fac_names, fac_values = read_ff_table(factors_path)
     lowered = [n.lower() for n in fac_names]
-    needed = {"mkt-rf": None, "smb": None, "rf": None}
-    for key in needed:
+    columns = ("mkt-rf", "smb", "rf")
+    for key in columns:
         if key not in lowered:
             raise PanelError(f"{factors_path}: missing column {key!r}")
-        needed[key] = _mask_percent(fac_values[:, lowered.index(key)].copy())
+    fac = _mask_percent(fac_values[:, [lowered.index(k) for k in columns]])
 
-    per_factor: dict[str, dict[str, np.ndarray]] = {}
-    factor_months: dict[str, np.ndarray] = {}
+    # factor -> (months, long leg, short leg, block market or None)
+    entries = {}
     for factor, path in block_paths.items():
-        direction = tertile_map.get(factor.upper())
-        if direction not in ("hi", "lo"):
-            raise PanelError(
-                f"factor {factor!r}: unknown long tertile; pass long_tertile={{...}}"
-            )
+        direction = DEFAULT_LONG_TERTILE.get(factor.upper())
+        if direction is None:
+            raise PanelError(f"factor {factor!r}: unknown long tertile; known "
+                             f"factors: {', '.join(DEFAULT_LONG_TERTILE)}")
         months, names, values = read_ff_table(path)
-        blocks: dict[str, np.ndarray] = {}
-        corners: dict[tuple[str, str], np.ndarray] = {}
+        values = _mask_percent(values)
+        corners = {}
         for k, name in enumerate(names):
-            series = _mask_percent(values[:, k].copy())
-            blocks[name] = series
             size, tertile = _classify_block(name)
             if size is not None and tertile in ("hi", "lo"):
-                corners[(size, tertile)] = series
-        missing = [
-            f"{size} {tert}"
-            for size in ("small", "big")
-            for tert in ("hi", "lo")
-            if (size, tert) not in corners
-        ]
+                corners[(size, tertile)] = values[:, k]
+        missing = [f"{size} {tert}" for size in ("small", "big")
+                   for tert in ("hi", "lo") if (size, tert) not in corners]
         if missing:
             raise PanelError(
                 f"factor {factor!r}: missing required 2x3 blocks: {', '.join(missing)}"
             )
-        short_dir = "lo" if direction == "hi" else "hi"
-        per_factor[factor] = {
-            "__blocks__": blocks,
-            "long": 0.5 * (corners[("small", direction)] + corners[("big", direction)]),
-            "short": 0.5 * (corners[("small", short_dir)] + corners[("big", short_dir)]),
-            "market": np.nanmean(np.column_stack(list(blocks.values())), axis=1),
-        }
-        factor_months[factor] = months
-
-    extra: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    if leg_paths:
-        for factor, path in leg_paths.items():
-            extra[factor] = load_leg_csv(path)
+        short = "lo" if direction == "hi" else "hi"
+        entries[factor] = (
+            months,
+            0.5 * (corners[("small", direction)] + corners[("big", direction)]),
+            0.5 * (corners[("small", short)] + corners[("big", short)]),
+            np.nanmean(values, axis=1),
+        )
+    for factor, path in (leg_paths or {}).items():
+        entries[factor] = (*load_leg_csv(path), None)
 
     common = set(fac_months.tolist())
-    for months in factor_months.values():
-        common &= set(months.tolist())
-    for months, _, _ in extra.values():
+    for months, *_ in entries.values():
         common &= set(months.tolist())
     if not common:
         raise PanelError("calendar mismatch: no overlapping months across input files")
-    common_arr = np.array(sorted(common), dtype=np.int64)
+    common = sorted(common)
 
     def align(months: np.ndarray, series: np.ndarray) -> np.ndarray:
         pos = {m: i for i, m in enumerate(months.tolist())}
-        return series[[pos[m] for m in common_arr.tolist()]]
+        return series[[pos[m] for m in common]]
 
-    factors = tuple(list(block_paths) + list(extra))
-    blocks_out: dict[str, dict[str, np.ndarray]] = {}
-    long_out: dict[str, np.ndarray] = {}
-    short_out: dict[str, np.ndarray] = {}
-    market_out: dict[str, np.ndarray] = {}
-    for factor in block_paths:
-        months = factor_months[factor]
-        blocks_out[factor] = {
-            name: align(months, series)
-            for name, series in per_factor[factor]["__blocks__"].items()
-        }
-        long_out[factor] = align(months, per_factor[factor]["long"])
-        short_out[factor] = align(months, per_factor[factor]["short"])
-        market_out[factor] = align(months, per_factor[factor]["market"])
-    if extra:
-        fallback = (
-            np.nanmean(np.column_stack(list(market_out.values())), axis=1)
-            if market_out
-            else align(fac_months, needed["mkt-rf"] + needed["rf"])
-        )
-        for factor, (months, longs, shorts) in extra.items():
-            blocks_out[factor] = {}
-            long_out[factor] = align(months, longs)
-            short_out[factor] = align(months, shorts)
-            market_out[factor] = fallback
-
+    long_leg, short_leg, market = {}, {}, {}
+    for factor, (months, longs, shorts, block_market) in entries.items():
+        long_leg[factor] = align(months, longs)
+        short_leg[factor] = align(months, shorts)
+        if block_market is not None:
+            market[factor] = align(months, block_market)
+    market_vw = align(fac_months, fac[:, 0] + fac[:, 2])
+    if len(market) < len(entries):
+        fallback = (np.nanmean(np.column_stack(list(market.values())), axis=1)
+                    if market else market_vw)
+        market = {f: market.get(f, fallback) for f in entries}
     return LegPanel(
-        months=_yyyymm_to_month(common_arr),
-        factors=factors,
-        blocks=blocks_out,
-        long_leg=long_out,
-        short_leg=short_out,
-        block_market=market_out,
-        market_vw=align(fac_months, needed["mkt-rf"] + needed["rf"]),
-        smb=align(fac_months, needed["smb"]),
-        rf=align(fac_months, needed["rf"]),
+        months=_yyyymm_to_month(np.array(common, dtype=np.int64)),
+        factors=tuple(entries),
+        long_leg=long_leg,
+        short_leg=short_leg,
+        block_market=market,
+        market_vw=market_vw,
+        smb=align(fac_months, fac[:, 1]),
     )

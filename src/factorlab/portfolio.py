@@ -62,32 +62,6 @@ def _ols_slope(n, sx, sy, sxx, sxy, min_obs: int) -> np.ndarray:
     return out
 
 
-def estimate_beta(asset_returns: np.ndarray, index_returns: np.ndarray,
-                  min_obs: int | None = None) -> np.ndarray:
-    """OLS slope of each asset on the index over the supplied window.
-
-    Accepts a (W,) or (W, N) asset array; rows where either side is missing
-    are dropped pairwise. Assets with fewer than min_obs joint observations
-    (default: half the window), or facing a constant index, come back NaN.
-    """
-    y = np.asarray(asset_returns, dtype=float)
-    squeeze = y.ndim == 1
-    if squeeze:
-        y = y[:, None]
-    x = np.asarray(index_returns, dtype=float)
-    if len(x) != y.shape[0]:
-        raise PortfolioError("asset and index windows differ in length")
-    if min_obs is None:
-        min_obs = max(2, y.shape[0] // 2)
-    valid = np.isfinite(y) & np.isfinite(x)[:, None]
-    xv = np.where(valid, x[:, None], 0.0)
-    yv = np.where(valid, y, 0.0)
-    out = _ols_slope(np.sum(valid, axis=0), np.sum(xv, axis=0),
-                     np.sum(yv, axis=0), np.sum(xv * xv, axis=0),
-                     np.sum(xv * yv, axis=0), min_obs)
-    return float(out[0]) if squeeze else out
-
-
 def rolling_betas(returns: np.ndarray, index_returns: np.ndarray,
                   window: int = 250, min_obs: int | None = None) -> np.ndarray:
     """Trailing-window betas for every date, windows ending at (including) t."""
@@ -116,7 +90,6 @@ class CleanedCorrelation:
     asset_indices: np.ndarray
     corr: np.ndarray
     vols: np.ndarray
-    noise_edge: float
     n_clipped: int
     leading_eigenvector: np.ndarray
     leading_eigenvalue: float
@@ -172,7 +145,7 @@ def clean_correlation(returns_window: np.ndarray,
         v = -v
     return CleanedCorrelation(
         asset_indices=np.asarray(asset_indices), corr=cleaned, vols=vols,
-        noise_edge=edge, n_clipped=n_clipped,
+        n_clipped=n_clipped,
         leading_eigenvector=v, leading_eigenvalue=float(top_vals[-1]),
     )
 

@@ -52,7 +52,6 @@ class SignalPanel:
     assets: tuple[str, ...]
     scores: np.ndarray
     factor: str
-    smoothed: bool = False
 
     def __post_init__(self):
         if self.scores.shape != (len(self.dates), len(self.assets)):
@@ -215,7 +214,7 @@ def smooth_ema(signal: SignalPanel, span_days: int = 150) -> SignalPanel:
         state[cont] = (1.0 - lam) * state[cont] + lam * raw[t, cont]
         out[t, valid] = state[valid]
     return SignalPanel(dates=signal.dates, assets=signal.assets,
-                       scores=out, factor=signal.factor, smoothed=True)
+                       scores=out, factor=signal.factor)
 
 
 def blend(signals: list[SignalPanel], weights) -> SignalPanel:
@@ -245,7 +244,7 @@ def blend(signals: list[SignalPanel], weights) -> SignalPanel:
     out[ok] = num[ok] / den[ok]
     name = "+".join(s.factor for s in signals)
     return SignalPanel(dates=first.dates, assets=first.assets, scores=out,
-                       factor=name, smoothed=all(s.smoothed for s in signals))
+                       factor=name)
 
 
 # ---------------------------------------------------------------------------

@@ -178,8 +178,7 @@ class TestSmbDiagnostic:
         shorts = 0.01 * rng.standard_normal(200)
         index = 0.5 * (longs + shorts)
         smb = rng.standard_normal(200)
-        got = analytics.smb_diagnostic(longs, shorts, index, smb,
-                                       beta_long=1.0, beta_short=1.0)
+        got = analytics.smb_diagnostic(longs, shorts, index, smb)
         assert np.isnan(got)
 
     def test_equal_vs_cap_weight_construction(self):

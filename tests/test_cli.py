@@ -308,6 +308,17 @@ class TestBacktest:
                     str(tmp_path / "bt")]) == 1
         assert "bad date '2001-01'" in capsys.readouterr().err
 
+    def test_missing_borrow_file_is_a_path_error(self, gen_dir, tmp_path, capsys):
+        _, _, out = gen_dir
+        cfg = tmp_path / "bt.cfg"
+        self.write_cfg(cfg, out / "panel.csv", out / "truth_series.csv",
+                       mode="LS")
+        cfg.write_text(cfg.read_text() + "borrow_file = fees.csv\n")
+        assert run(["backtest", "--config", str(cfg), "--out",
+                    str(tmp_path / "bt")]) == 1
+        assert f"path not found: {tmp_path / 'fees.csv'}" \
+            in capsys.readouterr().err
+
     def test_missing_panel_cleans_partial_outputs(self, tmp_path, capsys):
         cfg = tmp_path / "bt.cfg"
         cfg.write_text("[backtest]\npanel = nowhere.csv\nmode = LS\n")
@@ -358,22 +369,7 @@ class TestFamaFrench:
 
     def test_prebuilt_vol_legs_included(self, tmp_path):
         paths, factors_path = make_ff_fixture(str(tmp_path))
-        # legs must carry market exposure for the beta-one rescaling
-        months, names, values = __import__("factorlab.data", fromlist=["d"]) \
-            .read_ff_table(factors_path)
-        market = (values[:, names.index("Mkt-RF")]
-                  + values[:, names.index("RF")]) / 100.0
-        leg_csv = tmp_path / "vol.csv"
-        lines = ["date,long,short"]
-        rng = np.random.Generator(np.random.Philox(40))
-        noise = 0.01 * rng.standard_normal((240, 2))
-        for i in range(240):
-            m = (1990 + i // 12) * 100 + (i % 12) + 1
-            lines.append(
-                f"{m},{market[i] + 0.004 + noise[i, 0]:.6f},"
-                f"{market[i] - 0.001 + noise[i, 1]:.6f}"
-            )
-        leg_csv.write_text("\n".join(lines) + "\n")
+        leg_csv = _vol_leg_csv(tmp_path, factors_path)
         cfg = tmp_path / "ff.cfg"
         cfg.write_text(
             "[famafrench]\nfactors = HML WML\n"
@@ -384,6 +380,21 @@ class TestFamaFrench:
         assert run(["famafrench", "--config", str(cfg), "--out", str(dest)]) == 0
         report = read_json(dest / "ff_report.json")
         assert "VOL" in report["factors"]
+
+    def test_vol_as_blocks_and_as_legs_is_an_error(self, tmp_path, capsys):
+        paths, factors_path = make_ff_fixture(str(tmp_path))
+        cfg = tmp_path / "ff.cfg"
+        cfg.write_text(
+            "[famafrench]\nfactors = HML VOL\n"
+            f"hml = {paths['HML']}\nvol = {paths['CMA']}\n"
+            f"vol_legs = {_vol_leg_csv(tmp_path, factors_path)}\n"
+            f"factors_file = {factors_path}\n"
+        )
+        assert run(["famafrench", "--config", str(cfg), "--out",
+                    str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        for part in ("factor VOL", "'vol'", "'vol_legs'"):
+            assert part in err
 
     def test_missing_block_path_is_an_error(self, tmp_path, capsys):
         _, factors_path = make_ff_fixture(str(tmp_path))
@@ -442,6 +453,8 @@ def _truth(path):
      data.load_leg_csv, data.PanelError, ["line 3", "bad month '20-20-01'"]),
     ("French data\n,Lo,Hi\n199012,1.0,2.0\n199013,1.0,2.0\n",
      data.read_ff_table, data.PanelError, ["line 4", "bad month '199013'"]),
+    ("French data\n,Lo,Hi,Lo\n199001,1.0,2.0,3.0\n",
+     data.read_ff_table, data.PanelError, ["line 2", "repeated column 'Lo'"]),
 ], ids=["index_series", "borrow_fees", "leg_csv",
         "index_series_empty", "truth_series_empty", "borrow_fees_empty",
         "leg_csv_empty", "panel_empty",
@@ -449,7 +462,8 @@ def _truth(path):
         "borrow_fees_blank_asset", "leg_csv_blank_month",
         "index_series_duplicate_date", "truth_series_duplicate_date",
         "borrow_fees_duplicate_asset", "leg_csv_duplicate_month",
-        "ff_table_duplicate_month", "leg_csv_bad_month", "ff_table_bad_month"])
+        "ff_table_duplicate_month", "leg_csv_bad_month", "ff_table_bad_month",
+        "ff_table_repeated_column"])
 def test_loader_error_names_line_key_and_cell(tmp_path, text, load, error, named):
     path = tmp_path / "input.csv"
     path.write_text(text)
@@ -514,3 +528,101 @@ def test_golden_output_bytes(tmp_path):
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in GOLDEN_SHA256}
     assert got == GOLDEN_SHA256
+
+
+def _bt_lh_config(tmp_path, gen):
+    cfg = tmp_path / "lh.cfg"
+    cfg.write_text(
+        "[backtest]\n"
+        f"panel = {gen / 'panel.csv'}\nmode = LH\n"
+        f"truth_series = {gen / 'truth_series.csv'}\n"
+        "aum = 1e9\ncap = 0.3\nstart = 2000-11-01\n"
+        "[signals]\nfactors = MOM\nema_span = 20\n"
+        "[costs]\nlinear_rate = 5e-4\nimpact_coeff = 1.0\n"
+    )
+    return cfg
+
+
+# sha256 of the LH backtest of the `test_golden_output_bytes` market: the
+# cost-aware long-only solve, the index hedge and `trade_cost` with impact on
+GOLDEN_LH_SHA256 = (
+    "16294ad1128e472fe4308ad669d738a1a6e9f0be944bdf2c8634ebb880cda7bf")
+
+
+def test_golden_lh_backtest_bytes(tmp_path):
+    gen_cfg = tmp_path / "gen.cfg"
+    gen_cfg.write_text(
+        "[generate]\nn_assets = 12\nn_periods = 320\nseed = 7\n"
+        "alpha2 = 0.8\nresid_vol_long = 0.004\nresid_vol_short = 0.004\n"
+        "factor_mean = 0.0008\nfactor_vol = 0.004\n"
+        "market_mean = 0.0003\nmarket_vol = 0.012\n"
+    )
+    assert run(["generate", "--config", str(gen_cfg),
+                "--out", str(tmp_path / "gen")]) == 0
+    cfg = _bt_lh_config(tmp_path, tmp_path / "gen")
+    assert run(["backtest", "--config", str(cfg),
+                "--out", str(tmp_path / "bt")]) == 0
+    got = hashlib.sha256((tmp_path / "bt" / "backtest_LH.csv").read_bytes())
+    assert got.hexdigest() == GOLDEN_LH_SHA256
+
+
+def _vol_leg_csv(tmp_path, factors_path):
+    """A pre-built VOL leg file on the fixture's calendar whose legs carry
+    the fixture's market, so they can be rescaled to a beta of one."""
+    months, names, values = data.read_ff_table(factors_path)
+    market = (values[:, names.index("Mkt-RF")]
+              + values[:, names.index("RF")]) / 100.0
+    leg_csv = tmp_path / "vol.csv"
+    lines = ["date,long,short"]
+    rng = np.random.Generator(np.random.Philox(40))
+    noise = 0.01 * rng.standard_normal((240, 2))
+    for i in range(240):
+        m = (1990 + i // 12) * 100 + (i % 12) + 1
+        lines.append(
+            f"{m},{market[i] + 0.004 + noise[i, 0]:.6f},"
+            f"{market[i] - 0.001 + noise[i, 1]:.6f}"
+        )
+    leg_csv.write_text("\n".join(lines) + "\n")
+    return leg_csv
+
+
+# sha256 of (ff_legs.csv, ff_report.json) for four `famafrench` configs on
+# the `make_ff_fixture` files
+GOLDEN_FF_SHA256 = {
+    "blocks": (
+        "f2937d9c4c182da3f7375540759d4e0d131a310e2fc74d09e7ba94ca79794dfb",
+        "5baf08a5692fbcfeb58fba9838bc8c4de787f73544cb2a4238b1e5f826aa5622"),
+    "vw_free_weights": (
+        "fe530e3042eb1453c4606880162e80d79c7626edd915926f37acebfb4ea503b3",
+        "915bfc1fe3e4803b86db978af25f4b4d39c60c38ae19f8f15726f4c91c321b54"),
+    "blocks_and_vol_legs": (
+        "d708647a81e5a02501ca778692dec8e495195939eae456df887d9704e5f5a18f",
+        "7847217421af383adf984a8fa04b98d40962ad7d3b2bef3f0eeb36217b184f14"),
+    "vol_legs_alone": (
+        "7c43c4fe57b41e934e38bedd0498c3a00d701bc175c6ee9363bfe15aa52245d0",
+        "203366237e573b911844c0a1e8ea94855af7de789efd26663a7f3b04df625a80"),
+}
+
+
+@pytest.mark.parametrize("case, factors, extra", [
+    ("blocks", "HML WML RMW CMA", "hedge_index = blocks\n"),
+    ("vw_free_weights", "HML WML RMW CMA",
+     "hedge_index = vw\nlong_only_weights = false\n"),
+    ("blocks_and_vol_legs", "HML WML", "vol_legs = {vol}\n"),
+    ("vol_legs_alone", "VOL", "vol_legs = {vol}\n"),
+])
+def test_golden_famafrench_bytes(tmp_path, case, factors, extra):
+    paths, factors_path = make_ff_fixture(str(tmp_path))
+    vol = _vol_leg_csv(tmp_path, factors_path)
+    cfg = tmp_path / "ff.cfg"
+    cfg.write_text(
+        f"[famafrench]\nfactors = {factors}\n"
+        + "".join(f"{k.lower()} = {paths[k]}\n" for k in factors.split()
+                  if k in paths)
+        + f"factors_file = {factors_path}\n" + extra.format(vol=vol)
+    )
+    dest = tmp_path / "ff"
+    assert run(["famafrench", "--config", str(cfg), "--out", str(dest)]) == 0
+    got = tuple(hashlib.sha256((dest / name).read_bytes()).hexdigest()
+                for name in ("ff_legs.csv", "ff_report.json"))
+    assert got == GOLDEN_FF_SHA256[case]

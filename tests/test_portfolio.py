@@ -14,32 +14,50 @@ def mom_signals(small_universe):
     return raw, signals.smooth_ema(raw, 150)
 
 
+def windowed_ols_betas(returns, index, min_obs):
+    """OLS slope of each column on the index over the rows where both are
+    present, by least squares with an intercept; NaN below min_obs rows."""
+    out = np.full(returns.shape[1], np.nan)
+    for j in range(returns.shape[1]):
+        ok = np.isfinite(returns[:, j]) & np.isfinite(index)
+        if np.sum(ok) >= min_obs:
+            design = np.column_stack([np.ones(np.sum(ok)), index[ok]])
+            out[j] = np.linalg.lstsq(design, returns[ok, j], rcond=None)[0][1]
+    return out
+
+
 class TestBetas:
     def test_exact_multiple(self):
         rng = np.random.Generator(np.random.Philox(0))
         idx = rng.standard_normal(300) * 0.01
-        assert pf.estimate_beta(2.0 * idx, idx) == pytest.approx(2.0)
+        assert analytics.estimate_series_beta(2.0 * idx, idx) == pytest.approx(2.0)
 
     def test_independent_near_zero(self):
         rng = np.random.Generator(np.random.Philox(1))
         idx = rng.standard_normal(2000) * 0.01
         y = rng.standard_normal(2000) * 0.02
-        beta = pf.estimate_beta(y, idx)
+        beta = analytics.estimate_series_beta(y, idx)
         se = (0.02 / 0.01) / np.sqrt(2000)
         assert abs(beta) < 3 * se
 
     def test_insufficient_overlap_masked(self):
-        idx = np.ones(10) * 0.01
+        rng = np.random.Generator(np.random.Philox(4))
+        idx = rng.standard_normal(10) * 0.01
         y = np.full(10, np.nan)
         y[:3] = 0.01
-        assert np.isnan(pf.estimate_beta(y, idx, min_obs=5))
+        betas = pf.rolling_betas(y[:, None], idx, window=10, min_obs=5)
+        assert np.all(np.isnan(betas))
+        y[2] = np.nan
+        with pytest.raises(analytics.AnalyticsError, match="overlap"):
+            analytics.estimate_series_beta(y, idx)
 
     def test_rolling_matches_windowed(self, small_universe):
         _, panel, truth = small_universe
         ret = panel.field("ret")
         betas = pf.rolling_betas(ret, truth.market, window=250)
         for t in (260, 400, 700):
-            expected = pf.estimate_beta(ret[t - 249: t + 1], truth.market[t - 249: t + 1])
+            expected = windowed_ols_betas(ret[t - 249: t + 1],
+                                          truth.market[t - 249: t + 1], 125)
             assert np.allclose(betas[t], expected, equal_nan=True)
 
     def test_recovers_unit_loading(self, small_universe):
@@ -94,8 +112,6 @@ class TestBetas:
         ret = 0.01 * rng.standard_normal((400, 6))
         index = np.full(400, 3e-4)
         assert np.all(np.isnan(pf.rolling_betas(ret, index, window=250)))
-        assert np.all(np.isnan(pf.estimate_beta(ret[-240:], np.full(240, 0.0123))))
-        assert np.isnan(pf.estimate_beta(ret[-240:, 0], np.full(240, 0.0123)))
         with pytest.raises(analytics.AnalyticsError, match="constant"):
             analytics.estimate_series_beta(ret[-240:, 0], np.full(240, 0.0123))
 

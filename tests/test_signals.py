@@ -315,7 +315,6 @@ class TestEma:
         scores = np.full((40, 3), 0.2)
         out = signals.smooth_ema(signal_of(scores), span_days=10)
         assert np.allclose(out.scores, 0.2)
-        assert out.smoothed
 
     def test_impulse_response(self):
         t = 60

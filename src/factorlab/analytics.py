@@ -184,34 +184,20 @@ def smb_diagnostic(long_leg: np.ndarray, short_leg: np.ndarray,
 @dataclass(frozen=True)
 class PerfSummary:
     """Annualized performance and cost attribution, in fractions of AUM per
-    year. Component rows sum to the total return row."""
+    year. Component rows sum to the total return row; `dataclasses.asdict`
+    gives the summary JSON's entry for one book."""
 
     sharpe: float | None
     ann_return: float
     ann_vol: float
     mean_drawdown: float
-    ret_component: float
+    returns_and_divs: float
     trading_cost: float
     financing_cost: float
     borrow_cost: float
     mean_daily_turnover_aum: float
     mean_daily_turnover_gmv: float
     mean_gross_leverage: float
-
-    def to_dict(self) -> dict:
-        return {
-            "sharpe": self.sharpe,
-            "ann_return": self.ann_return,
-            "ann_vol": self.ann_vol,
-            "mean_drawdown": self.mean_drawdown,
-            "returns_and_divs": self.ret_component,
-            "trading_cost": self.trading_cost,
-            "financing_cost": self.financing_cost,
-            "borrow_cost": self.borrow_cost,
-            "mean_daily_turnover_aum": self.mean_daily_turnover_aum,
-            "mean_daily_turnover_gmv": self.mean_daily_turnover_gmv,
-            "mean_gross_leverage": self.mean_gross_leverage,
-        }
 
 
 def cost_attribution(result: BacktestResult,
@@ -235,7 +221,7 @@ def cost_attribution(result: BacktestResult,
         ann_vol=float(np.std(result.total_pnl / aum, ddof=1))
         * math.sqrt(periods_per_year),
         mean_drawdown=depth,
-        ret_component=ann(result.ret_pnl),
+        returns_and_divs=ann(result.ret_pnl),
         trading_cost=ann(result.trading_cost),
         financing_cost=ann(result.financing_cost),
         borrow_cost=ann(result.borrow_cost),

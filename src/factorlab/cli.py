@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -91,26 +92,41 @@ def _read_config(path) -> configparser.ConfigParser:
     return cfg
 
 
-def _check_schema(cfg: configparser.ConfigParser, schema: dict[str, set | None],
-                  required: set[str]) -> None:
+def _sections(cfg: configparser.ConfigParser, required: str,
+              schema: dict[str, dict]) -> dict[str, dict]:
+    """Read each section the file has through its {key: converter} table in
+    `schema`: section -> {key: value} for the keys the file sets. Every
+    other key takes its default where the value is used, mostly in the
+    library object it feeds. An unknown section or key, a missing `required`
+    section and a value its converter rejects are errors."""
+    if not cfg.has_section(required):
+        raise ConfigError(f"missing required config section [{required}]")
+    out = {}
     for section in cfg.sections():
         if section not in schema:
-            raise ConfigError(
-                f"unknown config section [{section}]; known: "
-                + ", ".join(sorted(schema))
-            )
-        allowed = schema[section]
-        if allowed is None:
-            continue
-        for key in cfg[section]:
-            if key not in allowed:
+            raise ConfigError(f"unknown config section [{section}]; known: "
+                              + ", ".join(sorted(schema)))
+        table = schema[section]
+        values = out[section] = {}
+        for key, raw in cfg[section].items():
+            if key not in table:
                 raise ConfigError(
                     f"unknown key {key!r} in [{section}]; known: "
-                    + ", ".join(sorted(allowed))
+                    + ", ".join(sorted(table))
                 )
-    for section in required:
-        if not cfg.has_section(section):
-            raise ConfigError(f"missing required config section [{section}]")
+            try:
+                values[key] = table[key](raw)
+            except ConfigError:
+                raise
+            except (ValueError, TypeError):
+                raise ConfigError(f"bad value for {key!r}: {raw!r}") from None
+    return out
+
+
+def _require(values: dict, *keys: str) -> None:
+    for key in keys:
+        if key not in values:
+            raise ConfigError(f"missing key {key!r}")
 
 
 def _floats(raw: str) -> list[float]:
@@ -123,20 +139,6 @@ def _floats(raw: str) -> list[float]:
     return vals
 
 
-def _get(section, key, conv, default=None, required=False):
-    if key not in section:
-        if required:
-            raise ConfigError(f"missing key {key!r}")
-        return default
-    raw = section[key]
-    try:
-        return conv(raw)
-    except ConfigError:
-        raise
-    except (ValueError, TypeError):
-        raise ConfigError(f"bad value for {key!r}: {raw!r}") from None
-
-
 def _bool(raw: str) -> bool:
     low = raw.strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -146,48 +148,40 @@ def _bool(raw: str) -> bool:
     raise ConfigError(f"bad boolean: {raw!r}")
 
 
-_POOL_KEYS = {"counts", "adv_window_days", "min_valid_days"}
-_COST_KEYS = {
-    "linear_rate", "impact_coeff", "financing_spread", "default_borrow_fee",
-    "trading_days_per_year", "borrow_file",
-}
+def _vol_target(raw: str):
+    return "match_lh" if raw.strip().lower() == "match_lh" else float(raw)
 
 
-def _parse_pool(cfg, panel: ReturnsPanel):
-    if not cfg.has_section("pool"):
-        return None
-    sec = cfg["pool"]
-    counts_raw = _get(sec, "counts", str, required=True)
+def _ema_span(raw: str) -> int:
+    span = int(raw)
+    if span < 0:
+        raise ConfigError(f"ema_span must be 0 (no smoothing) or positive, got {span}")
+    return span
+
+
+def _counts(raw: str) -> dict[str, int]:
+    """REGION:N tokens, each region once."""
     counts = {}
-    for tok in counts_raw.split():
+    for tok in raw.split():
         if ":" not in tok:
             raise ConfigError(f"pool counts entries look like REGION:N, got {tok!r}")
         region, num = tok.split(":", 1)
+        if region in counts:
+            raise ConfigError(f"pool counts give region {region!r} more than once")
         counts[region] = int(num)
-    return select_pool(
-        panel,
-        adv_window_days=_get(sec, "adv_window_days", int, 180),
-        counts_by_region=counts,
-        min_valid_days=_get(sec, "min_valid_days", int, 60),
-    )
+    return counts
 
 
-def _parse_costs(cfg, config_dir: str):
-    if not cfg.has_section("costs"):
-        return costs.CostModelParams(), None
-    sec = cfg["costs"]
-    params = costs.CostModelParams(
-        linear_rate=_get(sec, "linear_rate", float, 5e-4),
-        impact_coeff=_get(sec, "impact_coeff", float, 1.0),
-        financing_spread=_get(sec, "financing_spread", float, 0.02),
-        default_borrow_fee=_get(sec, "default_borrow_fee", float, 0.0025),
-        trading_days_per_year=_get(sec, "trading_days_per_year", int, 252),
-    )
-    overrides = None
-    if "borrow_file" in sec:
-        overrides = costs.load_borrow_fee_overrides(
-            _resolve(config_dir, sec["borrow_file"]))
-    return params, overrides
+_POOL = {"counts": _counts, "adv_window_days": int, "min_valid_days": int}
+
+
+def _pool(conf: dict, panel: ReturnsPanel):
+    """The liquidity pool of the [pool] section; None without the section."""
+    if "pool" not in conf:
+        return None
+    given = dict(conf["pool"])
+    _require(given, "counts")
+    return select_pool(panel, given.pop("counts"), **given)
 
 
 def _resolve(config_dir: str, path: str) -> str:
@@ -227,15 +221,17 @@ def _load_dated_column(path, column: str, panel_dates: np.ndarray) -> np.ndarray
 # commands
 # ---------------------------------------------------------------------------
 
+_TOY = {"alpha2": _floats, "gamma": _floats, "kappa": _floats,
+        "factor_mean": float, "factor_var": float}
+
+
 def cmd_toy(cfg, config_dir: str, out: Outputs, seed) -> None:
-    _check_schema(cfg, {"toy": {"alpha2", "gamma", "kappa", "factor_mean",
-                                "factor_var"}}, {"toy"})
-    sec = cfg["toy"]
-    alpha2 = _get(sec, "alpha2", _floats, required=True)
-    gamma = _get(sec, "gamma", _floats, required=True)
-    kappa = _get(sec, "kappa", _floats, required=True)
-    mean_f = _get(sec, "factor_mean", float, 1.0)
-    var_f = _get(sec, "factor_var", float, 1.0)
+    sec = _sections(cfg, "toy", {"toy": _TOY})["toy"]
+    _require(sec, "alpha2", "gamma", "kappa")
+    alpha2, gamma, kappa = sec["alpha2"], sec["gamma"], sec["kappa"]
+    # the toy factor's moments; the ratio column does not depend on them
+    mean_f = sec.get("factor_mean", 1.0)
+    var_f = sec.get("factor_var", 1.0)
     rows = []
     for k in kappa:
         for g in gamma:
@@ -255,31 +251,23 @@ def cmd_toy(cfg, config_dir: str, out: Outputs, seed) -> None:
     })
 
 
+_GENERATE = {
+    "n_assets": int, "n_periods": int, "seed": int, "loading_long": float,
+    "alpha2": float, "loading_spread": float, "resid_vol_long": float,
+    "resid_vol_short": float, "factor_mean": float, "factor_vol": float,
+    "market_mean": float, "market_vol": float, "adv": float,
+    "start_price": float, "start_date": str, "region": str,
+}
+
+
 def cmd_generate(cfg, config_dir: str, out: Outputs, seed) -> None:
-    keys = {"n_assets", "n_periods", "seed", "loading_long", "alpha2",
-            "loading_spread", "resid_vol_long", "resid_vol_short",
-            "factor_mean", "factor_vol", "market_mean", "market_vol", "adv",
-            "start_price", "start_date", "region"}
-    _check_schema(cfg, {"generate": keys}, {"generate"})
-    sec = cfg["generate"]
-    spec = SyntheticUniverseSpec(
-        n_assets=_get(sec, "n_assets", int, required=True),
-        n_periods=_get(sec, "n_periods", int, required=True),
-        seed=seed if seed is not None else _get(sec, "seed", int, 0),
-        loading_long=_get(sec, "loading_long", float, 1.0),
-        loading_short_scale=_get(sec, "alpha2", float, 0.0),
-        loading_spread=_get(sec, "loading_spread", float, 0.0),
-        resid_vol_long=_get(sec, "resid_vol_long", float, 0.0),
-        resid_vol_short=_get(sec, "resid_vol_short", float, 0.0),
-        factor_mean=_get(sec, "factor_mean", float, 0.0),
-        factor_vol=_get(sec, "factor_vol", float, 0.0),
-        market_mean=_get(sec, "market_mean", float, 0.0),
-        market_vol=_get(sec, "market_vol", float, 0.0),
-        adv=_get(sec, "adv", float, 1e7),
-        start_price=_get(sec, "start_price", float, 100.0),
-        start_date=_get(sec, "start_date", str, "2000-01-03"),
-        region=_get(sec, "region", str, "SYN"),
-    )
+    given = dict(_sections(cfg, "generate", {"generate": _GENERATE})["generate"])
+    _require(given, "n_assets", "n_periods")
+    file_seed = given.pop("seed", 0)
+    if "alpha2" in given:
+        given["loading_short_scale"] = given.pop("alpha2")
+    # every other key is a SyntheticUniverseSpec field of the same name
+    spec = SyntheticUniverseSpec(seed=file_seed if seed is None else seed, **given)
     panel, truth = generate_universe(spec)
     write_panel(panel, out.path("panel.csv"))
     out.write_csv("truth_loadings.csv", ["asset_id", "loading"],
@@ -289,20 +277,20 @@ def cmd_generate(cfg, config_dir: str, out: Outputs, seed) -> None:
                       _fmt_column(truth.factor)))
 
 
-def _build_signal(cfg, panel, pool):
-    """Blended, optionally EMA-slowed signal per the [signals] section;
-    an absent section or empty factor list means a zero signal."""
-    sec = cfg["signals"] if cfg.has_section("signals") else {}
-    names = _get(sec, "factors", str, "").split()
-    span = _get(sec, "ema_span", int, 150)
+_SIGNALS = {"factors": str.split, "weights": _floats, "ema_span": _ema_span}
+
+
+def _build_signal(sec: dict, panel, pool):
+    """Blended, optionally EMA-slowed signal per the [signals] values; an
+    absent section or empty factor list means a zero signal."""
+    names = sec.get("factors", [])
     if not names:
-        return signals.SignalPanel(
-            dates=panel.dates, assets=panel.assets,
-            scores=np.zeros((panel.n_dates, panel.n_assets)), factor="none",
-        )
-    weights = _get(sec, "weights", _floats, [1.0] * len(names))
+        return np.zeros((panel.n_dates, panel.n_assets))
+    weights = sec.get("weights", [1.0] * len(names))
     if len(weights) != len(names):
         raise ConfigError("weights must match factors one for one")
+    # ema_span = 0 turns smoothing off; without the key smooth_ema's span holds
+    ema = {"span_days": sec["ema_span"]} if "ema_span" in sec else {}
     built, used = [], []
     for name, weight in zip(names, weights):
         try:
@@ -310,8 +298,8 @@ def _build_signal(cfg, panel, pool):
         except signals.SignalError as exc:
             print(f"warning: skipping factor {name}: {exc}", file=sys.stderr)
             continue
-        if span > 0:
-            sig = signals.smooth_ema(sig, span_days=span)
+        if ema.get("span_days") != 0:
+            sig = signals.smooth_ema(sig, **ema)
         built.append(sig)
         used.append(weight)
     if not built:
@@ -319,21 +307,22 @@ def _build_signal(cfg, panel, pool):
     return signals.blend(built, used)
 
 
+_PREDICTABILITY = {"panel": str, "factors": str.split, "horizon_days": int,
+                   "n_bins": int, "lookback_days": int}
+
+
 def cmd_predictability(cfg, config_dir: str, out: Outputs, seed) -> None:
-    schema = {
-        "predictability": {"panel", "factors", "horizon_days", "n_bins",
-                           "lookback_days", "ema_span"},
-        "pool": _POOL_KEYS,
-    }
-    _check_schema(cfg, schema, {"predictability"})
-    sec = cfg["predictability"]
-    panel = load_panel(_resolve(config_dir, _get(sec, "panel", str, required=True)))
-    pool = _parse_pool(cfg, panel)
-    names = _get(sec, "factors", str, required=True).split()
-    horizon = _get(sec, "horizon_days", int, 21)
-    n_bins = _get(sec, "n_bins", int, 20)
-    lookback = _get(sec, "lookback_days", int, 250)
-    resid = signals.residual_returns(panel, lookback_days=lookback, pool=pool)
+    conf = _sections(cfg, "predictability",
+                     {"predictability": _PREDICTABILITY, "pool": _POOL})
+    given = dict(conf["predictability"])
+    _require(given, "panel", "factors")
+    panel = load_panel(_resolve(config_dir, given.pop("panel")))
+    pool = _pool(conf, panel)
+    names = given.pop("factors")
+    horizon = given.pop("horizon_days", signals.HORIZON_DAYS)
+    n_bins = given.pop("n_bins", signals.N_BINS)
+    # what is left, lookback_days, feeds residual_returns
+    resid = signals.residual_returns(panel, pool=pool, **given)
     summary = {"horizon_days": horizon, "n_bins": n_bins, "factors": {}}
     ok = 0
     for name in names:
@@ -371,85 +360,86 @@ def _json_num(x):
     return float(x) if np.isfinite(x) else None
 
 
+_BACKTEST = {
+    "panel": str, "mode": str.upper, "index": str, "truth_series": str,
+    "aum": float, "cap": float, "vol_target": _vol_target,
+    "cost_aversion": float, "start": str, "end": str, "exec_lag": int,
+    "beta_window": int, "cov_window": int, "vol_window": int,
+    "min_invested": float,
+}
+_COSTS = {"linear_rate": float, "impact_coeff": float, "financing_spread": float,
+          "default_borrow_fee": float, "trading_days_per_year": int,
+          "borrow_file": str}
+
+
 def cmd_backtest(cfg, config_dir: str, out: Outputs, seed) -> None:
-    schema = {
-        "backtest": {"panel", "mode", "index", "truth_series", "aum", "cap",
-                     "vol_target", "cost_aversion", "start", "end", "exec_lag",
-                     "beta_window", "cov_window", "vol_window", "min_invested"},
-        "signals": {"factors", "weights", "ema_span"},
-        "costs": _COST_KEYS,
-        "pool": _POOL_KEYS,
-    }
-    _check_schema(cfg, schema, {"backtest"})
-    sec = cfg["backtest"]
-    panel = load_panel(_resolve(config_dir, _get(sec, "panel", str, required=True)))
-    pool = _parse_pool(cfg, panel)
-    params, overrides = _parse_costs(cfg, config_dir)
+    conf = _sections(cfg, "backtest", {"backtest": _BACKTEST, "signals": _SIGNALS,
+                                       "costs": _COSTS, "pool": _POOL})
+    sec = conf["backtest"]
+    _require(sec, "panel", "mode")
+    if "index" in sec and "truth_series" in sec:
+        raise ConfigError("the hedge index is given both as 'index' and as "
+                          "'truth_series'; keep one")
+    # the keys named after StrategyConfig fields feed it, and all [costs]
+    # keys but borrow_file feed CostModelParams
+    fields = {f.name for f in dataclasses.fields(StrategyConfig)}
+    strategy = {k: v for k, v in sec.items() if k in fields}
+    modes = ["LH", "LS"] if strategy["mode"] == "BOTH" else [strategy["mode"]]
+    match_lh = strategy.get("vol_target") == "match_lh"
+    if match_lh:
+        if len(modes) == 1:
+            raise ConfigError("vol_target = match_lh needs mode = BOTH")
+        del strategy["vol_target"]   # LS follows the LH track's realized vol
+    config = StrategyConfig(**{**strategy, "mode": modes[0]})
+    cost_model = dict(conf.get("costs", {}))
+    fee_file = cost_model.pop("borrow_file", None)
+    params = costs.CostModelParams(**cost_model)
+
+    panel = load_panel(_resolve(config_dir, sec["panel"]))
+    pool = _pool(conf, panel)
+    overrides = None if fee_file is None else \
+        costs.load_borrow_fee_overrides(_resolve(config_dir, fee_file))
     fees = costs.resolve_borrow_fees(panel.assets, overrides, params)
-    signal = _build_signal(cfg, panel, pool)
-
-    mode_raw = _get(sec, "mode", str, required=True).upper()
-    modes = ["LH", "LS"] if mode_raw == "BOTH" else [mode_raw]
+    signal = _build_signal(conf.get("signals", {}), panel, pool)
     index = None
-    if "index" in sec:
-        index = _load_dated_column(_resolve(config_dir, sec["index"]), "ret",
-                                   panel.dates)
-    elif "truth_series" in sec:
-        index = _load_dated_column(_resolve(config_dir, sec["truth_series"]),
-                                   "market", panel.dates)
-    start = _get(sec, "start", str, None)
-    end = _get(sec, "end", str, None)
-
-    vol_raw = _get(sec, "vol_target", str, "0.05").strip().lower()
-    match_lh = vol_raw == "match_lh"
-    if match_lh and mode_raw != "BOTH":
-        raise ConfigError("vol_target = match_lh needs mode = BOTH")
-    vol_value = 0.05 if match_lh else float(vol_raw)
+    for key, column in (("index", "ret"), ("truth_series", "market")):
+        if key in sec:
+            index = _load_dated_column(_resolve(config_dir, sec[key]), column,
+                                       panel.dates)
 
     summary = {}
     lh_result = None
     for mode in modes:
-        config = StrategyConfig(
-            mode=mode,
-            aum=_get(sec, "aum", float, 1e9),
-            cap=_get(sec, "cap", float, 0.03),
-            vol_target=vol_value,
-            cost_aversion=_get(sec, "cost_aversion", float, 1.0),
-            beta_window=_get(sec, "beta_window", int, 250),
-            cov_window=_get(sec, "cov_window", int, 250),
-            vol_window=_get(sec, "vol_window", int, 250),
-            exec_lag=_get(sec, "exec_lag", int, 0),
-            min_invested=_get(sec, "min_invested", float, 0.0),
-        )
         vol_series = None
         if mode == "LS" and match_lh:
             vol_series = lh_matched_vol_targets(
                 lh_result, panel.dates,
                 periods_per_year=params.trading_days_per_year)
-        result = run_backtest(panel, signal, config, params,
-                              index_returns=index, pool=pool,
-                              borrow_fees=fees, start=start, end=end,
-                              vol_target_series=vol_series)
+        result = run_backtest(panel, signal, dataclasses.replace(config, mode=mode),
+                              params, index_returns=index, pool=pool,
+                              borrow_fees=fees, start=sec.get("start"),
+                              end=sec.get("end"), vol_target_series=vol_series)
         if mode == "LH":
             lh_result = result
         result.write_csv(out.path(f"backtest_{mode}.csv"))
-        summary[mode] = analytics.cost_attribution(
-            result, periods_per_year=params.trading_days_per_year
-        ).to_dict()
+        summary[mode] = dataclasses.asdict(analytics.cost_attribution(
+            result, periods_per_year=params.trading_days_per_year))
     if len(modes) == 2 and summary["LH"]["sharpe"] and summary["LS"]["sharpe"]:
         summary["ls_minus_lh_sharpe"] = summary["LS"]["sharpe"] - summary["LH"]["sharpe"]
     out.write_json("backtest_summary.json", summary)
 
 
+_FAMAFRENCH = {
+    "factors": str.split, "factors_file": str, "hedge_index": str.lower,
+    "long_only_weights": _bool, "vol_legs": str,
+    **{block: str for block in ("hml", "wml", "umd", "mom", "rmw", "cma", "vol")},
+}
+
+
 def cmd_famafrench(cfg, config_dir: str, out: Outputs, seed) -> None:
-    schema = {
-        "famafrench": {"factors", "factors_file", "hedge_index",
-                       "long_only_weights", "vol_legs",
-                       "hml", "wml", "umd", "mom", "rmw", "cma", "vol"},
-    }
-    _check_schema(cfg, schema, {"famafrench"})
-    sec = cfg["famafrench"]
-    names = _get(sec, "factors", str, required=True).split()
+    sec = _sections(cfg, "famafrench", {"famafrench": _FAMAFRENCH})["famafrench"]
+    _require(sec, "factors", "factors_file")
+    names = sec["factors"]
     missing = [n for n in names if n.lower() not in sec and n.upper() != "VOL"]
     if missing:
         raise ConfigError("missing block file path(s) for: " + ", ".join(missing))
@@ -462,15 +452,12 @@ def cmd_famafrench(cfg, config_dir: str, out: Outputs, seed) -> None:
             raise ConfigError("factor VOL is given both as blocks (key 'vol') "
                               "and as legs (key 'vol_legs'); keep one")
         leg_paths["VOL"] = _resolve(config_dir, sec["vol_legs"])
-    legs = load_famafrench(
-        block_paths,
-        _resolve(config_dir, _get(sec, "factors_file", str, required=True)),
-        leg_paths=leg_paths or None,
-    )
-    hedge_choice = _get(sec, "hedge_index", str, "blocks").lower()
+    legs = load_famafrench(block_paths, _resolve(config_dir, sec["factors_file"]),
+                           leg_paths=leg_paths or None)
+    hedge_choice = sec.get("hedge_index", "blocks")
     if hedge_choice not in ("blocks", "vw"):
         raise ConfigError("hedge_index must be 'blocks' or 'vw'")
-    long_only = _get(sec, "long_only_weights", _bool, True)
+    long_only = sec.get("long_only_weights", True)
 
     factors = list(legs.factors)
     hedged_long, hedged_short = {}, {}

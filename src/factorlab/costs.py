@@ -39,8 +39,8 @@ class CostModelParams:
     def __post_init__(self):
         for name in ("linear_rate", "impact_coeff", "financing_spread",
                      "default_borrow_fee"):
-            if getattr(self, name) < 0:
-                raise CostError(f"{name} must be non-negative")
+            if not getattr(self, name) >= 0:
+                raise CostError(f"{name} must be non-negative, got {getattr(self, name)!r}")
         if not 200 <= self.trading_days_per_year <= 260:
             raise CostError("trading_days_per_year must be in [200, 260]")
 

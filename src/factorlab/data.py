@@ -31,8 +31,6 @@ PANEL_FIELDS = (
     "borrow_fee",
 )
 
-DEFAULT_POOL_COUNTS = {"NA": 1200, "EU": 1000, "JP": 900, "AU": 200}
-
 DEFAULT_FFILL_LIMIT_DAYS = 370
 
 # rows formatted per batch by `write_panel`, which bounds its string buffers
@@ -469,8 +467,12 @@ def window_sums(a: np.ndarray, window: int) -> np.ndarray:
     return c[1:] - c[np.maximum(0, np.arange(len(a)) - window + 1)]
 
 
+# fewest returns in a window that `rolling_vols` turns into a volatility
+VOL_MIN_OBS = 20
+
+
 def rolling_vols(returns: np.ndarray, window: int = 250,
-                 min_obs: int = 20) -> np.ndarray:
+                 min_obs: int = VOL_MIN_OBS) -> np.ndarray:
     """Trailing sample volatility (ddof=1) per asset, windows ending at t."""
     t_total, n = returns.shape
     valid = np.isfinite(returns)
@@ -497,9 +499,8 @@ def month_start_indices(dates: np.ndarray) -> np.ndarray:
     return np.nonzero(first)[0]
 
 
-def select_pool(panel: ReturnsPanel,
+def select_pool(panel: ReturnsPanel, counts_by_region: Mapping[str, int],
                 adv_window_days: int = 180,
-                counts_by_region: Mapping[str, int] | None = None,
                 min_valid_days: int = 60) -> PoolMask:
     """Monthly-rebalanced liquidity pool: per region, the top-k assets by
     trailing mean ADV.
@@ -509,8 +510,10 @@ def select_pool(panel: ReturnsPanel,
     eligible. When fewer eligible assets exist than the configured count,
     the selection clamps to what is available.
     """
-    if counts_by_region is None:
-        counts_by_region = DEFAULT_POOL_COUNTS
+    for name, days in (("adv_window_days", adv_window_days),
+                       ("min_valid_days", min_valid_days)):
+        if days < 1:
+            raise PanelError(f"{name} must be at least 1, got {days!r}")
     adv = panel.field("adv")
     regions = np.array(panel.regions)
     for region, count in counts_by_region.items():

@@ -32,7 +32,8 @@ import numpy as np
 
 from .costs import CostModelParams, trade_cost, financing_cost, borrow_cost
 from .data import (
-    PoolMask, ReturnsPanel, _fmt_column, month_start_indices, rolling_vols, window_sums,
+    VOL_MIN_OBS, PoolMask, ReturnsPanel, _fmt_column, month_start_indices,
+    rolling_vols, window_sums,
 )
 
 
@@ -78,6 +79,10 @@ def rolling_betas(returns: np.ndarray, index_returns: np.ndarray,
 # correlation cleaning
 # ---------------------------------------------------------------------------
 
+# fewest days in a window that `clean_correlation` accepts
+MIN_CLEAN_DAYS = 60
+
+
 @dataclass(frozen=True)
 class CleanedCorrelation:
     """Eigenvalue-clipped correlation matrix with per-asset daily vols.
@@ -115,8 +120,8 @@ def clean_correlation(returns_window: np.ndarray,
         asset_indices = np.arange(n)
     if np.any(~np.isfinite(x)):
         raise PortfolioError("returns window contains missing values")
-    if t < 60:
-        raise PortfolioError(f"need at least 60 days to clean, got {t}")
+    if t < MIN_CLEAN_DAYS:
+        raise PortfolioError(f"need at least {MIN_CLEAN_DAYS} days to clean, got {t}")
     degenerate = _constant_columns(x)
     if np.any(degenerate):
         j = int(np.nonzero(degenerate)[0][0])
@@ -500,10 +505,20 @@ class StrategyConfig:
     min_invested: float = 0.0
 
     def __post_init__(self):
-        if self.mode not in ("LH", "LS"):
-            raise PortfolioError(f"mode must be LH or LS, got {self.mode!r}")
-        if self.exec_lag not in (0, 1):
-            raise PortfolioError("exec_lag must be 0 or 1")
+        # the windows' least values are the shortest a beta, the correlation
+        # clean and a trailing vol are defined on
+        for name, ok, need in (
+            ("mode", self.mode in ("LH", "LS"), "LH or LS"),
+            ("exec_lag", self.exec_lag in (0, 1), "0 or 1"),
+            ("aum", 0 < self.aum < math.inf, "positive and finite"),
+            ("vol_target", 0 < self.vol_target < math.inf, "positive and finite"),
+            ("cap", 0 < self.cap <= 1, "in (0, 1]"),
+            ("beta_window", self.beta_window >= 2, "at least 2"),
+            ("cov_window", self.cov_window >= MIN_CLEAN_DAYS, f"at least {MIN_CLEAN_DAYS}"),
+            ("vol_window", self.vol_window >= VOL_MIN_OBS, f"at least {VOL_MIN_OBS}"),
+        ):
+            if not ok:
+                raise PortfolioError(f"{name} must be {need}, got {getattr(self, name)!r}")
         _check_min_invested(self.min_invested)
         _check_cost_aversion(self.cost_aversion)
 
@@ -553,24 +568,29 @@ class BacktestResult:
                               for row in zip(map(str, self.dates), *columns)]))
 
 
+MATCHED_VOL_WINDOW = 250
+MATCHED_VOL_MIN_OBS = 60
+
+
 def lh_matched_vol_targets(lh_result: BacktestResult, panel_dates: np.ndarray,
-                           window: int = 250, min_obs: int = 60,
                            periods_per_year: int = 252) -> np.ndarray:
     """Per-day volatility targets equal to the hedged-long track's trailing
     realized vol, refreshed on month starts.
 
     The estimate at a refresh date uses the days strictly before it (up to
-    `window`, at least `min_obs`, expanding until enough history exists) and
-    is held until the next refresh. The earliest estimate backfills the days
-    before it so every panel day carries a target.
+    MATCHED_VOL_WINDOW, at least MATCHED_VOL_MIN_OBS, expanding until enough
+    history exists) and is held until the next refresh. The earliest
+    estimate backfills the days before it so every panel day carries a
+    target.
     """
     dates = lh_result.dates
+    min_obs = MATCHED_VOL_MIN_OBS
     if len(dates) <= min_obs:
         raise PortfolioError("hedged-long track too short to estimate a vol target")
     refresh = month_start_indices(dates)
     refresh = np.union1d(refresh[refresh >= min_obs], [min_obs])
     vols = rolling_vols((lh_result.total_pnl / lh_result.aum)[:, None],
-                        window=window, min_obs=min_obs)[refresh - 1, 0]
+                        window=MATCHED_VOL_WINDOW, min_obs=min_obs)[refresh - 1, 0]
     k = np.searchsorted(dates[refresh], panel_dates, side="right") - 1
     return vols[np.maximum(k, 0)] * math.sqrt(periods_per_year)
 

@@ -43,6 +43,10 @@ LOWVOL_MIN_OBS = 120
 SMB_WINDOW = (59, 20)    # 40 days ending 20 days ago
 SMB_MIN_OBS = 20
 
+# predictability defaults: forward window of the mean residual, and bins
+HORIZON_DAYS = 21
+N_BINS = 20
+
 
 @dataclass(frozen=True)
 class SignalPanel:
@@ -51,7 +55,6 @@ class SignalPanel:
     dates: np.ndarray
     assets: tuple[str, ...]
     scores: np.ndarray
-    factor: str
 
     def __post_init__(self):
         if self.scores.shape != (len(self.dates), len(self.assets)):
@@ -175,17 +178,15 @@ def factor_signal(panel: ReturnsPanel, pool: PoolMask | None,
     if pool is not None:
         raw[~pool.mask] = np.nan
     return SignalPanel(dates=panel.dates, assets=panel.assets,
-                       scores=rank_normalize(raw), factor=factor_id)
+                       scores=rank_normalize(raw))
 
 
-def scores_from_values(panel: ReturnsPanel, values: np.ndarray,
-                       factor: str) -> SignalPanel:
+def scores_from_values(panel: ReturnsPanel, values: np.ndarray) -> SignalPanel:
     """Rank-normalize arbitrary per-asset values into a constant-in-time
     signal panel (ground-truth loadings, externally supplied scores)."""
     row = rank_normalize(np.asarray(values, dtype=float))
     scores = np.tile(row, (panel.n_dates, 1))
-    return SignalPanel(dates=panel.dates, assets=panel.assets,
-                       scores=scores, factor=factor)
+    return SignalPanel(dates=panel.dates, assets=panel.assets, scores=scores)
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +214,7 @@ def smooth_ema(signal: SignalPanel, span_days: int = 150) -> SignalPanel:
         cont = valid & ~fresh
         state[cont] = (1.0 - lam) * state[cont] + lam * raw[t, cont]
         out[t, valid] = state[valid]
-    return SignalPanel(dates=signal.dates, assets=signal.assets,
-                       scores=out, factor=signal.factor)
+    return SignalPanel(dates=signal.dates, assets=signal.assets, scores=out)
 
 
 def blend(signals: list[SignalPanel], weights) -> SignalPanel:
@@ -242,9 +242,7 @@ def blend(signals: list[SignalPanel], weights) -> SignalPanel:
     out = np.full(first.scores.shape, np.nan)
     ok = den != 0.0
     out[ok] = num[ok] / den[ok]
-    name = "+".join(s.factor for s in signals)
-    return SignalPanel(dates=first.dates, assets=first.assets, scores=out,
-                       factor=name)
+    return SignalPanel(dates=first.dates, assets=first.assets, scores=out)
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +470,9 @@ def _two_slope_fit(bin_x, bin_y, bin_se):
     return np.nan, np.nan, np.nan, np.nan, np.nan
 
 
-def predictability_curve(scores, resid: np.ndarray, horizon_days: int = 21,
-                         n_bins: int = 20) -> PredictabilityCurve:
+def predictability_curve(scores, resid: np.ndarray,
+                         horizon_days: int = HORIZON_DAYS,
+                         n_bins: int = N_BINS) -> PredictabilityCurve:
     """Pool (score, future mean residual) pairs into equal-count bins and
     fit one slope per predictor sign around a shared intercept (see
     `PredictabilityCurve`).
@@ -538,7 +537,8 @@ class BootstrapCI:
     negative_slope_se: float
 
 
-def bootstrap_slope_ratio(scores, resid: np.ndarray, horizon_days: int = 21,
+def bootstrap_slope_ratio(scores, resid: np.ndarray,
+                          horizon_days: int = HORIZON_DAYS,
                           n_boot: int = 200, seed: int = 0,
                           block_days: int | None = None) -> BootstrapCI:
     """Block bootstrap over dates crossed with an asset bootstrap.

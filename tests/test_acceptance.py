@@ -76,7 +76,7 @@ def oracle_backtests(universe):
     """
     started = time.perf_counter()
     panel, truth = universe
-    sig = signals.scores_from_values(panel, np.sign(truth.loadings), "truth")
+    sig = signals.scores_from_values(panel, np.sign(truth.loadings))
     start = panel.dates[WARMUP]
     cap = 2.0 / ACCEPTANCE_SPEC.n_assets
     lh = pf.run_backtest(
@@ -149,7 +149,7 @@ def test_criterion_4_predictability_recovery(universe, residual_panel):
     with criterion(4, "slope ratio recovers the short loading within its "
                       "bootstrap CI; noise control within 2 SE"):
         panel, truth = universe
-        sig = signals.scores_from_values(panel, truth.loadings, "truth")
+        sig = signals.scores_from_values(panel, truth.loadings)
         ci = signals.bootstrap_slope_ratio(sig.scores, residual_panel,
                                            horizon_days=21, n_boot=200, seed=4)
         assert ci.lo <= ACCEPTANCE_SPEC.loading_short_scale <= ci.hi, \
@@ -298,7 +298,7 @@ def test_criterion_6_cost_law_properties(oracle_backtests, universe):
 
         lh, ls, _ = oracle_backtests
         panel, truth = universe
-        sig = signals.scores_from_values(panel, np.sign(truth.loadings), "t")
+        sig = signals.scores_from_values(panel, np.sign(truth.loadings))
         costed = pf.run_backtest(
             panel, sig,
             pf.StrategyConfig(mode="LS", aum=AUM, cap=0.01, vol_target=0.02),
@@ -382,7 +382,7 @@ def test_criterion_8_neutrality_and_risk_targeting(universe):
     with criterion(8, "dollar neutrality < 1e-8 GMV, predicted vol within 1%, "
                       "hedged-long realized beta < 0.1"):
         panel, truth = universe
-        sig = signals.scores_from_values(panel, np.sign(truth.loadings), "t")
+        sig = signals.scores_from_values(panel, np.sign(truth.loadings))
         start, end = panel.dates[WARMUP], panel.dates[WARMUP + 2500]
         ls = pf.run_backtest(
             panel, sig,

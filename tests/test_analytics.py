@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -214,7 +215,7 @@ class TestCostAttribution:
     def test_components_sum_to_total(self, small_universe):
         res = self.run_ls(small_universe, costs.CostModelParams())
         s = analytics.cost_attribution(res)
-        total = s.ret_component + s.trading_cost + s.financing_cost + s.borrow_cost
+        total = s.returns_and_divs + s.trading_cost + s.financing_cost + s.borrow_cost
         assert total == pytest.approx(s.ann_return, rel=1e-10)
 
     def test_borrow_matches_brute_force(self, small_universe):
@@ -229,7 +230,7 @@ class TestCostAttribution:
 
     def test_dict_round_trip_keys(self, small_universe):
         res = self.run_ls(small_universe, costs.CostModelParams())
-        d = analytics.cost_attribution(res).to_dict()
+        d = dataclasses.asdict(analytics.cost_attribution(res))
         assert set(d) == {
             "sharpe", "ann_return", "ann_vol", "mean_drawdown",
             "returns_and_divs", "trading_cost", "financing_cost",

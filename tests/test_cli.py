@@ -1,13 +1,22 @@
+import configparser
 import csv
+import dataclasses
 import hashlib
+import inspect
 import json
 import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from factorlab import cli, costs, data, toy_model as tm
+from factorlab import cli, costs, data, portfolio as pf, signals, toy_model as tm
 from conftest import make_ff_fixture
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(args):
@@ -319,6 +328,44 @@ class TestBacktest:
         assert f"path not found: {tmp_path / 'fees.csv'}" \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, message", [
+        (("vol_target = 0.05", "vol_target = abc"),
+         "bad value for 'vol_target': 'abc'"),
+        ("[pool]\ncounts = SYN:x\n", "bad value for 'counts': 'SYN:x'"),
+        ("[pool]\ncounts = SYN:5 SYN:10\n",
+         "pool counts give region 'SYN' more than once"),
+        (("ema_span = 150", "ema_span = -5"),
+         "ema_span must be 0 (no smoothing) or positive, got -5"),
+        (("mode = BOTH", "mode = BOTH\nindex = index.csv"),
+         "the hedge index is given both as 'index' and as 'truth_series'"),
+    ])
+    def test_bad_value_names_its_key(self, gen_dir, tmp_path, capsys, edit,
+                                     message):
+        _, _, out = gen_dir
+        truth = (out / "truth_series.csv").read_text()
+        (tmp_path / "index.csv").write_text(truth.replace("date,market", "date,ret", 1))
+        cfg = tmp_path / "bt.cfg"
+        self.write_cfg(cfg, out / "panel.csv", out / "truth_series.csv")
+        text = cfg.read_text()
+        cfg.write_text(text.replace(*edit) if isinstance(edit, tuple) else text + edit)
+        assert cfg.read_text() != text
+        assert run(["backtest", "--config", str(cfg), "--out",
+                    str(tmp_path / "bt")]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_strategy_checked_before_the_first_book(self, gen_dir, tmp_path,
+                                                    capsys, monkeypatch):
+        _, _, out = gen_dir
+        calls = []
+        monkeypatch.setattr(cli, "run_backtest", lambda *a, **kw: calls.append(a))
+        cfg = tmp_path / "bt.cfg"
+        self.write_cfg(cfg, out / "panel.csv", out / "truth_series.csv",
+                       extra="cov_window = 59\n")
+        assert run(["backtest", "--config", str(cfg), "--out",
+                    str(tmp_path / "bt")]) == 1
+        assert "cov_window must be at least 60, got 59" in capsys.readouterr().err
+        assert calls == []
+
     def test_missing_panel_cleans_partial_outputs(self, tmp_path, capsys):
         cfg = tmp_path / "bt.cfg"
         cfg.write_text("[backtest]\npanel = nowhere.csv\nmode = LS\n")
@@ -626,3 +673,73 @@ def test_golden_famafrench_bytes(tmp_path, case, factors, extra):
     got = tuple(hashlib.sha256((dest / name).read_bytes()).hexdigest()
                 for name in ("ff_legs.csv", "ff_report.json"))
     assert got == GOLDEN_FF_SHA256[case]
+
+
+def _readme_ini_blocks() -> configparser.ConfigParser:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    cfg = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
+    for block in re.findall(r"```ini\n(.*?)```", text, re.S):
+        cfg.read_string(block)
+    return cfg
+
+
+def _defaults(obj) -> dict:
+    """Parameter or field name -> default, for those that have one."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: f.default for f in dataclasses.fields(obj)
+                if f.default is not dataclasses.MISSING}
+    return {name: p.default for name, p in inspect.signature(obj).parameters.items()
+            if p.default is not inspect.Parameter.empty}
+
+
+def test_readme_config_reference_shows_the_defaults():
+    """Each key the README documents is one the CLI reads, every key it reads
+    is documented, and each value shown is the default of the library
+    object the key feeds."""
+    feeds = {
+        "backtest": _defaults(pf.StrategyConfig),
+        "costs": _defaults(costs.CostModelParams),
+        "pool": _defaults(data.select_pool),
+        "signals": {"ema_span": _defaults(signals.smooth_ema)["span_days"]},
+        "predictability": {
+            "lookback_days": _defaults(signals.residual_returns)["lookback_days"],
+            "horizon_days": _defaults(signals.predictability_curve)["horizon_days"],
+            "n_bins": _defaults(signals.predictability_curve)["n_bins"],
+        },
+    }
+    tables = {"backtest": cli._BACKTEST, "costs": cli._COSTS, "pool": cli._POOL,
+              "signals": cli._SIGNALS, "predictability": cli._PREDICTABILITY}
+    cfg = _readme_ini_blocks()
+    assert set(cfg.sections()) == set(tables)
+    checked = []
+    for section, table in tables.items():
+        assert set(cfg[section]) == set(table), section
+        for key, default in feeds[section].items():
+            if key in table:
+                assert table[key](cfg[section][key]) == default, (section, key)
+                checked.append(key)
+    assert len(checked) == 20
+
+
+@pytest.mark.parametrize("script, lines", [
+    ("run_toy_sweep.py", [r"alpha2 +g= +0\.1 +g= +1\.0 +g= +10\.0",
+                          r"0\.4142 +1\.0000 +1\.0000 +1\.0000 <- threshold"]),
+    ("run_synthetic_horserace.py",
+     [r"LH +LS"]
+     + [rf"{key} +\S+ +\S+" for key in (
+         "sharpe", "mean_drawdown", "returns_and_divs", "trading_cost",
+         "financing_cost", "borrow_cost", "ann_return", "ann_vol",
+         "mean_gross_leverage")]),
+])
+def test_script_prints_its_table(tmp_path, script, lines):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    printed = [line.strip() for line in proc.stdout.splitlines()]
+    for pattern in lines:
+        assert any(re.fullmatch(pattern, line) for line in printed), \
+            (pattern, proc.stdout)

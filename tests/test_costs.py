@@ -122,6 +122,12 @@ class TestParamsAndSchedule:
         with pytest.raises(costs.CostError):
             costs.CostModelParams(trading_days_per_year=100)
 
+    @pytest.mark.parametrize("name", ["linear_rate", "impact_coeff",
+                                      "financing_spread", "default_borrow_fee"])
+    def test_nan_rate_rejected(self, name):
+        with pytest.raises(costs.CostError, match=f"{name} must be non-negative, got nan"):
+            costs.CostModelParams(**{name: float("nan")})
+
     def test_resolve_overrides(self):
         p = costs.CostModelParams(default_borrow_fee=0.0025)
         fees = costs.resolve_borrow_fees(("A", "B"), {"B": 0.05}, p)

@@ -698,6 +698,12 @@ class TestSelectPool:
         with pytest.raises(data.PanelError, match="ZZ"):
             data.select_pool(panel, counts_by_region={"ZZ": 5})
 
+    @pytest.mark.parametrize("key", ["adv_window_days", "min_valid_days"])
+    def test_window_below_one_day_rejected(self, key):
+        panel = self.make_panel(np.tile(np.array([5.0, 4.0]), (150, 1)))
+        with pytest.raises(data.PanelError, match=f"{key} must be at least 1, got 0"):
+            data.select_pool(panel, {"NA": 1}, **{key: 0})
+
     def test_membership_constant_between_rebalances(self):
         rng = np.random.Generator(np.random.Philox(4))
         adv = rng.uniform(1, 10, size=(200, 6))

@@ -407,6 +407,27 @@ class TestLongOnlyOptimizer:
         with pytest.raises(pf.PortfolioError, match="min_invested"):
             pf.StrategyConfig(mode="LH", min_invested=floor)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("beta_window", 1, "beta_window must be at least 2, got 1"),
+        ("cov_window", 59, "cov_window must be at least 60, got 59"),
+        ("vol_window", 19, "vol_window must be at least 20, got 19"),
+        ("aum", 0.0, "aum must be positive and finite, got 0.0"),
+        ("aum", float("nan"), "aum must be positive and finite, got nan"),
+        ("aum", float("inf"), "aum must be positive and finite, got inf"),
+        ("cap", 0.0, "cap must be in (0, 1], got 0.0"),
+        ("cap", 1.5, "cap must be in (0, 1], got 1.5"),
+        ("vol_target", -0.05, "vol_target must be positive and finite, got -0.05"),
+    ])
+    def test_strategy_config_rejects_what_no_backtest_runs_with(self, field, value,
+                                                                message):
+        for mode in ("LH", "LS"):
+            with pytest.raises(pf.PortfolioError) as info:
+                pf.StrategyConfig(mode=mode, **{field: value})
+            assert str(info.value) == message
+        # the least value of each window still builds
+        pf.StrategyConfig(mode="LH", beta_window=2, cov_window=60, vol_window=20,
+                          cap=1.0)
+
     @pytest.mark.parametrize("aversion", [-1.0, float("nan"), float("inf")])
     def test_cost_aversion_negative_or_not_finite_rejected(self, aversion):
         with pytest.raises(pf.PortfolioError,
@@ -508,8 +529,7 @@ class TestBacktest:
     def test_zero_signal_zero_book_flat(self, small_universe):
         _, panel, truth = small_universe
         sig = signals.SignalPanel(dates=panel.dates, assets=panel.assets,
-                                  scores=np.zeros((panel.n_dates, panel.n_assets)),
-                                  factor="none")
+                                  scores=np.zeros((panel.n_dates, panel.n_assets)))
         cfg = pf.StrategyConfig(mode="LH", aum=AUM, cap=0.03)
         res = pf.run_backtest(panel, sig, cfg, costs.CostModelParams(),
                               index_returns=truth.market,
@@ -542,8 +562,7 @@ class TestBacktest:
 
     def test_ls_beats_lh_above_threshold_zero_costs(self, small_universe):
         spec, panel, truth = small_universe
-        sig = signals.scores_from_values(
-            panel, np.sign(truth.loadings), "truth-sign")
+        sig = signals.scores_from_values(panel, np.sign(truth.loadings))
         start = panel.dates[260]
         cap = 2.0 / spec.n_assets  # exactly fills the long half
         lh = pf.run_backtest(
@@ -610,7 +629,7 @@ class TestBacktest:
 
     def test_financing_drag_band_at_two_x(self, small_universe):
         _, panel, truth = small_universe
-        sig = signals.scores_from_values(panel, np.sign(truth.loadings), "t")
+        sig = signals.scores_from_values(panel, np.sign(truth.loadings))
         params = costs.CostModelParams(linear_rate=0.0, impact_coeff=0.0,
                                        financing_spread=0.02,
                                        default_borrow_fee=0.0)
@@ -630,7 +649,7 @@ class TestBacktest:
         flip = 350
         scores[flip:, :10] = 0.4
         sig = signals.SignalPanel(dates=panel.dates, assets=panel.assets,
-                                  scores=scores, factor="step")
+                                  scores=scores)
         kw = dict(index_returns=truth.market, start=panel.dates[300],
                   end=panel.dates[360])
         lag0 = pf.run_backtest(panel, sig,
@@ -720,16 +739,21 @@ class TestBacktest:
         panel_dates = data.business_days("2020-01-01", 700)
         dates = panel_dates[100:650]
         pnl = 1e7 * (1e-4 + rng.standard_normal(len(dates)))
-        zeros = np.zeros(len(dates))
-        lh = pf.BacktestResult(
-            dates=dates, assets=(), mode="LH", aum=AUM, ret_pnl=pnl,
-            trading_cost=zeros, financing_cost=zeros, borrow_cost=zeros,
-            total_pnl=pnl, traded_notional=zeros, gross_stock=zeros,
-            net_stock=zeros, hedge_notional=zeros, predicted_vol=zeros,
-            vol_warning=zeros, positions=np.zeros((len(dates), 0)),
-        )
 
-        def per_day_loop(window=250, min_obs=60, periods_per_year=252):
+        def track(dates, pnl):
+            zeros = np.zeros(len(dates))
+            return pf.BacktestResult(
+                dates=dates, assets=(), mode="LH", aum=AUM, ret_pnl=pnl,
+                trading_cost=zeros, financing_cost=zeros, borrow_cost=zeros,
+                total_pnl=pnl, traded_notional=zeros, gross_stock=zeros,
+                net_stock=zeros, hedge_notional=zeros, predicted_vol=zeros,
+                vol_warning=zeros, positions=np.zeros((len(dates), 0)),
+            )
+
+        lh = track(dates, pnl)
+
+        def per_day_loop(periods_per_year=252):
+            window, min_obs = pf.MATCHED_VOL_WINDOW, pf.MATCHED_VOL_MIN_OBS
             rets = lh.total_pnl / lh.aum
             marks = set(data.month_start_indices(dates).tolist())
             targets = np.full(len(dates), np.nan)
@@ -754,11 +778,15 @@ class TestBacktest:
                     out[i] = out[i - 1]
             return out
 
-        for kw in (dict(), dict(window=120, min_obs=40, periods_per_year=250)):
+        for kw in (dict(), dict(periods_per_year=250)):
             got = pf.lh_matched_vol_targets(lh, panel_dates, **kw)
             assert np.allclose(got, per_day_loop(**kw), rtol=1e-12, atol=0)
+        # the first estimate needs MATCHED_VOL_MIN_OBS days strictly before it
+        n = pf.MATCHED_VOL_MIN_OBS
         with pytest.raises(pf.PortfolioError, match="too short"):
-            pf.lh_matched_vol_targets(lh, panel_dates, min_obs=len(dates))
+            pf.lh_matched_vol_targets(track(dates[:n], pnl[:n]), panel_dates)
+        assert np.all(np.isfinite(pf.lh_matched_vol_targets(
+            track(dates[:n + 1], pnl[:n + 1]), panel_dates)))
 
     def test_calendar_gap_rejected(self):
         dates = np.concatenate([
@@ -770,14 +798,14 @@ class TestBacktest:
             arrays={"ret": np.zeros((20, 2)), "adv": np.full((20, 2), 1e6)},
         )
         sig = signals.SignalPanel(dates=dates, assets=("A", "B"),
-                                  scores=np.zeros((20, 2)), factor="none")
+                                  scores=np.zeros((20, 2)))
         cfg = pf.StrategyConfig(mode="LS", aum=AUM)
         with pytest.raises(pf.PortfolioError, match="gap"):
             pf.run_backtest(panel, sig, cfg, costs.ZERO_COSTS)
 
     def test_missing_index_return_names_date(self, small_universe):
         _, panel, truth = small_universe
-        sig = signals.scores_from_values(panel, np.sign(truth.loadings), "t")
+        sig = signals.scores_from_values(panel, np.sign(truth.loadings))
         index = truth.market.copy()
         index[400] = np.nan
         cfg = pf.StrategyConfig(mode="LH", aum=AUM, cap=0.06)
@@ -788,8 +816,7 @@ class TestBacktest:
     def test_lh_without_index_rejected(self, small_universe):
         _, panel, _ = small_universe
         sig = signals.SignalPanel(dates=panel.dates, assets=panel.assets,
-                                  scores=np.zeros((panel.n_dates, panel.n_assets)),
-                                  factor="none")
+                                  scores=np.zeros((panel.n_dates, panel.n_assets)))
         cfg = pf.StrategyConfig(mode="LH", aum=AUM)
         with pytest.raises(pf.PortfolioError, match="index"):
             pf.run_backtest(panel, sig, cfg, costs.ZERO_COSTS)

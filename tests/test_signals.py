@@ -17,12 +17,12 @@ def make_panel(arrays_dict, start="2020-01-01"):
     )
 
 
-def signal_of(scores, factor="X"):
+def signal_of(scores):
     t, n = scores.shape
     return signals.SignalPanel(
         dates=data.business_days("2020-01-01", t),
         assets=tuple(f"A{i}" for i in range(n)),
-        scores=scores.astype(float), factor=factor,
+        scores=scores.astype(float),
     )
 
 
@@ -765,7 +765,7 @@ class TestPredictability:
         )
         panel, truth = tm.generate_universe(spec)
         res = signals.residual_returns(panel, lookback_days=250)
-        sig = signals.scores_from_values(panel, truth.loadings, "truth")
+        sig = signals.scores_from_values(panel, truth.loadings)
         ci = signals.bootstrap_slope_ratio(sig.scores, res, horizon_days=21,
                                            n_boot=150, seed=2)
         assert ci.lo <= 0.8 <= ci.hi

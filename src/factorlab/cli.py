@@ -316,11 +316,12 @@ def cmd_predictability(cfg, config_dir: str, out: Outputs, seed) -> None:
                      {"predictability": _PREDICTABILITY, "pool": _POOL})
     given = dict(conf["predictability"])
     _require(given, "panel", "factors")
-    panel = load_panel(_resolve(config_dir, given.pop("panel")))
-    pool = _pool(conf, panel)
     names = given.pop("factors")
     horizon = given.pop("horizon_days", signals.HORIZON_DAYS)
     n_bins = given.pop("n_bins", signals.N_BINS)
+    signals._check_curve_args(horizon, n_bins)   # before the panel is loaded
+    panel = load_panel(_resolve(config_dir, given.pop("panel")))
+    pool = _pool(conf, panel)
     # what is left, lookback_days, feeds residual_returns
     resid = signals.residual_returns(panel, pool=pool, **given)
     summary = {"horizon_days": horizon, "n_bins": n_bins, "factors": {}}

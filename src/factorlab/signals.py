@@ -470,6 +470,14 @@ def _two_slope_fit(bin_x, bin_y, bin_se):
     return np.nan, np.nan, np.nan, np.nan, np.nan
 
 
+def _check_curve_args(horizon_days: int, n_bins: int) -> None:
+    """The forward horizon and bin count every predictability curve needs."""
+    if horizon_days < 1:
+        raise SignalError(f"horizon_days must be at least 1, got {horizon_days}")
+    if n_bins < 2:
+        raise SignalError(f"n_bins must be at least 2, got {n_bins}")
+
+
 def predictability_curve(scores, resid: np.ndarray,
                          horizon_days: int = HORIZON_DAYS,
                          n_bins: int = N_BINS) -> PredictabilityCurve:
@@ -480,10 +488,7 @@ def predictability_curve(scores, resid: np.ndarray,
     Sides with fewer than two bins leave their slope (and the ratio)
     undefined.
     """
-    if horizon_days < 1:
-        raise SignalError("horizon_days must be at least 1")
-    if n_bins < 2:
-        raise SignalError("n_bins must be at least 2")
+    _check_curve_args(horizon_days, n_bins)
     score_arr = scores.scores if isinstance(scores, SignalPanel) else np.asarray(scores)
     if score_arr.shape != resid.shape:
         raise SignalError("scores and residuals must be aligned")

@@ -190,6 +190,24 @@ class TestPredictability:
                     str(dest)]) == 1
         assert not (dest / "pred_summary.json").exists()
 
+    @pytest.mark.parametrize("key, message", [
+        ("horizon_days = 0", "horizon_days must be at least 1, got 0"),
+        ("n_bins = 1", "n_bins must be at least 2, got 1"),
+    ])
+    def test_curve_keys_checked_before_the_panel(self, gen_dir, tmp_path,
+                                                 capsys, monkeypatch, key,
+                                                 message):
+        _, _, out = gen_dir
+        loads = []
+        monkeypatch.setattr(cli, "load_panel", loads.append)
+        cfg = tmp_path / "pred.cfg"
+        cfg.write_text("[predictability]\n"
+                       f"panel = {out / 'panel.csv'}\nfactors = MOM\n{key}\n")
+        assert run(["predictability", "--config", str(cfg), "--out",
+                    str(tmp_path / "pred")]) == 1
+        assert f"error: {message}\n" == capsys.readouterr().err
+        assert loads == []
+
 
 class TestBacktest:
     def write_cfg(self, path, panel, truth, mode="BOTH", extra=""):
@@ -551,7 +569,7 @@ GOLDEN_SHA256 = {
 }
 
 
-def test_golden_output_bytes(tmp_path):
+def test_golden_output_bytes(tmp_path, monkeypatch):
     gen_cfg = tmp_path / "gen.cfg"
     gen_cfg.write_text(
         "[generate]\nn_assets = 12\nn_periods = 320\nseed = 7\n"
@@ -570,11 +588,26 @@ def test_golden_output_bytes(tmp_path):
         "[signals]\nfactors = MOM\nema_span = 20\n"
         "[costs]\nlinear_rate = 5e-4\nimpact_coeff = 1.0\n"
     )
-    assert run(["backtest", "--config", str(bt_cfg),
-                "--out", str(tmp_path / "bt")]) == 0
+    assert not (tmp_path / "gen" / "panel.csv.npz").exists()
+    parses, parse = [], data._parse_panel
+    monkeypatch.setattr(data, "_parse_panel",
+                        lambda path: parses.append(path) or parse(path))
+    # the first run parses the panel CSV and leaves its sidecar; the second
+    # reads the sidecar, and both write the pinned bytes
+    for dest in ("bt", "bt_warm"):
+        assert run(["backtest", "--config", str(bt_cfg),
+                    "--out", str(tmp_path / dest)]) == 0
+        assert (tmp_path / "gen" / "panel.csv.npz").exists()
+        assert sorted(os.listdir(tmp_path / dest)) == [
+            "backtest_LS.csv", "backtest_summary.json"]
+    assert len(parses) == 1
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in GOLDEN_SHA256}
     assert got == GOLDEN_SHA256
+    warm = hashlib.sha256((tmp_path / "bt_warm" / "backtest_LS.csv").read_bytes())
+    assert warm.hexdigest() == GOLDEN_SHA256["bt/backtest_LS.csv"]
+    assert files_equal(tmp_path / "bt" / "backtest_summary.json",
+                       tmp_path / "bt_warm" / "backtest_summary.json")
 
 
 def _bt_lh_config(tmp_path, gen):

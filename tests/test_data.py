@@ -1,5 +1,8 @@
 import csv
+import hashlib
 import io
+import os
+import pickle
 from array import array
 from pathlib import Path
 
@@ -362,12 +365,12 @@ class TestLoadPanel:
     @pytest.mark.parametrize("chunk", [1, 3, 1 << 16])
     def test_writer_quotes_ids_and_keeps_edge_values(self, tmp_path,
                                                      monkeypatch, chunk):
-        assets = ("A,B", 'Q"T', "N\nL", " lead", "plain")
-        regions = ("R,1", '"', " E", "x\ny", "")
+        assets = ("A,B", "N\nL", 'Q"T', "in side", "plain")
+        regions = ("R,1", "E F", '"', "x\ny", "")
         edge = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e16, 1e-5, 0.1 + 0.2]
-        ret = np.array([edge[:5], edge[3:]])
-        price = np.array([[1.5, np.nan, np.inf, 2.0, np.nan],
-                          [np.nan, np.nan, -np.inf, 7.0, np.nan]])
+        ret = np.array([edge[:5], edge[3:]])[:, [0, 2, 1, 3, 4]]
+        price = np.array([[1.5, np.inf, np.nan, 2.0, np.nan],
+                          [np.nan, -np.inf, np.nan, 7.0, np.nan]])
         # the third date has one valid field: price alone, on one asset
         ret = np.vstack([ret, np.full(5, np.nan)])
         price = np.vstack([price, [np.nan, np.nan, np.nan, np.nan, 3.25]])
@@ -384,11 +387,11 @@ class TestLoadPanel:
         assert got.decode() == (
             "date,asset_id,region,ret,price\n"
             '2020-01-01,"A,B","R,1",-0.0,1.5\n'
-            '2020-01-01, lead,"x\ny",,2.0\n'
+            '2020-01-01,in side,"x\ny",,2.0\n'
             "2020-01-01,plain,,5e-324,\n"
+            '2020-01-02,"N\nL",E F,1e+16,\n'
             '2020-01-02,"Q""T","""",5e-324,\n'
-            '2020-01-02,"N\nL", E,1e+16,\n'
-            '2020-01-02, lead,"x\ny",1e-05,7.0\n'
+            '2020-01-02,in side,"x\ny",1e-05,7.0\n'
             "2020-01-02,plain,,0.30000000000000004,\n"
             "2020-01-03,plain,,,3.25\n"
         )
@@ -609,6 +612,168 @@ class TestLoadPanel:
         data.write_panel(loaded, tmp / "b.csv")
         data.write_panel(data.load_panel(tmp / "b.csv"), tmp / "c.csv")
         assert (tmp / "b.csv").read_bytes() == (tmp / "c.csv").read_bytes()
+
+
+# ids and regions made of the characters the writer quotes, the loader strips
+# or a line reader would break on
+_ID_TEXTS = st.text(st.sampled_from(["A", "b", "7", "é", " ", "\t", ",", '"',
+                                     "\r", "\n", "\0", "\x1f", "\x85",
+                                     "\u2028"]), max_size=3)
+
+
+class TestNormalForm:
+    def test_unsorted_or_padded_ids_refused(self):
+        def build(assets, regions):
+            return data.ReturnsPanel(dates=data.business_days("2020-01-01", 1),
+                                     assets=assets, regions=regions,
+                                     arrays={"ret": np.zeros((1, len(assets)))})
+        build(("A", "B"), ("x y", ""))
+        for assets, regions, message in [
+            (("B", "A"), ("", ""), "strictly increasing: 'B' comes before 'A'"),
+            (("A", "A"), ("", ""), "strictly increasing: 'A' comes before 'A'"),
+            ((" A ",), ("",), r"' A ' starts or ends with whitespace"),
+            (("A",), ("EU\n",), r"'EU\\n' starts or ends with whitespace"),
+            (("",), ("",), "empty asset id"),
+        ]:
+            with pytest.raises(data.PanelError, match=message):
+                build(assets, regions)
+
+    @settings(max_examples=80)
+    @given(st.data())
+    def test_built_panels_load_back_or_are_refused(self, tmp_path_factory,
+                                                   data_strategy):
+        draw = data_strategy.draw
+        t, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        assets = draw(st.lists(_ID_TEXTS, min_size=n, max_size=n))
+        if draw(st.booleans()):
+            assets = sorted(assets)
+        regions = draw(st.lists(_ID_TEXTS, min_size=n, max_size=n))
+        chosen = draw(st.sets(st.sampled_from(data.PANEL_FIELDS), min_size=1))
+        cells = st.one_of(st.just(np.nan),
+                          st.floats(allow_nan=False, allow_infinity=False))
+        arrays = {f: np.array(draw(st.lists(cells, min_size=t * n,
+                                            max_size=t * n))).reshape(t, n)
+                  for f in data.PANEL_FIELDS if f in chosen}
+        # every date and asset holds a value, so the file names them all
+        first = next(iter(arrays.values()))
+        for k in range(max(t, n)):
+            if np.isnan(first[k % t, k % n]):
+                first[k % t, k % n] = 1.0
+        gaps = draw(st.lists(st.integers(1, 400), min_size=t, max_size=t))
+        dates = np.datetime64("2020-01-01", "D") + np.cumsum(gaps)
+        try:
+            panel = data.ReturnsPanel(dates=dates, assets=tuple(assets),
+                                      regions=tuple(regions), arrays=arrays)
+        except data.PanelError:
+            assert (assets != sorted(set(assets)) or "" in assets
+                    or any(s != s.strip() for s in assets + regions))
+            return
+        path = tmp_path_factory.mktemp("built") / "p.csv"
+        data.write_panel(panel, path)
+        for _ in range(2):   # parsed, then read from the sidecar
+            assert_same_outcome(data.load_panel(path), panel)
+
+
+def count_parses(monkeypatch):
+    """The paths `data._parse_panel` is called with from now on."""
+    calls, real = [], data._parse_panel
+    monkeypatch.setattr(data, "_parse_panel",
+                        lambda path: calls.append(path) or real(path))
+    return calls
+
+
+def refuse_to_unpickle(*args, **kwargs):
+    raise AssertionError("the sidecar loader unpickled")
+
+
+class TestPanelSidecar:
+    @settings(max_examples=40)
+    @given(text=panel_texts())
+    def test_hit_gives_the_parsed_panel(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("sidecar") / "p.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        with pytest.MonkeyPatch.context() as mp:
+            parses = count_parses(mp)
+            cold = load_outcome(data.load_panel, path)
+            warm = load_outcome(data.load_panel, path)
+        assert_same_outcome(warm, cold)
+        # a panel is parsed once; a file that fails to parse gets no sidecar
+        failed = isinstance(cold, tuple)
+        assert len(parses) == (2 if failed else 1)
+        assert Path(f"{path}.npz").exists() != failed
+
+    def test_same_size_and_mtime_is_still_new_content(self, three_asset_csv):
+        assert data.load_panel(three_asset_csv).field("ret")[0, 0] == 0.01
+        before = os.stat(three_asset_csv)
+        text = Path(three_asset_csv).read_text().replace(",0.01,", ",0.07,")
+        Path(three_asset_csv).write_text(text)
+        os.utime(three_asset_csv, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = os.stat(three_asset_csv)
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size,
+                                                      before.st_mtime_ns)
+        panel = data.load_panel(three_asset_csv)
+        assert panel.field("ret")[0, 0] == 0.07
+        assert_same_outcome(panel, reference_load_panel(three_asset_csv))
+
+    @pytest.mark.parametrize("kind", ["truncated", "garbage", "other_key",
+                                      "object_array"])
+    def test_bad_sidecar_is_parsed_over(self, three_asset_csv, tmp_path,
+                                        monkeypatch, kind):
+        side = Path(f"{three_asset_csv}.npz")
+        want = data.load_panel(three_asset_csv)
+        good = side.read_bytes()
+        if kind == "truncated":
+            side.write_bytes(good[:len(good) // 2])
+        elif kind == "garbage":
+            side.write_bytes(b"PK\x03\x04 not a zip" * 40)
+        elif kind == "other_key":
+            other = write_lines(tmp_path / "other.csv",
+                                ["date,asset_id,ret", "2021-01-04,ZZZ,0.5"])
+            data.load_panel(other)
+            os.replace(f"{other}.npz", side)
+        else:   # the right key, with ids that only unpickling would read
+            with np.load(side) as z:
+                members = dict(z)
+            members["ids"] = np.array([want.assets, want.regions], dtype=object)
+            np.savez(side, **members)
+        monkeypatch.setattr(pickle, "load", refuse_to_unpickle)
+        monkeypatch.setattr(pickle, "loads", refuse_to_unpickle)
+        parses = count_parses(monkeypatch)
+        assert_same_outcome(data.load_panel(three_asset_csv), want)
+        assert len(parses) == 1
+        # the sidecar was written again, so the next load is a hit
+        assert_same_outcome(data.load_panel(three_asset_csv), want)
+        assert len(parses) == 1
+        assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
+
+    def test_other_loader_drops_the_sidecar(self, three_asset_csv, monkeypatch):
+        data.load_panel(three_asset_csv)
+        parses = count_parses(monkeypatch)
+        data.load_panel(three_asset_csv)
+        assert parses == []
+        # the key covers data.py's bytes and the Python and numpy versions
+        monkeypatch.setattr(data, "_SIDECAR_SALT", hashlib.sha256(b"other"))
+        data.load_panel(three_asset_csv)
+        assert len(parses) == 1
+
+    def test_failed_write_is_ignored(self, three_asset_csv, tmp_path,
+                                     monkeypatch):
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied", dst)
+        monkeypatch.setattr(os, "replace", refuse)
+        parses = count_parses(monkeypatch)
+        want = reference_load_panel(three_asset_csv)
+        for _ in range(2):
+            assert_same_outcome(data.load_panel(three_asset_csv), want)
+        assert len(parses) == 2
+        assert os.listdir(tmp_path) == ["p.csv"]   # no sidecar, no temp file
+
+    def test_bad_csv_fails_the_same_way_every_time(self, tmp_path):
+        path = write_lines(tmp_path / "p.csv", [
+            "date,asset_id,ret", "2020-01-02,AAA,0.01", "2020-01-03,AAA,zork"])
+        want = (data.PanelError, f"{path}: line 3: bad value 'zork' for field 'ret'")
+        assert [load_outcome(data.load_panel, path) for _ in range(2)] == [want] * 2
+        assert os.listdir(tmp_path) == ["p.csv"]
 
 
 def reference_forward_fill(panel, name, limit_days):

@@ -11,7 +11,7 @@ def make_panel(arrays_dict, start="2020-01-01"):
     n = next(iter(arrays_dict.values())).shape[1]
     return data.ReturnsPanel(
         dates=data.business_days(start, t),
-        assets=tuple(f"A{i}" for i in range(n)),
+        assets=tuple(f"A{i:04d}" for i in range(n)),
         regions=tuple("" for _ in range(n)),
         arrays={k: v.astype(float) for k, v in arrays_dict.items()},
     )

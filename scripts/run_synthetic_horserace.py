@@ -1,10 +1,14 @@
 #!/usr/bin/env python3
-"""Generate a synthetic market and race the LH and LS implementations on it,
-all costs included, printing a per-book cost attribution table.
+"""Generate a synthetic market and race the LH and LS implementations on it
+at AUM 1e8, 1e9 and 1e10, all costs included, printing a per-book cost
+attribution table for each AUM.
 
 The default market has a short-side loading of 0.8, comfortably above the
 accretive-shorts threshold of 0.414 at equal residual variances, so the
-long-short book should come out ahead once the sample is long enough.
+long-short book should come out ahead once the sample is long enough; the
+costs that grow with AUM decide by how much. Each AUM is its own
+`factorlab backtest` on the one generated panel, so only the first parses
+panel.csv and the others read its sidecar, panel.csv.npz.
 """
 
 import argparse
@@ -14,6 +18,8 @@ import sys
 
 from factorlab import cli
 
+# the paper's question depends on AUM: market impact grows with it
+AUMS = (1e8, 1e9, 1e10)
 
 GENERATE_CFG = """\
 [generate]
@@ -36,7 +42,7 @@ BACKTEST_CFG = """\
 panel = {panel}
 mode = BOTH
 truth_series = {truth}
-aum = 1e9
+aum = {aum:.1f}
 cap = 0.03
 vol_target = 0.06
 start = {start}
@@ -61,7 +67,6 @@ def main():
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
     data_dir = os.path.join(args.out, "market")
-    bt_dir = os.path.join(args.out, "backtest")
     os.makedirs(args.out, exist_ok=True)
 
     gen_cfg = os.path.join(args.out, "generate.cfg")
@@ -71,19 +76,6 @@ def main():
     if rc != 0:
         return rc
 
-    bt_cfg = os.path.join(args.out, "backtest.cfg")
-    with open(bt_cfg, "w") as fh:
-        fh.write(BACKTEST_CFG.format(
-            panel=os.path.abspath(os.path.join(data_dir, "panel.csv")),
-            truth=os.path.abspath(os.path.join(data_dir, "truth_series.csv")),
-            start="2001-02-01",
-        ))
-    rc = cli.main(["backtest", "--config", bt_cfg, "--out", bt_dir])
-    if rc != 0:
-        return rc
-
-    with open(os.path.join(bt_dir, "backtest_summary.json")) as fh:
-        summary = json.load(fh)
     rows = [
         ("sharpe", "{:.2f}"),
         ("mean_drawdown", "{:.2%}"),
@@ -95,13 +87,30 @@ def main():
         ("ann_vol", "{:.2%}"),
         ("mean_gross_leverage", "{:.2f}"),
     ]
-    print(f"{'':>22} {'LH':>10} {'LS':>10}")
-    for key, fmt in rows:
-        cells = []
-        for mode in ("LH", "LS"):
-            v = summary[mode][key]
-            cells.append("n/a" if v is None else fmt.format(v))
-        print(f"{key:>22} {cells[0]:>10} {cells[1]:>10}")
+    for aum in AUMS:
+        bt_dir = os.path.join(args.out, f"backtest_aum{aum:.0e}")
+        bt_cfg = os.path.join(args.out, f"backtest_aum{aum:.0e}.cfg")
+        with open(bt_cfg, "w") as fh:
+            fh.write(BACKTEST_CFG.format(
+                panel=os.path.abspath(os.path.join(data_dir, "panel.csv")),
+                truth=os.path.abspath(os.path.join(data_dir, "truth_series.csv")),
+                aum=aum,
+                start="2001-02-01",
+            ))
+        rc = cli.main(["backtest", "--config", bt_cfg, "--out", bt_dir])
+        if rc != 0:
+            return rc
+
+        with open(os.path.join(bt_dir, "backtest_summary.json")) as fh:
+            summary = json.load(fh)
+        print(f"\naum = {aum:.0e}")
+        print(f"{'':>22} {'LH':>10} {'LS':>10}")
+        for key, fmt in rows:
+            cells = []
+            for mode in ("LH", "LS"):
+                v = summary[mode][key]
+                cells.append("n/a" if v is None else fmt.format(v))
+            print(f"{key:>22} {cells[0]:>10} {cells[1]:>10}")
     print(f"\nfull outputs in {args.out}/")
     return 0
 

@@ -304,15 +304,22 @@ def _csv_key(path) -> bytes:
     return h.digest()
 
 
+def _stamp(path) -> tuple:
+    st = os.stat(path)
+    return st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
+
+
 def load_panel(path) -> ReturnsPanel:
     """Load a long-format panel CSV (see `_parse_panel`), parsing it only
     when its binary sidecar `{path}.npz` is missing, stale or unreadable.
 
     The sidecar is keyed by `_csv_key`. After a parse, the panel is written
-    to a temporary file and moved into place, unless the CSV changed
-    meanwhile; a failed write is ignored. A CSV that fails to parse gets no
-    sidecar, so it fails the same way on every load.
+    to a temporary file and moved into place, unless the CSV's inode, size,
+    mtime or ctime moved while it was hashed and parsed, so a second pass
+    over the bytes is not needed; a failed write is ignored. A CSV that
+    fails to parse gets no sidecar, so it fails the same way on every load.
     """
+    stamp = _stamp(path)
     side, key = f"{path}.npz", _csv_key(path)
     try:
         with open(side, "rb") as fh, np.load(fh, allow_pickle=False) as z:
@@ -326,7 +333,7 @@ def load_panel(path) -> ReturnsPanel:
     except (OSError, EOFError, ValueError, KeyError, TypeError, zipfile.BadZipFile):
         pass
     panel = _parse_panel(path)
-    if _csv_key(path) == key:
+    if _stamp(path) == stamp:
         tmp = f"{side}.{os.getpid()}.tmp"
         try:
             with open(tmp, "wb") as fh:

@@ -758,7 +758,7 @@ def test_readme_config_reference_shows_the_defaults():
     ("run_toy_sweep.py", [r"alpha2 +g= +0\.1 +g= +1\.0 +g= +10\.0",
                           r"0\.4142 +1\.0000 +1\.0000 +1\.0000 <- threshold"]),
     ("run_synthetic_horserace.py",
-     [r"LH +LS"]
+     [r"LH +LS", r"aum = 1e\+08", r"aum = 1e\+09", r"aum = 1e\+10"]
      + [rf"{key} +\S+ +\S+" for key in (
          "sharpe", "mean_drawdown", "returns_and_divs", "trading_cost",
          "financing_cost", "borrow_cost", "ann_return", "ann_vol",

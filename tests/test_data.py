@@ -715,6 +715,24 @@ class TestPanelSidecar:
         assert panel.field("ret")[0, 0] == 0.07
         assert_same_outcome(panel, reference_load_panel(three_asset_csv))
 
+    def test_csv_rewritten_during_the_load_gets_no_sidecar(
+            self, three_asset_csv, monkeypatch):
+        # the key is taken from the old bytes and the parse reads the new
+        # ones, so a sidecar would give the new panel for the old bytes
+        old = Path(three_asset_csv).read_text()
+        before, real = os.stat(three_asset_csv), data._parse_panel
+
+        def rewrite_then_parse(path):
+            Path(path).write_text(old.replace(",0.01,", ",0.07,"))
+            os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+            return real(path)
+        monkeypatch.setattr(data, "_parse_panel", rewrite_then_parse)
+        assert data.load_panel(three_asset_csv).field("ret")[0, 0] == 0.07
+        assert not Path(f"{three_asset_csv}.npz").exists()
+        monkeypatch.setattr(data, "_parse_panel", real)
+        Path(three_asset_csv).write_text(old)
+        assert data.load_panel(three_asset_csv).field("ret")[0, 0] == 0.01
+
     @pytest.mark.parametrize("kind", ["truncated", "garbage", "other_key",
                                       "object_array"])
     def test_bad_sidecar_is_parsed_over(self, three_asset_csv, tmp_path,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -286,18 +287,20 @@ def _day(text: str, path, lineno: int, error) -> int:
     return int(day.astype(np.int64))
 
 
-# what a sidecar's key covers besides the CSV: this loader's source and the
-# versions its arrays and text pass through, so a change to any of them drops
-# every sidecar
-_SIDECAR_SALT = hashlib.sha256(Path(__file__).read_bytes()
-                               + f"\0{sys.version}\0{np.__version__}".encode())
+@functools.cache
+def _sidecar_salt():
+    """What a sidecar's key covers besides the CSV: this loader's source and
+    the versions its arrays and text pass through, so a change to any of them
+    drops every sidecar. Read on the first load, not at import."""
+    return hashlib.sha256(Path(__file__).read_bytes()
+                          + f"\0{sys.version}\0{np.__version__}".encode())
 
 
 def _csv_key(path) -> bytes:
     """sha256 of the sidecar salt and the CSV's bytes, read 64 KiB at a
     time. A 1 MiB buffer raised the peak RSS of the benchmark's `horserace`
     rounds by about 0.7 MB of 44 MB (2 cores, Python 3.11, glibc)."""
-    h = _SIDECAR_SALT.copy()
+    h = _sidecar_salt().copy()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)

@@ -770,7 +770,7 @@ class TestPanelSidecar:
         data.load_panel(three_asset_csv)
         assert parses == []
         # the key covers data.py's bytes and the Python and numpy versions
-        monkeypatch.setattr(data, "_SIDECAR_SALT", hashlib.sha256(b"other"))
+        monkeypatch.setattr(data, "_sidecar_salt", lambda: hashlib.sha256(b"other"))
         data.load_panel(three_asset_csv)
         assert len(parses) == 1
 

@@ -271,16 +271,18 @@ def _leading_vector(matvec, start: np.ndarray, floor: float = 0.0) -> np.ndarray
     counts that move against each other. Otherwise A is formed as
     matvec(I) and handed to eigh. The sign is left as found.
     """
-    v = start / np.linalg.norm(start)
+    v = start / np.sqrt(start @ start)
     for _ in range(_POWER_MAX_ITER):
         w = matvec(v)
         lam = float(v @ w)
         if not lam > 0:
             break
-        nxt = w / np.linalg.norm(w)
-        if np.linalg.norm(nxt - v) < _POWER_TOL:
+        nxt = w / np.sqrt(w @ w)
+        step = nxt - v
+        if step @ step < _POWER_TOL ** 2:
+            resid = w - lam * v
             if (lam >= (1.0 - _RAYLEIGH_TOL) * floor
-                    and np.linalg.norm(w - lam * v) <= _RAYLEIGH_TOL * lam):
+                    and resid @ resid <= (_RAYLEIGH_TOL * lam) ** 2):
                 return v
             break
         v = nxt
@@ -292,30 +294,33 @@ def residual_returns(panel: ReturnsPanel, lookback_days: int = 250,
                      min_frac: float = 0.8) -> np.ndarray:
     """Strip each stock's projection on the leading correlation mode.
 
-    Per date t, the leading eigenvector v of the trailing correlation
-    matrix of daily returns (sign chosen so that sum(v) >= 0) defines a
-    market-mode series mode = z v, where z holds the window's standardized
-    returns with gaps imputed at the mean (z = 0). Each stock's return is
-    regressed on the mode over the same window and the fitted component
-    removed: resid_i = r_i - beta_i * mode_t.
+    Per date t, dev holds the window's demeaned returns (gaps imputed at
+    the mean, dev = 0) and sd each asset's window standard deviation, so
+    z = dev D^-1 with D = diag(sd) is the standardized window. The unit
+    leading eigenvector v of z'z defines the market mode z v. As
+    z'(z v) = lam v and |z v|^2 = lam, each stock's slope on the mode over
+    the window is sd * v, and resid = r_t - sd * v * (dev[-1] . (v / sd)),
+    the same for v and -v.
 
     An asset takes part on date t if it has a return that day, at least
     min_frac of the window valid, is in `pool` (when given), and is not
     constant: a window standard deviation at most 1e-12 of its mean
     absolute return drops it. Window counts and means come from
-    `window_sums` over the whole panel. The standard deviation comes from
-    the centred window that z is built from: one from cumulative sums of
-    squares would bury a constant asset's zero spread in rounding error.
-    The correlation matrix is never formed: v comes from `_leading_vector`
-    on u -> z'(z u), started from the previous date's vector restricted to
-    today's assets (all ones on the first date). Returns a (T, N) array,
-    NaN where undefined.
+    `window_sums` over the whole panel; sd comes from the centred window,
+    as one from cumulative sums of squares would bury a constant asset's
+    zero spread in rounding error. Neither z nor z'z is formed: v comes
+    from `_leading_vector` on u -> D^-1 dev'(dev D^-1 u), started from the
+    previous date's vector restricted to today's assets (all ones on the
+    first date). Returns a (T, N) array, NaN where undefined.
     """
     ret = panel.field("ret")
     t_total, n = ret.shape
     out = np.full((t_total, n), np.nan)
     if lookback_days < 10:
         raise SignalError("lookback_days too short")
+    if lookback_days > t_total:
+        raise SignalError(f"lookback_days = {lookback_days} is longer than "
+                          f"the panel's {t_total} dates")
     min_obs = int(np.ceil(min_frac * lookback_days))
     valid = np.isfinite(ret)
     cnt = window_sums(valid.astype(float), lookback_days)
@@ -344,22 +349,15 @@ def residual_returns(panel: ReturnsPanel, lookback_days: int = 250,
             if len(idx) < 2:
                 continue
         sd = np.sqrt(var)
-        z = dev / sd
         start = prev[idx]
-        # z'z has the diagonal sq / var, a floor under its top eigenvalue
-        v = _leading_vector(lambda u: z.T @ (z @ u),
+        # z'z has the diagonal sq / var, a floor under its top eigenvalue; the
+        # transposes scale rows of a vector and of eigh's (n, n) block alike
+        v = _leading_vector(lambda u: ((dev.T @ (dev @ (u.T / sd).T)).T / sd).T,
                             start if np.any(start) else np.ones(len(idx)),
                             floor=float(np.max(sq / var)))
-        if np.sum(v) < 0:
-            v = -v
         prev[:] = 0.0
         prev[idx] = v
-        mode = z @ v
-        var_mode = float(mode @ mode)
-        if var_mode <= 0:
-            continue
-        betas = sd * (z.T @ mode) / var_mode
-        out[t, idx] = ret[t, idx] - betas * mode[-1]
+        out[t, idx] = ret[t, idx] - sd * v * (dev[-1] @ (v / sd))
     return out
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from factorlab import cli, costs, data, portfolio as pf, signals, toy_model as tm
 from conftest import make_ff_fixture
@@ -109,6 +110,37 @@ class TestGenerate:
                     "--seed", "12"]) == 0
         assert not files_equal(out / "panel.csv", other / "panel.csv")
 
+    @settings(max_examples=30)
+    @given(st.data())
+    def test_truth_series_market_round_trips(self, tmp_path_factory,
+                                             data_strategy):
+        draw = data_strategy.draw
+        small = st.floats(-1.0, 1.0)
+        vol = st.floats(0.0, 1.0)
+        keys = {
+            "n_assets": 2 * draw(st.integers(1, 3)),
+            "n_periods": draw(st.integers(1, 40)),
+            "seed": draw(st.integers(0, 2 ** 32 - 1)),
+            "market_mean": draw(small), "market_vol": draw(vol),
+            "factor_mean": draw(small), "factor_vol": draw(vol),
+            "resid_vol_long": draw(vol), "resid_vol_short": draw(vol),
+            "start_date": str(np.datetime64("1990-01-01")
+                              + draw(st.integers(0, 15000))),
+        }
+        spec = tm.SyntheticUniverseSpec(**keys)
+        base = tmp_path_factory.mktemp("truth")
+        out, cfg = base / "out", base / "gen.cfg"
+        # a float's str is its shortest exact repr, so the INI file keeps it
+        cfg.write_text("[generate]\n"
+                       + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+        assert run(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+        panel, truth = tm.generate_universe(spec)
+        loaded = data.load_panel(out / "panel.csv")
+        assert np.array_equal(loaded.dates, panel.dates)
+        market = cli._load_dated_column(out / "truth_series.csv", "market",
+                                        loaded.dates)
+        assert market.tobytes() == truth.market.tobytes()
+
 
 class TestPredictability:
     def test_summary_schema_and_flag(self, gen_dir, tmp_path):
@@ -189,6 +221,19 @@ class TestPredictability:
         assert run(["predictability", "--config", str(cfg), "--out",
                     str(dest)]) == 1
         assert not (dest / "pred_summary.json").exists()
+
+    def test_lookback_longer_than_the_panel_is_named(self, gen_dir, tmp_path,
+                                                    capsys):
+        _, _, out = gen_dir
+        cfg = tmp_path / "pred.cfg"
+        cfg.write_text("[predictability]\n"
+                       f"panel = {out / 'panel.csv'}\nfactors = MOM SMB\n"
+                       "lookback_days = 1000\n")
+        assert run(["predictability", "--config", str(cfg), "--out",
+                    str(tmp_path / "pred")]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: lookback_days = 1000 is longer than the "
+                       "panel's 900 dates\n")
 
     @pytest.mark.parametrize("key, message", [
         ("horizon_days = 0", "horizon_days must be at least 1, got 0"),

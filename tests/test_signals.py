@@ -437,6 +437,15 @@ class TestResiduals:
         res = signals.residual_returns(panel, lookback_days=250)
         assert np.all(np.isnan(res[:249]))
 
+    def test_lookback_longer_than_the_panel_rejected(self, small_universe):
+        _, panel, _ = small_universe
+        longest = panel.n_dates
+        assert np.any(np.isfinite(signals.residual_returns(panel, longest)))
+        with pytest.raises(signals.SignalError,
+                           match=f"lookback_days = {longest + 1} is longer "
+                                 f"than the panel's {longest} dates"):
+            signals.residual_returns(panel, longest + 1)
+
 
 def reference_residuals(panel, lookback_days, pool=None, min_frac=0.8):
     """The per-date loop the power iteration replaced: nanmean and nanstd

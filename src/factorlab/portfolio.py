@@ -291,6 +291,13 @@ def _check_cost_aversion(cost_aversion: float) -> None:
         raise PortfolioError(f"cost_aversion must be in [0, inf), got {cost_aversion!r}")
 
 
+def _priced(adv, sigma_daily, cost_params: CostModelParams) -> np.ndarray:
+    """Where `costs.trade_cost` prices a trade: everywhere without impact,
+    else where the ADV is finite and positive and the trailing vol finite."""
+    return (cost_params.impact_coeff == 0) | (
+        np.isfinite(adv) & (np.asarray(adv) > 0) & np.isfinite(sigma_daily))
+
+
 def optimize_long_only(scores: np.ndarray, prev_positions: np.ndarray,
                        adv: np.ndarray, sigma_daily: np.ndarray, aum: float,
                        cost_params: CostModelParams, cap: float = 0.03,
@@ -300,11 +307,11 @@ def optimize_long_only(scores: np.ndarray, prev_positions: np.ndarray,
 
     Feasible set: w >= 0, w_i <= cap * aum, sum(w) <= aum, and, when
     min_invested > 0, the optimized assets sum to at least min_invested * aum
-    as far as the budget reaches. Assets without a price-impact input
-    (missing or non-positive ADV, missing vol while impact is on) are frozen
-    at their previous position and excluded from the optimization; a missing
-    score counts as zero so the cost barrier decides whether the position
-    survives.
+    as far as the budget reaches. An asset whose trade cannot be priced
+    (impact on, and a missing or non-positive ADV or a missing vol) is
+    frozen at its previous position and excluded from the optimization, at
+    every cost_aversion; a missing score counts as zero so the cost barrier
+    decides whether the position survives.
 
     The returned book is the exact optimum (see _solve_budget_dual) at
     every cost level. At zero cost (is_free, or cost_aversion = 0) it is the
@@ -318,16 +325,8 @@ def optimize_long_only(scores: np.ndarray, prev_positions: np.ndarray,
     _check_cost_aversion(cost_aversion)
     n = len(scores)
     s = np.where(np.isfinite(scores), np.asarray(scores, dtype=float), 0.0)
-    prev = np.where(np.isfinite(prev_positions), prev_positions, 0.0)
-    prev = np.maximum(prev, 0.0)
-
-    priced_impact = cost_params.impact_coeff > 0 and cost_aversion != 0.0
-    if priced_impact:
-        # impact pricing needs liquidity and vol inputs; without them the
-        # position is frozen rather than traded blind
-        tradable = np.isfinite(adv) & (np.asarray(adv) > 0) & np.isfinite(sigma_daily)
-    else:
-        tradable = np.ones(n, dtype=bool)
+    prev = np.maximum(np.where(np.isfinite(prev_positions), prev_positions, 0.0), 0.0)
+    tradable = _priced(adv, sigma_daily, cost_params)
     frozen = ~tradable & (prev > 0)
 
     u = cap * aum
@@ -336,8 +335,7 @@ def optimize_long_only(scores: np.ndarray, prev_positions: np.ndarray,
         raise InfeasibleConstraints(
             "cap times tradable universe cannot reach the minimum investment"
         )
-    budget = aum - float(np.sum(prev[frozen]))
-    budget = max(budget, 0.0)
+    budget = max(aum - float(np.sum(prev[frozen])), 0.0)
 
     out = np.zeros(n)
     out[frozen] = prev[frozen]
@@ -347,7 +345,7 @@ def optimize_long_only(scores: np.ndarray, prev_positions: np.ndarray,
 
     lin = cost_aversion * cost_params.linear_rate
     kv = np.zeros(len(idx))
-    if priced_impact:
+    if cost_params.impact_coeff > 0:
         kv = cost_aversion * cost_params.impact_coeff * \
             np.asarray(sigma_daily, dtype=float)[idx] / np.sqrt(np.asarray(adv, dtype=float)[idx])
     floor = min(min_invested * aum, budget, n_free * u)
@@ -356,22 +354,8 @@ def optimize_long_only(scores: np.ndarray, prev_positions: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# hedging and the long-short book
+# the long-short book
 # ---------------------------------------------------------------------------
-
-def hedge_with_index(positions: np.ndarray, betas: np.ndarray,
-                     asset_names=None) -> float:
-    """Index-futures notional that zeroes the book's predicted beta."""
-    pos = np.asarray(positions, dtype=float)
-    b = np.asarray(betas, dtype=float)
-    held = pos != 0.0
-    bad = held & ~np.isfinite(b)
-    if np.any(bad):
-        j = int(np.nonzero(bad)[0][0])
-        name = asset_names[j] if asset_names is not None else f"asset {j}"
-        raise PortfolioError(f"missing beta for held position: {name}")
-    return -float(np.sum(pos[held] * b[held]))
-
 
 def _neutral_projection(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Project onto {sum(w) = 0, v.w = 0} (orthonormalized constraint pair)."""
@@ -467,8 +451,7 @@ def build_long_short(scores: np.ndarray, cleaned: CleanedCorrelation,
         adv_v = np.asarray(adv, dtype=float)[idx]
         kimp = np.zeros(k)
         if cost_params.impact_coeff > 0:
-            ok = np.isfinite(adv_v) & (adv_v > 0)
-            if not np.all(ok):
+            if not np.all(_priced(adv_v, sig, cost_params)):
                 raise PortfolioError("missing ADV on a long-short book asset")
             kimp = cost_aversion * cost_params.impact_coeff * sig / np.sqrt(adv_v)
         tempered = _piece_argmax(0.0, s - lin, s + lin, prev, 1.5 * kimp,
@@ -595,6 +578,82 @@ def lh_matched_vol_targets(lh_result: BacktestResult, panel_dates: np.ndarray,
     return vols[np.maximum(k, 0)] * math.sqrt(periods_per_year)
 
 
+def _lh_step(panel, config, cost_params, adv, sigma, index_returns):
+    """LH's daily step: the long-only book over the assets whose beta window
+    holds rolling_betas' min_obs returns joint with the index, and the index
+    hedge that zeroes its predicted beta."""
+    if index_returns is None:
+        raise PortfolioError("LH needs an index series for the hedge")
+    index_returns = np.asarray(index_returns, dtype=float)
+    if len(index_returns) != panel.n_dates:
+        raise PortfolioError("index series is not aligned with the panel")
+    ret = panel.field("ret")
+    betas = rolling_betas(ret, index_returns, window=config.beta_window)
+    joint = (np.isfinite(ret) & np.isfinite(index_returns)[:, None]).astype(float)
+    warm = window_sums(joint, config.beta_window) >= max(2, config.beta_window // 2)
+
+    def step(t, scores, w):
+        scores[~warm[t]] = np.nan
+        target = optimize_long_only(
+            scores, w, adv[t], sigma[t], config.aum, cost_params, cap=config.cap,
+            cost_aversion=config.cost_aversion, min_invested=config.min_invested,
+        )
+        held = np.nonzero(target)[0]
+        b = betas[t, held]
+        bad = held[~np.isfinite(b)]
+        if len(bad):
+            raise PortfolioError(
+                f"missing beta for held position: {panel.assets[bad[0]]} on {panel.dates[t]}: "
+                "its beta is undefined because the index is constant over the "
+                f"{config.beta_window}-day beta window or the asset has too few "
+                "returns joint with it")
+        return target, -float(np.sum(target[held] * b)) if len(held) else 0.0, np.nan, False
+    return step
+
+
+def _ls_step(panel, config, cost_params, adv, sigma, pool, vol_target_series):
+    """LS's daily step: the book on the correlation cleaned on month starts
+    (and every day until two assets are eligible), flat while it is not."""
+    ret = panel.field("ret")
+    rebal = set(month_start_indices(panel.dates).tolist())
+    cleaned: CleanedCorrelation | None = None
+
+    def step(t, scores, w):
+        nonlocal cleaned
+        if cleaned is None or t in rebal:
+            lo = t - config.cov_window + 1
+            window = ret[max(lo, 0):t + 1]
+            idx = np.nonzero((np.isfinite(scores) if pool is None else pool.mask[t])
+                             & np.all(np.isfinite(window), axis=0)
+                             & ~_constant_columns(window))[0]
+            # a short history or fewer than two eligible assets (e.g. the
+            # signal is still warming up): no book today, clean again tomorrow
+            cleaned = clean_correlation(
+                window[:, idx], asset_indices=idx,
+                asset_names=[panel.assets[j] for j in idx],
+            ) if lo >= 0 and len(idx) >= 2 else None
+        book = w != 0.0
+        if cleaned is not None:
+            book[cleaned.asset_indices] = True
+        bad = np.nonzero(book & ~_priced(adv[t], sigma[t], cost_params))[0]
+        if len(bad):
+            raise PortfolioError(
+                f"cannot price a trade in {panel.assets[bad[0]]} on {panel.dates[t]}: "
+                "its ADV is missing or not positive, or its trailing vol is missing")
+        if cleaned is None:
+            return np.zeros(len(w)), 0.0, 0.0, True
+        vt = config.vol_target
+        if vol_target_series is not None and np.isfinite(vol_target_series[t]):
+            vt = float(vol_target_series[t])
+        target, pred_vol, warn = build_long_short(
+            scores, cleaned, vt, config.aum, w, adv[t], cost_params, cap=config.cap,
+            cost_aversion=config.cost_aversion,
+            periods_per_year=cost_params.trading_days_per_year,
+        )
+        return target, 0.0, pred_vol, warn
+    return step
+
+
 def run_backtest(panel: ReturnsPanel, signal, config: StrategyConfig,
                  cost_params: CostModelParams,
                  index_returns: np.ndarray | None = None,
@@ -603,7 +662,8 @@ def run_backtest(panel: ReturnsPanel, signal, config: StrategyConfig,
                  start=None, end=None,
                  vol_target_series: np.ndarray | None = None) -> BacktestResult:
     """Daily loop: mark the book to market, refresh the signal, rebuild the
-    target, trade at the close with costs, accrue financing and borrow.
+    target with the mode's step (_lh_step, _ls_step), trade at the close
+    with costs, accrue financing and borrow.
 
     The signal argument is a SignalPanel (or bare (T, N) score array)
     aligned with the panel. LH needs index_returns aligned with the panel
@@ -611,6 +671,11 @@ def run_backtest(panel: ReturnsPanel, signal, config: StrategyConfig,
     scalar target day by day where finite, letting the long-short book track
     another strategy's realized volatility. Deterministic: same inputs,
     bit-identical result.
+
+    If no trade in the date range can be priced (see _priced), the run stops
+    before its first day. Otherwise LH freezes an asset it cannot price, and
+    LS stops on a day it holds or may trade one. LH buys an asset only once
+    its beta window holds enough returns.
     """
     scores_panel = getattr(signal, "scores", signal)
     ret = panel.field("ret")
@@ -630,29 +695,25 @@ def run_backtest(panel: ReturnsPanel, signal, config: StrategyConfig,
             f"calendar gap longer than {_MAX_CALENDAR_GAP_DAYS} days after {at}"
         )
 
-    if config.mode == "LH":
-        if index_returns is None:
-            raise PortfolioError("LH needs an index series for the hedge")
-        index_returns = np.asarray(index_returns, dtype=float)
-        if len(index_returns) != t_total:
-            raise PortfolioError("index series is not aligned with the panel")
-        betas = rolling_betas(ret, index_returns, window=config.beta_window)
-    else:
-        betas = None
-
     sigma = rolling_vols(ret, window=config.vol_window)
+    if not np.any(_priced(adv_panel[i0:i1], sigma[i0:i1], cost_params)):
+        raise PortfolioError(
+            f"no trade can be priced from {panel.dates[i0]} to {panel.dates[i1 - 1]}: "
+            f"impact_coeff = {cost_params.impact_coeff} needs a finite positive ADV "
+            "and a trailing vol, and no asset has both")
+    if config.mode == "LH":
+        step_fn = _lh_step(panel, config, cost_params, adv_panel, sigma, index_returns)
+    else:
+        step_fn = _ls_step(panel, config, cost_params, adv_panel, sigma, pool,
+                           vol_target_series)
     if borrow_fees is None:
         borrow_fees = np.full(n, cost_params.default_borrow_fee)
 
-    rebal_set = set(month_start_indices(panel.dates).tolist())
-    days = i1 - i0
-    out = {c: np.zeros(days) for c in BacktestResult.COLUMNS}
-    out["predicted_vol"][:] = np.nan
-    positions_hist = np.zeros((days, n))
+    rows = np.zeros((i1 - i0, len(BacktestResult.COLUMNS)))
+    positions_hist = np.zeros((i1 - i0, n))
 
     w = np.zeros(n)
     hedge = 0.0
-    cleaned: CleanedCorrelation | None = None
 
     for step, t in enumerate(range(i0, i1)):
         # 1. mark the carried book to market
@@ -660,7 +721,7 @@ def run_backtest(panel: ReturnsPanel, signal, config: StrategyConfig,
         fin_r = np.isfinite(r)
         pnl_ret = float(np.sum(w[fin_r] * r[fin_r]))
         if hedge != 0.0:
-            r_idx = index_returns[t] if index_returns is not None else np.nan
+            r_idx = index_returns[t]
             if not np.isfinite(r_idx):
                 raise PortfolioError(f"missing index return on {panel.dates[t]}")
             pnl_ret += hedge * r_idx
@@ -668,60 +729,10 @@ def run_backtest(panel: ReturnsPanel, signal, config: StrategyConfig,
         w = np.where(fin_r, w * (1.0 + r), w)
 
         # 2. rebuild the target and trade at the close
-        t_sig = max(t - config.exec_lag, 0)
-        srow = scores_panel[t_sig].copy()
+        srow = scores_panel[max(t - config.exec_lag, 0)].copy()
         if pool is not None:
             srow[~pool.mask[t]] = np.nan
-        if config.mode == "LH":
-            target = optimize_long_only(
-                srow, w, adv_panel[t], sigma[t], config.aum, cost_params,
-                cap=config.cap, cost_aversion=config.cost_aversion,
-                min_invested=config.min_invested,
-            )
-            held = target != 0.0
-            try:
-                hedge_target = hedge_with_index(
-                    target, np.where(held, betas[t], 0.0), asset_names=panel.assets,
-                ) if np.any(held) else 0.0
-            except PortfolioError as exc:
-                raise PortfolioError(
-                    f"{exc} on {panel.dates[t]}: its beta is undefined because "
-                    f"the index is constant over the {config.beta_window}-day "
-                    "beta window or the asset has too few returns joint with it"
-                ) from None
-        else:
-            if cleaned is None or t in rebal_set:
-                lo = t - config.cov_window + 1
-                eligible = np.isfinite(srow) if pool is None else pool.mask[t]
-                if lo >= 0:
-                    window = ret[lo:t + 1]
-                    eligible = (eligible & np.all(np.isfinite(window), axis=0)
-                                & ~_constant_columns(window))
-                else:
-                    eligible = np.zeros(n, dtype=bool)
-                idx = np.nonzero(eligible)[0]
-                # fewer than two eligible assets (e.g. the signal is still
-                # warming up): no book today, clean again tomorrow
-                cleaned = clean_correlation(
-                    ret[t - config.cov_window + 1: t + 1][:, idx],
-                    asset_indices=idx,
-                    asset_names=[panel.assets[j] for j in idx],
-                ) if len(idx) >= 2 else None
-            if cleaned is None:
-                target, pred_vol, warn = np.zeros(n), 0.0, True
-            else:
-                vt = config.vol_target
-                if vol_target_series is not None and np.isfinite(vol_target_series[t]):
-                    vt = float(vol_target_series[t])
-                target, pred_vol, warn = build_long_short(
-                    srow, cleaned, vt, config.aum, w, adv_panel[t],
-                    cost_params, cap=config.cap, cost_aversion=config.cost_aversion,
-                    periods_per_year=cost_params.trading_days_per_year,
-                )
-            out["predicted_vol"][step] = pred_vol
-            out["vol_warning"][step] = float(warn)
-            hedge_target = 0.0
-
+        target, hedge_target, pred_vol, warn = step_fn(t, srow, w)
         trades = target - w
         traded = float(np.sum(np.abs(trades)))
         tc = 0.0
@@ -729,38 +740,27 @@ def run_backtest(panel: ReturnsPanel, signal, config: StrategyConfig,
             live = np.abs(trades) > 0
             q = np.abs(trades[live])
             if cost_params.impact_coeff > 0:
-                tc = float(np.sum(trade_cost(
-                    q, adv_panel[t][live], sigma[t][live], cost_params,
-                )))
+                tc = float(np.sum(trade_cost(q, adv_panel[t][live], sigma[t][live], cost_params)))
             else:
                 tc = float(np.sum(q)) * cost_params.linear_rate
         w = target
         hedge = hedge_target
 
         # 3. accrue financing and borrow on the end-of-day book
-        gross = float(np.sum(np.abs(w))) + abs(hedge)
-        fin = financing_cost(gross, config.aum, cost_params.financing_spread,
+        gross = float(np.sum(np.abs(w)))
+        fin = financing_cost(gross + abs(hedge), config.aum, cost_params.financing_spread,
                              1.0, cost_params.trading_days_per_year)
-        shorts = np.minimum(w, 0.0)
-        bor = borrow_cost(shorts, borrow_fees, 1.0,
+        bor = borrow_cost(np.minimum(w, 0.0), borrow_fees, 1.0,
                           cost_params.trading_days_per_year)
-
-        out["ret_pnl"][step] = pnl_ret
-        out["trading_cost"][step] = -tc
-        out["financing_cost"][step] = -fin
-        out["borrow_cost"][step] = -bor
         total = pnl_ret - tc - fin - bor
         if not np.isfinite(total):
             raise PortfolioError(f"non-finite P&L on {panel.dates[t]}")
-        out["total_pnl"][step] = total
-        out["traded_notional"][step] = traded
-        out["gross_stock"][step] = float(np.sum(np.abs(w)))
-        out["net_stock"][step] = float(np.sum(w))
-        out["hedge_notional"][step] = hedge
+        rows[step] = (pnl_ret, -tc, -fin, -bor, total, traded, gross,
+                      float(np.sum(w)), hedge, pred_vol, float(warn))
         positions_hist[step] = w
 
     return BacktestResult(
         dates=panel.dates[i0:i1], assets=panel.assets, mode=config.mode,
         aum=config.aum, positions=positions_hist,
-        **out,
+        **dict(zip(BacktestResult.COLUMNS, rows.T.copy())),
     )

@@ -429,6 +429,21 @@ class TestBacktest:
         assert "cov_window must be at least 60, got 59" in capsys.readouterr().err
         assert calls == []
 
+    def test_panel_without_adv_stops_before_day_one(self, gen_dir, tmp_path, capsys):
+        _, _, out = gen_dir
+        panel = data.load_panel(out / "panel.csv")
+        arrays = {k: v for k, v in panel.arrays.items() if k != "adv"}
+        data.write_panel(dataclasses.replace(panel, arrays=arrays),
+                         tmp_path / "panel.csv")
+        cfg = tmp_path / "bt.cfg"
+        self.write_cfg(cfg, tmp_path / "panel.csv", out / "truth_series.csv")
+        dest = tmp_path / "bt"
+        assert run(["backtest", "--config", str(cfg), "--out", str(dest)]) == 1
+        err = capsys.readouterr().err
+        assert "no trade can be priced from 2001-01-08" in err
+        assert "impact_coeff = 1.0" in err
+        assert not list(dest.iterdir())
+
     def test_missing_panel_cleans_partial_outputs(self, tmp_path, capsys):
         cfg = tmp_path / "bt.cfg"
         cfg.write_text("[backtest]\npanel = nowhere.csv\nmode = LS\n")

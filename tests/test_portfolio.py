@@ -448,21 +448,6 @@ class TestLongOnlyOptimizer:
                                 cost_aversion=aversion)
 
 
-class TestHedge:
-    def test_unit_betas_fully_invested(self):
-        pos = np.full(10, 0.1 * AUM)
-        assert pf.hedge_with_index(pos, np.ones(10)) == pytest.approx(-AUM)
-
-    def test_empty_book_no_hedge(self):
-        assert pf.hedge_with_index(np.zeros(5), np.full(5, np.nan)) == 0.0
-
-    def test_missing_beta_on_held_position(self):
-        pos = np.array([1e6, 0.0])
-        betas = np.array([np.nan, 1.0])
-        with pytest.raises(pf.PortfolioError, match="beta"):
-            pf.hedge_with_index(pos, betas, asset_names=["AAA", "BBB"])
-
-
 class TestLongShortBook:
     def fixed_cleaned(self, n=20, rho=0.3, vol=0.01, seed=30):
         rng = np.random.Generator(np.random.Philox(seed))
@@ -536,7 +521,28 @@ class TestBacktest:
                               start=panel.dates[300])
         assert np.all(res.total_pnl == 0.0)
         assert np.all(res.positions == 0.0)
+        # an empty book is hedged with +0.0, which the CSV writes as 0.0
         assert np.all(res.hedge_notional == 0.0)
+        assert not np.any(np.signbit(res.hedge_notional))
+
+    def test_unit_betas_fully_invested_hedged_at_minus_aum(self):
+        rng = np.random.Generator(np.random.Philox(8))
+        index = 0.01 * rng.standard_normal(300)
+        dates = data.business_days("2020-01-01", 300)
+        assets = tuple(f"A{j}" for j in range(10))
+        panel = data.ReturnsPanel(
+            dates=dates, assets=assets, regions=("",) * 10,
+            arrays={"ret": np.repeat(index[:, None], 10, axis=1)})
+        scores = np.zeros((300, 10))
+        scores[280:] = 0.5
+        sig = signals.SignalPanel(dates=dates, assets=assets, scores=scores)
+        res = pf.run_backtest(panel, sig, pf.StrategyConfig(mode="LH", aum=AUM, cap=0.1),
+                              costs.ZERO_COSTS, index_returns=index,
+                              start=dates[270])
+        # every beta is exactly 1, and the full book is hedged at -AUM
+        assert np.all(res.hedge_notional[:10] == 0.0)
+        assert res.gross_stock[10:] == pytest.approx(AUM, rel=1e-12)
+        assert res.hedge_notional[10:] == pytest.approx(-AUM, rel=1e-12)
 
     def test_decomposition_sums_exactly(self, small_universe, mom_signals):
         _, panel, truth = small_universe
@@ -729,10 +735,72 @@ class TestBacktest:
                             costs.CostModelParams(), index_returns=truth.market,
                             start=panel.dates[260])
         message = str(info.value)
-        for part in ["missing beta", str(panel.dates[260]),
+        for part in ["missing beta for held position: SYN00", str(panel.dates[260]),
                      "index is constant over the 250-day beta window",
                      "too few returns"]:
             assert part in message
+
+    def test_late_listing_asset_waits_for_its_beta(self):
+        """An asset that lists on day 700 has an SMB score from day 739 but a
+        beta only from day 824 (125 returns joint with the index): LH waits
+        for the beta, and LS for a full covariance window."""
+        spec = tm.SyntheticUniverseSpec(
+            n_assets=20, n_periods=900, seed=4, loading_short_scale=0.8,
+            resid_vol_long=0.004, resid_vol_short=0.004, factor_mean=8e-4,
+            factor_vol=0.004, market_mean=3e-4, market_vol=0.012,
+        )
+        panel, truth = tm.generate_universe(spec)
+        arrays = {k: v.copy() for k, v in panel.arrays.items()}
+        for a in arrays.values():
+            a[:700, 5] = np.nan
+        arrays["mcap"][:, 5] *= 1e-3
+        panel = data.ReturnsPanel(dates=panel.dates, assets=panel.assets,
+                                  regions=panel.regions, arrays=arrays)
+        smb = signals.factor_signal(panel, None, "SMB")
+        assert np.argmax(np.isfinite(smb.scores[:, 5])) == 739
+        betas = pf.rolling_betas(panel.field("ret"), truth.market)
+        assert np.argmax(np.isfinite(betas[:, 5])) == 824
+        held = {}
+        for mode in ("LH", "LS"):
+            res = pf.run_backtest(panel, smb, pf.StrategyConfig(mode=mode, aum=AUM),
+                                  costs.CostModelParams(),
+                                  index_returns=truth.market, start=panel.dates[600])
+            held[mode] = 600 + np.nonzero(res.positions[:, 5])[0]
+        assert held["LH"][0] == 824
+        assert len(held["LS"]) == 0
+
+    @pytest.mark.parametrize("aversion", [1.0, 0.0])
+    @pytest.mark.parametrize("mode", ["LH", "LS"])
+    @pytest.mark.parametrize("hole", ["cell", "column"])
+    def test_missing_liquidity(self, market20, hole, mode, aversion):
+        """One NaN ADV cell on a traded asset: LH freezes the asset, LS
+        stops and names it. No adv column: both stop before day one."""
+        panel, truth, mom = market20
+        cfg = pf.StrategyConfig(mode=mode, aum=AUM, cost_aversion=aversion)
+        kw = dict(index_returns=truth.market, start=panel.dates[260])
+        base = pf.run_backtest(panel, mom, cfg, costs.CostModelParams(), **kw)
+        t, k = 280, 20
+        drift = base.positions[k - 1] * (1.0 + panel.field("ret")[t])
+        j = int(np.argmax(np.abs(base.positions[k] - drift)))
+        arrays = dict(panel.arrays)
+        if hole == "cell":
+            arrays["adv"] = arrays["adv"].copy()
+            arrays["adv"][t, j] = np.nan
+        else:
+            del arrays["adv"]
+        holed = data.ReturnsPanel(dates=panel.dates, assets=panel.assets,
+                                  regions=panel.regions, arrays=arrays)
+        if hole == "cell" and mode == "LH":
+            res = pf.run_backtest(holed, mom, cfg, costs.CostModelParams(), **kw)
+            assert np.array_equal(res.positions[:k], base.positions[:k])
+            assert res.positions[k, j] == drift[j] != base.positions[k, j]
+            return
+        with pytest.raises(pf.PortfolioError) as info:
+            pf.run_backtest(holed, mom, cfg, costs.CostModelParams(), **kw)
+        parts = ([panel.assets[j], str(panel.dates[t])] if hole == "cell" else
+                 ["impact_coeff = 1.0", str(panel.dates[260]), str(panel.dates[-1])])
+        for part in parts:
+            assert part in str(info.value)
 
     def test_lh_matched_vol_targets_match_per_day_loop(self):
         rng = np.random.Generator(np.random.Philox(12))

@@ -7,10 +7,10 @@ Two constructions are provided:
     AUM budget and a per-stock cap, hedged with a short index-futures
     overlay sized from rolling betas;
 
-  * long-short (LS): a dollar-neutral book proportional to the demeaned
-    signal, orthogonal to the leading mode of a cleaned correlation matrix,
-    scaled to an annualized volatility target, with the same cost-aware
-    trade tempering.
+  * long-short (LS): a dollar-neutral book, orthogonal to the leading mode
+    of a cleaned correlation matrix, at an annualized volatility target
+    under the per-stock cap, with the same cost-aware trade tempering. It
+    is proportional to the demeaned signal only until a cap binds.
 
 The long-only problem is separable and concave (a linear signal term minus
 a convex piecewise 3/2-power cost per asset) with box constraints and one
@@ -21,6 +21,12 @@ of the responses (water filling; Patriksson, "A survey on the continuous
 nonlinear resource allocation problem", EJOR 2008). At zero cost every
 response is a step at the asset's score, and the same search fills the book
 best score first, meeting a minimum-investment floor exactly.
+
+The capped LS book is the Euclidean projection of the scaled signal onto
+the neutral books within the caps, at the least scale whose predicted
+variance is the target. The projection is piecewise linear in the scale, so
+the scale is found exactly by walking from one cap event to the next; the
+target is out of reach only when the walk ends below it.
 """
 
 from __future__ import annotations
@@ -307,11 +313,13 @@ def optimize_long_only(scores: np.ndarray, prev_positions: np.ndarray,
 
     Feasible set: w >= 0, w_i <= cap * aum, sum(w) <= aum, and, when
     min_invested > 0, the optimized assets sum to at least min_invested * aum
-    as far as the budget reaches. An asset whose trade cannot be priced
-    (impact on, and a missing or non-positive ADV or a missing vol) is
-    frozen at its previous position and excluded from the optimization, at
-    every cost_aversion; a missing score counts as zero so the cost barrier
-    decides whether the position survives.
+    as far as the budget and their caps reach. An asset whose trade cannot
+    be priced (impact on, and a missing or non-positive ADV or a missing
+    vol) is frozen at its previous position and excluded from the
+    optimization, at every cost_aversion. A missing score means hold, never
+    buy: the asset is capped at its previous position and scores zero, so
+    the cost barrier decides how much of it survives, and a floor never
+    buys it.
 
     The returned book is the exact optimum (see _solve_budget_dual) at
     every cost level. At zero cost (is_free, or cost_aversion = 0) it is the
@@ -342,14 +350,15 @@ def optimize_long_only(scores: np.ndarray, prev_positions: np.ndarray,
     idx = np.nonzero(tradable)[0]
     if len(idx) == 0:
         return out
+    ub = np.where(np.isfinite(scores[idx]), u, np.minimum(prev[idx], u))
 
     lin = cost_aversion * cost_params.linear_rate
     kv = np.zeros(len(idx))
     if cost_params.impact_coeff > 0:
         kv = cost_aversion * cost_params.impact_coeff * \
             np.asarray(sigma_daily, dtype=float)[idx] / np.sqrt(np.asarray(adv, dtype=float)[idx])
-    floor = min(min_invested * aum, budget, n_free * u)
-    out[idx] = _solve_budget_dual(s[idx], prev[idx], lin, 1.5 * kv, u, budget, floor)
+    floor = min(min_invested * aum, budget, float(np.sum(ub)))
+    out[idx] = _solve_budget_dual(s[idx], prev[idx], lin, 1.5 * kv, ub, budget, floor)
     return out
 
 
@@ -370,9 +379,46 @@ def _neutral_projection(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-# project-rescale-clip rounds before build_long_short falls back to shrinking
-# the neutral book until its caps hold
-_LS_CAP_ROUNDS = 100
+def _capped_book(x, v, u, sig, corr, target):
+    """(w(a), a) at the least a >= 0 where the daily variance of w(a)*sig
+    under corr is target; (the path's last book, inf) if there is none.
+
+    w(a) = clip(a*x - m1 - m2*v, -u, u) with sum(w) = v.w = 0 projects a*x
+    onto the neutral books within the caps. Between cap events (a free
+    asset reaching +-u, a capped one leaving its cap) each asset's unclipped
+    value is a*r + s, with (m1, m2) from the 2 x 2 normal equations of
+    [1, v] on the free set, and the variance is a quadratic in a.
+    """
+    n = len(x)
+    side = np.zeros(n)      # +1 at the upper cap, -1 at the lower, 0 free
+    r, s, lo = _neutral_projection(x, v), np.zeros(n), 0.0
+    b = np.stack([np.ones(n), v])
+    for _ in range(4 * n + 4):
+        free = side == 0
+        if lo > 0:
+            rhs = np.column_stack([b[:, free] @ x[free], b[:, ~free] @ (u * side[~free])])
+            m, _, rank, _ = np.linalg.lstsq(b[:, free] @ b[:, free].T, rhs, rcond=1e-13)
+            r, s = x - m[:, 0] @ b, -(m[:, 1] @ b)
+            # rounding-level r is 0: pinned or tied free sets, capped assets tied with them
+            tiny = np.abs(r) <= 1e-9 * np.max(np.abs(x))
+            r[np.where(free, np.sum(free) <= rank or np.all(tiny[free]), tiny)] = 0.0
+        ps, qs = np.where(free, r, 0.0) * sig, np.where(free, s, u * side) * sig
+        cp, root = corr @ ps, math.inf
+        c2, c1, c0 = float(ps @ cp), float(qs @ cp), float(qs @ (corr @ qs))
+        # least root past lo; exactly sqrt(target / c2) on the first piece (c1 = c0 = 0)
+        h, k = (c1 / c2, (target - c0) / c2) if c2 > 0 else (0.0, -1.0)  # flat: no root
+        if h * h + k >= 0:
+            root = k / (h + math.sqrt(h * h + k)) if h > 0 else math.sqrt(h * h + k) - h
+        edge = np.where(free, np.sign(r), side)     # the bound each asset moves to
+        t = np.divide(u * edge - s, r, out=np.full(n, math.inf),
+                      where=np.where(free, r != 0, side * r < 0))
+        j = int(np.argmin(t))
+        hi = max(float(t[j]), lo)
+        if root <= hi * (1 + 1e-9):     # both inf: the path ends below the target
+            a = max(root, lo)
+            return np.where(free, (a if a < math.inf else lo) * r + s, u * side), a
+        side[j], lo = (edge[j] if free[j] else 0.0), hi
+    raise PortfolioError(f"the capped long-short path ran past {4 * n + 4} pieces")
 
 
 def build_long_short(scores: np.ndarray, cleaned: CleanedCorrelation,
@@ -385,9 +431,9 @@ def build_long_short(scores: np.ndarray, cleaned: CleanedCorrelation,
 
     scores/prev_positions/adv are full panel cross-sections; the book lives
     on cleaned.asset_indices (assets leaving that set are sold). Returns
-    (positions, predicted annual vol as a fraction of aum, warning flag);
-    the warning marks a target unreachable under the per-asset cap, in which
-    case the book is the largest feasible scaled-down version.
+    (positions, predicted annual vol as a fraction of aum, warning flag).
+    The book, and then the cost-tempered one, is _capped_book's. The warning
+    marks a target out of reach under the caps, or a null neutral signal.
     """
     if vol_target <= 0:
         raise PortfolioError("vol_target must be positive")
@@ -395,73 +441,36 @@ def build_long_short(scores: np.ndarray, cleaned: CleanedCorrelation,
         raise PortfolioError("bad aum or cap")
     _check_cost_aversion(cost_aversion)
     idx = cleaned.asset_indices
-    k = len(idx)
     s = np.where(np.isfinite(scores[idx]), scores[idx], 0.0)
     prev = np.where(np.isfinite(prev_positions[idx]), prev_positions[idx], 0.0)
-    v = cleaned.leading_eigenvector
-    sig = cleaned.vols
-    target_daily_var = (vol_target * aum) ** 2 / periods_per_year
-    u = cap * aum
+    v, sig = cleaned.leading_eigenvector, cleaned.vols
+    target_daily_var, u = (vol_target * aum) ** 2 / periods_per_year, cap * aum
 
     def daily_var(wv):
-        ws = wv * sig
-        return float(ws @ (cleaned.corr @ ws))
+        return float((wv * sig) @ (cleaned.corr @ (wv * sig)))
 
     d = _neutral_projection(s - np.mean(s), v)
-    norm = float(np.linalg.norm(d))
-    warning = False
-    if norm < 1e-15:
-        out = np.zeros(len(scores))
-        return out, 0.0, True
-
     var0 = daily_var(d)
-    if var0 <= 0:
-        out = np.zeros(len(scores))
-        return out, 0.0, True
-    w = d * math.sqrt(target_daily_var / var0)
-
-    def finalize(wv):
-        nonlocal warning
-        for _ in range(_LS_CAP_ROUNDS):
-            wv = _neutral_projection(wv, v)
-            var = daily_var(wv)
-            if var <= 0:
-                warning = True
-                return np.zeros(k)
-            wv = wv * math.sqrt(target_daily_var / var)
-            if np.max(np.abs(wv)) <= u * (1.0 + 1e-9):
-                return wv
-            wv = np.clip(wv, -u, u)
-        # caps keep biting: keep the neutral direction, drop the size until
-        # the caps hold (pure rescaling preserves both neutrality constraints)
-        wv = _neutral_projection(wv, v)
-        mx = float(np.max(np.abs(wv)))
-        if mx > 0:
-            wv = wv * min(1.0, (u / mx) * (1.0 - 1e-12))
-        var = daily_var(wv)
-        if var > target_daily_var > 0 and var > 0:
-            wv = wv * math.sqrt(target_daily_var / var)
-        warning = True
-        return wv
-
-    w = finalize(w)
-
+    if float(np.linalg.norm(d)) < 1e-15 or var0 <= 0:
+        return np.zeros(len(scores)), 0.0, True
+    w, a = _capped_book(d * math.sqrt(target_daily_var / var0), v, u, sig,
+                        cleaned.corr, target_daily_var)
     if not (cost_params.is_free or cost_aversion == 0.0) and np.any(w != prev):
         lin = cost_aversion * cost_params.linear_rate
         adv_v = np.asarray(adv, dtype=float)[idx]
-        kimp = np.zeros(k)
+        kimp = np.zeros(len(idx))
         if cost_params.impact_coeff > 0:
             if not np.all(_priced(adv_v, sig, cost_params)):
                 raise PortfolioError("missing ADV on a long-short book asset")
             kimp = cost_aversion * cost_params.impact_coeff * sig / np.sqrt(adv_v)
         tempered = _piece_argmax(0.0, s - lin, s + lin, prev, 1.5 * kimp,
                                  np.minimum(prev, w), np.maximum(prev, w))
-        w = finalize(tempered)
+        w, a = _capped_book(tempered, v, u, sig, cleaned.corr, target_daily_var)
 
     out = np.zeros(len(scores))
     out[idx] = w
     pred_vol = math.sqrt(max(daily_var(w), 0.0) * periods_per_year) / aum
-    return out, pred_vol, warning
+    return out, pred_vol, a == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +522,9 @@ class BacktestResult:
     Cost series are stored as non-positive P&L contributions and the total
     is their fixed-order sum with the return component, so the decomposition
     adds up exactly by construction. vol_warning is 1 on the LS days whose
-    volatility target was out of reach (capped book, or flat for want of
-    two eligible assets) and 0 otherwise; it is always 0 for LH.
+    volatility target was out of reach (no book within the caps reaches it,
+    or the book is flat for want of two eligible assets) and 0 otherwise;
+    it is always 0 for LH.
     """
 
     dates: np.ndarray

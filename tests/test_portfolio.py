@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -390,6 +393,17 @@ class TestLongOnlyOptimizer:
         assert w[1] == prev[1]
         assert w[0] > 0
 
+    def test_floor_never_buys_an_unscored_asset(self):
+        """A missing score means hold, never buy: a binding floor leaves out
+        an unscored asset with no position, does not add to an unscored held
+        one, and shrinks to what the eligible assets' caps hold."""
+        scores = np.array([0.3, -0.2, np.nan, np.nan])
+        prev = np.array([0.0, 0.0, 0.0, 0.1 * AUM])
+        w = pf.optimize_long_only(scores, prev, np.full(4, 1e7), np.full(4, 0.02),
+                                  AUM, costs.ZERO_COSTS, cap=0.3, min_invested=1.0)
+        assert np.allclose(w, np.array([0.3, 0.3, 0.0, 0.1]) * AUM, rtol=0,
+                           atol=1e-6)
+
     def test_infeasible_min_investment(self):
         with pytest.raises(pf.InfeasibleConstraints):
             pf.optimize_long_only(np.array([0.1, 0.2]), np.zeros(2),
@@ -508,6 +522,130 @@ class TestLongShortBook:
         assert warn
         assert vol < 2.0
         assert np.max(np.abs(w)) <= 0.005 * AUM * (1 + 1e-9)
+
+    def test_capped_book_on_target_not_flagged(self):
+        """A cap binds and the target is within reach: the tempered book
+        meets the target and is not flagged."""
+        cleaned = self.fixed_cleaned(seed=45)
+        rng = np.random.Generator(np.random.Philox(145))
+        scores = rng.uniform(-0.5, 0.5, 20)
+        prev = rng.uniform(-0.01, 0.01, 20) * AUM
+        w, vol, warn = pf.build_long_short(
+            scores, cleaned, 0.01, AUM, prev, np.full(20, 1e7),
+            costs.CostModelParams(), cap=0.02,
+        )
+        assert not warn
+        assert vol == pytest.approx(0.01, rel=1e-9)
+        assert np.max(np.abs(w)) == pytest.approx(0.02 * AUM, rel=1e-9)
+        gmv = np.sum(np.abs(w))
+        assert abs(np.sum(w)) < 1e-9 * gmv
+        assert abs(cleaned.leading_eigenvector @ w[cleaned.asset_indices]) < 1e-9 * gmv
+
+
+def capped_projection_maps(x, v, u):
+    """For every split of the assets into free, upper-capped and
+    lower-capped whose neutrality equations have a solution, the affine map
+    a -> a*alpha + beta that projects a*x onto that face of the capped
+    neutral books."""
+    n = len(x)
+    b = np.stack([np.ones(n), v])
+    maps = []
+    for side in itertools.product((-1.0, 0.0, 1.0), repeat=n):
+        side = np.array(side)
+        free = side == 0
+        need = -(b[:, ~free] @ (u * side[~free]))
+        alpha, beta = np.zeros(n), u * side
+        if np.any(free):
+            bf = b[:, free].T
+            alpha[free] = x[free] - bf @ (np.linalg.pinv(bf) @ x[free])
+            beta[free] = np.linalg.pinv(bf.T) @ need
+        if np.max(np.abs(b[:, free] @ beta[free] - need)) <= 1e-9 * u:
+            maps.append((alpha, beta, free))
+    return [np.array(m) for m in zip(*maps)]
+
+
+def capped_projections(a, x, maps, u):
+    """The projection of a*x onto the capped neutral books, for each a: of
+    the faces' projections within the caps, the nearest to a*x."""
+    alpha, beta, free = maps
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    w = a[:, None, None] * alpha + beta
+    inside = np.all(~free | (np.abs(w) <= u * (1 + 1e-9)), axis=2)
+    dist = np.where(inside, np.sum((w - a[:, None, None] * x) ** 2, axis=2), np.inf)
+    return w[np.arange(len(a)), np.argmin(dist, axis=1)]
+
+
+class TestCappedBook:
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 6),
+           tied=st.booleans(), flat_mode=st.booleans(), reach=st.floats(0.1, 8.0))
+    @example(seed=1, n=2, tied=False, flat_mode=False, reach=0.5)
+    @example(seed=2, n=5, tied=True, flat_mode=True, reach=1.5)
+    @example(seed=3, n=6, tied=True, flat_mode=False, reach=2.0)
+    def test_matches_brute_force_path(self, seed, n, tied, flat_mode, reach):
+        """_capped_book against every face of the capped neutral books: the
+        book is neutral, within its caps and the projection of a*x; it meets
+        the target at the least a that does, and it is flagged (a = inf)
+        only when no a on a fine grid reaches the target, and then below
+        it. The loadings are market-like (no negative correlation), so two
+        assets, or flat_mode, make v parallel to 1."""
+        rng = np.random.Generator(np.random.Philox(seed))
+        x = rng.integers(-2, 3, n).astype(float) if tied else rng.standard_normal(n)
+        x[0] += 3.0 * np.all(x == x[0])
+        load = np.abs(rng.standard_normal((n, 2))) * rng.uniform(0.0, 1.5)
+        cov = load @ load.T + np.diag(rng.uniform(0.2, 1.0, n))
+        corr = cov / np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
+        corr = 0.5 * (corr + corr.T)
+        np.fill_diagonal(corr, 1.0)
+        v = np.linalg.eigh(corr)[1][:, -1]
+        v = np.full(n, 1.0 / math.sqrt(n)) if flat_mode else v * np.sign(np.sum(v))
+        sig, u = rng.uniform(0.5, 2.0, n), 1.0
+        cov = corr * np.outer(sig, sig)
+        first = u / np.max(np.abs(pf._neutral_projection(x, v)))
+        p1 = pf._neutral_projection(x, v) * first
+        target = reach * float(p1 @ cov @ p1)
+
+        w, a = pf._capped_book(x, v, u, sig, corr, target)
+        maps = capped_projection_maps(x, v, u)
+        grid = np.unique(np.concatenate([np.linspace(0.0, 40.0 * first, 400),
+                                         np.geomspace(first, 1e6 * first, 60)]))
+        books = capped_projections(grid, x, maps, u)
+        grid_var = np.einsum("ij,jk,ik->i", books, cov, books)
+        var, gross = float(w @ cov @ w), float(np.sum(np.abs(w)))
+        assert abs(np.sum(w)) <= 1e-9 * gross
+        assert abs(v @ w) <= 1e-9 * gross
+        assert np.max(np.abs(w)) <= u * (1 + 1e-9)
+        if a < math.inf:
+            assert var == pytest.approx(target, rel=1e-9)
+            assert np.allclose(w, capped_projections(a, x, maps, u)[0], rtol=0,
+                               atol=1e-7 * u)
+            assert not np.any((grid < a * (1 - 1e-9)) & (grid_var > target * (1 + 1e-7)))
+        else:
+            assert var < target
+            assert not np.any(grid_var > target * (1 + 1e-7))
+
+    def test_tied_scores_keep_the_caps(self):
+        """Scores in seven tied groups on 20 assets, and a target out of
+        reach: an asset capped while tied with the last free group has a
+        direction of 0 and stays capped. A rounding-level direction would
+        let it leave near a = 1e12, where the rounding grows into a 9%
+        break of a cap."""
+        rng = np.random.Generator(np.random.Philox(1))
+        f = rng.standard_normal((300, 3))
+        cleaned = pf.clean_correlation(0.01 * (f @ rng.uniform(0, 1, (20, 3)).T
+                                               + rng.standard_normal((300, 20))))
+        v = cleaned.leading_eigenvector
+        s = rng.integers(-3, 4, 20).astype(float)
+        x = pf._neutral_projection(s - s.mean(), v)
+        sig = rng.uniform(0.005, 0.03, 20)
+        cov = cleaned.corr * np.outer(sig, sig)
+        p1 = x / np.max(np.abs(x))
+        target = 30.0 * float(p1 @ cov @ p1)
+        w, a = pf._capped_book(x, v, 1.0, sig, cleaned.corr, target)
+        gross = np.sum(np.abs(w))
+        assert a == math.inf
+        assert float(w @ cov @ w) < target
+        assert np.max(np.abs(w)) <= 1.0 + 1e-9
+        assert abs(np.sum(w)) <= 1e-9 * gross and abs(v @ w) <= 1e-9 * gross
 
 
 class TestBacktest:
@@ -740,10 +878,9 @@ class TestBacktest:
                      "too few returns"]:
             assert part in message
 
-    def test_late_listing_asset_waits_for_its_beta(self):
-        """An asset that lists on day 700 has an SMB score from day 739 but a
-        beta only from day 824 (125 returns joint with the index): LH waits
-        for the beta, and LS for a full covariance window."""
+    @pytest.fixture(scope="class")
+    def late_listing(self):
+        """20 assets, 900 days; SYN05 lists on day 700 with a small cap."""
         spec = tm.SyntheticUniverseSpec(
             n_assets=20, n_periods=900, seed=4, loading_short_scale=0.8,
             resid_vol_long=0.004, resid_vol_short=0.004, factor_mean=8e-4,
@@ -756,7 +893,13 @@ class TestBacktest:
         arrays["mcap"][:, 5] *= 1e-3
         panel = data.ReturnsPanel(dates=panel.dates, assets=panel.assets,
                                   regions=panel.regions, arrays=arrays)
-        smb = signals.factor_signal(panel, None, "SMB")
+        return panel, truth, signals.factor_signal(panel, None, "SMB")
+
+    def test_late_listing_asset_waits_for_its_beta(self, late_listing):
+        """An asset that lists on day 700 has an SMB score from day 739 but a
+        beta only from day 824 (125 returns joint with the index): LH waits
+        for the beta, and LS for a full covariance window."""
+        panel, truth, smb = late_listing
         assert np.argmax(np.isfinite(smb.scores[:, 5])) == 739
         betas = pf.rolling_betas(panel.field("ret"), truth.market)
         assert np.argmax(np.isfinite(betas[:, 5])) == 824
@@ -768,6 +911,17 @@ class TestBacktest:
             held[mode] = 600 + np.nonzero(res.positions[:, 5])[0]
         assert held["LH"][0] == 824
         assert len(held["LS"]) == 0
+
+    def test_min_invested_floor_waits_for_the_beta(self, late_listing):
+        """A binding floor fills the book with warm assets only: the late
+        asset is bought once its beta exists, and the book stays fully
+        invested."""
+        panel, truth, smb = late_listing
+        cfg = pf.StrategyConfig(mode="LH", aum=AUM, cap=0.06, min_invested=1.0)
+        res = pf.run_backtest(panel, smb, cfg, costs.CostModelParams(),
+                              index_returns=truth.market, start=panel.dates[600])
+        assert 600 + np.nonzero(res.positions[:, 5])[0][0] == 824
+        assert np.allclose(res.gross_stock, AUM, rtol=1e-9)
 
     @pytest.mark.parametrize("aversion", [1.0, 0.0])
     @pytest.mark.parametrize("mode", ["LH", "LS"])

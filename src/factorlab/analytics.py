@@ -83,32 +83,47 @@ def max_sharpe_weights(returns: np.ndarray, long_only: bool = False) -> np.ndarr
     """Maximum-Sharpe weights, normalized to sum to one.
 
     Unconstrained: w proportional to inv(Cov) @ mean. With long_only, the
-    most negative weight is eliminated and the reduced problem re-solved
-    until all surviving weights are non-negative (active-set elimination).
+    exact optimum: w proportional to the solution of min 1/2 w'Cov w - mean'w
+    subject to w >= 0, by the Lawson-Hanson active set ("Solving Least
+    Squares Problems", 1974). Every stream starts free, so non-negative
+    unconstrained weights are the answer. It stops on the KKT test (no gain
+    mean - Cov w off the free set above 1e-12 of the largest mean), or when
+    the stream that just joined leaves at once (rounding). Long-only raises
+    only when no mean is positive.
     """
     x = np.asarray(returns, dtype=float)
     if x.ndim != 2 or x.shape[0] <= x.shape[1]:
         raise AnalyticsError("need more observations than streams")
     mu = np.mean(x, axis=0)
-    cov = np.cov(x, rowvar=False, ddof=1)
+    cov = np.atleast_2d(np.cov(x, rowvar=False, ddof=1))
     k = x.shape[1]
-    active = np.arange(k)
+    if long_only and not np.any(mu > 0):
+        raise AnalyticsError("no stream has a positive mean to hold long only")
+    free, w, joined = np.ones(k, dtype=bool), np.zeros(k), -1
     while True:
-        c = cov[np.ix_(active, active)]
+        s = np.zeros(k)
         try:
-            raw = np.linalg.solve(c, mu[active])
+            s[free] = np.linalg.solve(cov[np.ix_(free, free)], mu[free])
         except np.linalg.LinAlgError:
             raise AnalyticsError(
                 "singular covariance; consider cleaning the correlation matrix"
             ) from None
-        if not long_only or np.all(raw >= 0):
+        if long_only and np.any(s < 0):
+            neg = np.nonzero(s < 0)[0]
+            step = w[neg] / (w[neg] - s[neg])
+            leaving = neg[np.argmin(step)]
+            if leaving == joined and w[joined] == 0.0:
+                break
+            w = np.maximum(w + np.min(step) * (s - w), 0.0)
+            w[leaving] = 0.0
+            free &= w > 0
+            continue
+        w = s
+        gain = np.where(free, -np.inf, mu - cov @ w)
+        joined = int(np.argmax(gain))
+        if not long_only or gain[joined] <= 1e-12 * np.max(mu):
             break
-        drop = int(np.argmin(raw))
-        active = np.delete(active, drop)
-        if len(active) == 0:
-            raise AnalyticsError("no streams left with non-negative weight")
-    w = np.zeros(k)
-    w[active] = raw
+        free[joined] = True
     total = float(np.sum(w))
     if total <= 0:
         raise AnalyticsError("max-Sharpe weights do not sum to a positive total")

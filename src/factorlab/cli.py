@@ -30,7 +30,7 @@ import numpy as np
 
 from . import analytics, costs, signals
 from .data import (
-    ReturnsPanel, _day, _each_row, _fmt, _fmt_column, load_famafrench, load_panel,
+    ReturnsPanel, _day, _fmt, _fmt_column, _keyed_rows, load_famafrench, load_panel,
     select_pool, write_panel,
 )
 from .portfolio import StrategyConfig, lh_matched_vol_targets, run_backtest
@@ -198,20 +198,10 @@ def _load_dated_column(path, column: str, panel_dates: np.ndarray) -> np.ndarray
     out = np.full(len(panel_dates), np.nan)
     pos = {d: i for i, d in enumerate(panel_dates.astype("datetime64[D]")
                                       .astype(np.int64).tolist())}
-    seen = set()
-    rows = _each_row(path, ("date", column), ConfigError)
-    next(rows)
-    for lineno, cells in rows:
-        day = _day(cells[0], path, lineno, ConfigError)
-        if day in seen:
-            raise ConfigError(f"{path}: line {lineno}: duplicate date {cells[0]}")
-        seen.add(day)
-        try:
-            value = float(cells[1])
-        except ValueError:
-            raise ConfigError(
-                f"{path}: line {lineno}: bad {column} {cells[1]!r} on {cells[0]}"
-            ) from None
+    rows = _keyed_rows(path, ("date", column),
+                       lambda text, line: (_day(text, path, line, ConfigError), text),
+                       "date", ConfigError)
+    for day, (_, (value,)) in rows.items():
         if day in pos:
             out[pos[day]] = value
     return out
@@ -533,13 +523,11 @@ def main(argv=None) -> int:
         prog="factorlab",
         description="cost-aware equity factor research engine",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in HANDLERS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="INI config file")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
+    parser.add_argument("command", choices=HANDLERS)
+    parser.add_argument("--config", required=True, help="INI config file")
+    parser.add_argument("--out", default=".", help="output directory")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="override the config seed")
     args = parser.parse_args(argv)
     out = Outputs(args.out)
     try:

@@ -21,7 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .data import _each_row
+from .data import _keyed_rows
 
 
 class CostError(ValueError):
@@ -114,24 +114,13 @@ def resolve_borrow_fees(assets, overrides: Mapping[str, float] | None,
 
 def load_borrow_fee_overrides(path) -> dict[str, float]:
     """Read the borrow-fee override CSV: asset_id,annual_fee_bps."""
-    out: dict[str, float] = {}
-    rows = _each_row(path, ("asset_id", "annual_fee_bps"), CostError)
-    next(rows)
-    for lineno, cells in rows:
-        asset, cell = cells[0], cells[1]
-        if not asset:
-            raise CostError(f"{path}: line {lineno}: empty asset_id")
-        if asset in out:
-            raise CostError(f"{path}: line {lineno}: duplicate asset {asset!r}")
-        try:
-            bps = float(cell)
-        except ValueError:
-            raise CostError(
-                f"{path}: line {lineno}: bad fee {cell!r} for asset {asset!r}"
-            ) from None
+    def asset(text, line):
+        if not text:
+            raise CostError(f"{path}: line {line}: empty asset_id")
+        return text, repr(text)
+
+    rows = _keyed_rows(path, ("asset_id", "annual_fee_bps"), asset, "asset", CostError)
+    for name, (line, (bps,)) in rows.items():
         if bps < 0:
-            raise CostError(
-                f"{path}: line {lineno}: negative fee for asset {asset!r}"
-            )
-        out[asset] = bps * 1e-4
-    return out
+            raise CostError(f"{path}: line {line}: negative fee for asset {name!r}")
+    return {name: bps * 1e-4 for name, (_, (bps,)) in rows.items()}

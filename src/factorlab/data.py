@@ -262,14 +262,27 @@ def _raising(exc):
     yield
 
 
-def _each_row(path, columns, error):
-    """`_read_rows` a row at a time: the header, then (line number,
-    stripped cells) for each row."""
+def _keyed_rows(path, columns, key, noun, error) -> dict:
+    """{key: (line, numbers)} in file order, from a CSV whose header starts
+    with `columns`: a key, then numbers; later columns are ignored.
+    `key(text, line)` parses the stripped key cell into (key, shown), where
+    `shown` names it in an error. A repeated key and a number cell `float`
+    cannot read raise `error`, naming the path and the line."""
     blocks = _read_rows(path, columns, error)
-    yield next(blocks)
+    next(blocks)
+    out: dict = {}
     for lines, cols in blocks:
-        for lineno, row in zip(lines, zip(*cols)):
-            yield lineno, [c.strip() for c in row]
+        for line, first, *cells in zip(lines, *cols[:len(columns)]):
+            k, shown = key(first.strip(), line)
+            if k in out:
+                raise error(f"{path}: line {line}: duplicate {noun} {shown}")
+            cells = [c.strip() for c in cells]
+            try:
+                out[k] = line, tuple(map(float, cells))
+            except ValueError:
+                raise error(f"{path}: line {line}: bad {','.join(columns[1:])} "
+                            f"{','.join(cells)!r} for {noun} {shown}") from None
+    return out
 
 
 # a date cell: YYYY-MM-DD in ASCII digits
@@ -611,17 +624,15 @@ def select_pool(panel: ReturnsPanel, counts_by_region: Mapping[str, int],
     t, n = adv.shape
     mask = np.zeros((t, n), dtype=bool)
     rebal = month_start_indices(panel.dates)
-    current = np.zeros(n, dtype=bool)
     boundaries = list(rebal) + [t]
+    # row s holds the window that ends on day s - 1 (nothing for s = 0)
+    valid = np.isfinite(adv)
+    counts, sums = (np.vstack([np.zeros((1, n)), window_sums(a, adv_window_days)])
+                    for a in (valid.astype(float), np.where(valid, adv, 0.0)))
     for k, start in enumerate(rebal):
-        lo = max(0, start - adv_window_days)
-        window = adv[lo:start]
-        counts = np.sum(np.isfinite(window), axis=0)
+        ok = counts[start] >= min_valid_days
         means = np.full(n, np.nan)
-        ok = counts >= min_valid_days
-        if np.any(ok):
-            with np.errstate(invalid="ignore"):
-                means[ok] = np.nanmean(window[:, ok], axis=0)
+        means[ok] = sums[start, ok] / counts[start, ok]
         current = np.zeros(n, dtype=bool)
         for region, count in counts_by_region.items():
             in_region = np.nonzero((regions == region) & np.isfinite(means))[0]
@@ -778,22 +789,10 @@ def load_leg_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     fractions. Used for factor series distributed as ready-made legs rather
     than 2x3 blocks.
     """
-    rows = _each_row(path, ("date", "long", "short"), PanelError)
-    next(rows)
-    legs: dict[int, tuple[float, float]] = {}
-    for lineno, cells in rows:
-        month = _month(cells[0], path, lineno, dash=True)
-        try:
-            long_r, short_r = float(cells[1]), float(cells[2])
-        except ValueError:
-            raise PanelError(
-                f"{path}: line {lineno}: bad long,short returns "
-                f"{','.join(cells[1:])!r} in month {cells[0]}"
-            ) from None
-        if month in legs:
-            raise PanelError(f"{path}: line {lineno}: duplicate month {cells[0]}")
-        legs[month] = (long_r, short_r)
-    pairs = np.array(list(legs.values()), dtype=float).reshape(-1, 2)
+    legs = _keyed_rows(path, ("date", "long", "short"),
+                       lambda text, line: (_month(text, path, line, dash=True), text),
+                       "month", PanelError)
+    pairs = np.array([v for _, v in legs.values()], dtype=float).reshape(-1, 2)
     return np.array(list(legs), dtype=np.int64), pairs[:, 0], pairs[:, 1]
 
 

@@ -69,16 +69,19 @@ def _ols_slope(n, sx, sy, sxx, sxy, min_obs: int) -> np.ndarray:
     return out
 
 
+def _beta_min_obs(window: int) -> int:
+    """Fewest returns joint with the index that a beta window needs."""
+    return max(2, window // 2)
+
+
 def rolling_betas(returns: np.ndarray, index_returns: np.ndarray,
-                  window: int = 250, min_obs: int | None = None) -> np.ndarray:
+                  window: int = 250) -> np.ndarray:
     """Trailing-window betas for every date, windows ending at (including) t."""
-    if min_obs is None:
-        min_obs = max(2, window // 2)
     valid = np.isfinite(returns) & np.isfinite(index_returns)[:, None]
     x = np.where(valid, index_returns[:, None], 0.0)
     y = np.where(valid, returns, 0.0)
     return _ols_slope(*(window_sums(a, window) for a in (
-        valid.astype(float), x, y, x * x, x * y)), min_obs)
+        valid.astype(float), x, y, x * x, x * y)), _beta_min_obs(window))
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +593,7 @@ def lh_matched_vol_targets(lh_result: BacktestResult, panel_dates: np.ndarray,
 
 def _lh_step(panel, config, cost_params, adv, sigma, index_returns):
     """LH's daily step: the long-only book over the assets whose beta window
-    holds rolling_betas' min_obs returns joint with the index, and the index
+    holds `_beta_min_obs` returns joint with the index, and the index
     hedge that zeroes its predicted beta."""
     if index_returns is None:
         raise PortfolioError("LH needs an index series for the hedge")
@@ -600,7 +603,7 @@ def _lh_step(panel, config, cost_params, adv, sigma, index_returns):
     ret = panel.field("ret")
     betas = rolling_betas(ret, index_returns, window=config.beta_window)
     joint = (np.isfinite(ret) & np.isfinite(index_returns)[:, None]).astype(float)
-    warm = window_sums(joint, config.beta_window) >= max(2, config.beta_window // 2)
+    warm = window_sums(joint, config.beta_window) >= _beta_min_obs(config.beta_window)
 
     def step(t, scores, w):
         scores[~warm[t]] = np.nan

@@ -258,6 +258,8 @@ _POWER_TOL = 1e-13
 _RAYLEIGH_TOL = 1e-12
 _POWER_MAX_ITER = 100
 
+RESID_MIN_FRAC = 0.8   # least valid share of an asset's residual window
+
 
 def _leading_vector(matvec, start: np.ndarray, floor: float = 0.0) -> np.ndarray:
     """Unit leading eigenvector of a symmetric positive semi-definite matrix
@@ -290,8 +292,7 @@ def _leading_vector(matvec, start: np.ndarray, floor: float = 0.0) -> np.ndarray
 
 
 def residual_returns(panel: ReturnsPanel, lookback_days: int = 250,
-                     pool: PoolMask | None = None,
-                     min_frac: float = 0.8) -> np.ndarray:
+                     pool: PoolMask | None = None) -> np.ndarray:
     """Strip each stock's projection on the leading correlation mode.
 
     Per date t, dev holds the window's demeaned returns (gaps imputed at
@@ -303,7 +304,7 @@ def residual_returns(panel: ReturnsPanel, lookback_days: int = 250,
     the same for v and -v.
 
     An asset takes part on date t if it has a return that day, at least
-    min_frac of the window valid, is in `pool` (when given), and is not
+    RESID_MIN_FRAC of the window valid, is in `pool` (when given), and is not
     constant: a window standard deviation at most 1e-12 of its mean
     absolute return drops it. Window counts and means come from
     `window_sums` over the whole panel; sd comes from the centred window,
@@ -321,7 +322,7 @@ def residual_returns(panel: ReturnsPanel, lookback_days: int = 250,
     if lookback_days > t_total:
         raise SignalError(f"lookback_days = {lookback_days} is longer than "
                           f"the panel's {t_total} dates")
-    min_obs = int(np.ceil(min_frac * lookback_days))
+    min_obs = int(np.ceil(RESID_MIN_FRAC * lookback_days))
     valid = np.isfinite(ret)
     cnt = window_sums(valid.astype(float), lookback_days)
     eligible = valid & (cnt >= min_obs)

@@ -614,6 +614,113 @@ class TestLoadPanel:
         assert (tmp / "b.csv").read_bytes() == (tmp / "c.csv").read_bytes()
 
 
+# ---------------------------------------------------------------------------
+# keyed files: the reader of the index, truth, leg and borrow-fee files
+# ---------------------------------------------------------------------------
+
+def reference_keyed_rows(path, columns, key, noun, error):
+    """`data._keyed_rows` on the row-at-a-time csv-module reader."""
+    rows = reference_read_rows(path, columns, error)
+    next(rows)
+    out = {}
+    for line, cells in rows:
+        k, shown = key(cells[0], line)
+        if k in out:
+            raise error(f"{path}: line {line}: duplicate {noun} {shown}")
+        numbers = cells[1:len(columns)]
+        try:
+            out[k] = line, tuple(float(c) for c in numbers)
+        except ValueError:
+            raise error(f"{path}: line {line}: bad {','.join(columns[1:])} "
+                        f"{','.join(numbers)!r} for {noun} {shown}") from None
+    return out
+
+
+def tag_key(path):
+    """A key that ignores case and refuses a blank cell."""
+    def key(text, line):
+        if not text:
+            raise data.PanelError(f"{path}: line {line}: empty tag")
+        return text.upper(), repr(text)
+    return key
+
+
+@st.composite
+def keyed_texts(draw):
+    """Keyed CSV text: a tag column, one or two number columns and maybe a
+    column to ignore, with padded and quoted cells, a quoted cell that spans
+    lines, shuffled rows, blank rows, CRLF line ends and up to three bad
+    rows: a blank tag, a tag repeated up to case, a cell that is not a
+    number, or a row of the wrong width."""
+    columns = ["tag"] + draw(st.sampled_from([["a"], ["a", "b"]]))
+    extra = draw(st.booleans())
+    numbers = st.one_of(st.floats(width=64).map(repr), st.sampled_from(
+        ["inf", "-inf", "1_0", "-0.0", " 1e-3 ", "\x1f2.5\x1f", "7"]))
+    pad = lambda text: draw(_PADS) + text + draw(_PADS)  # noqa: E731
+    rows = []
+    for tag in draw(st.lists(st.sampled_from(["t1", "t,2", 't"3', "t 4", "t5"]),
+                             unique=True, max_size=5)):
+        rows.append([pad(tag)] + [draw(numbers) for _ in columns[1:]]
+                    + ([draw(st.sampled_from(["x", "", "y,z", 'q"q', "a\nb",
+                                              "\r\n"]))] if extra else []))
+    good = len(rows)
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        row = list(rows[draw(st.integers(0, good - 1))])
+        kind = draw(st.sampled_from(["tag", "case", "value", "width"]))
+        if kind == "tag":
+            row[0] = draw(_PADS)
+        elif kind == "case":
+            row[0] = row[0].upper()
+        elif kind == "value":
+            row[draw(st.integers(1, len(columns) - 1))] = draw(
+                st.sampled_from(["", " ", "abc", "1.2.3", "--1"]))
+        else:
+            row = row[:-1] if draw(st.booleans()) else row + ["0"]
+        rows.append(row)
+    rows = [rows[k] for k in draw(st.permutations(range(len(rows))))]
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))),
+                    draw(st.sampled_from([[], [" "], ["", "", ""]])))
+    header = [draw(st.sampled_from([c, f" {c.upper()} "])) for c in columns]
+    out = io.StringIO()
+    csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))
+               ).writerows([header + (["note"] if extra else [])] + rows)
+    return tuple(columns), out.getvalue()
+
+
+class TestKeyedRows:
+    @pytest.mark.parametrize("block", [1, 3, data._READ_BLOCK])
+    @given(keyed=keyed_texts())
+    def test_matches_csv_module_reader(self, tmp_path_factory, block, keyed):
+        columns, text = keyed
+        path = tmp_path_factory.mktemp("keyed") / "k.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+
+        def outcome(read):
+            try:
+                rows = read(path, columns, tag_key(path), "tag", data.PanelError)
+            except (data.PanelError, csv.Error) as exc:
+                return type(exc), str(exc)
+            # repr tells NaN from NaN and -0.0 from 0.0
+            return [(k, line, list(map(repr, numbers)))
+                    for k, (line, numbers) in rows.items()]
+        want = outcome(reference_keyed_rows)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "_READ_BLOCK", block)
+            assert outcome(data._keyed_rows) == want
+
+    def test_first_bad_line_is_named(self, tmp_path):
+        path = write_lines(tmp_path / "k.csv", [
+            "tag,a", "t1,1", "t2,x", "t1,2", ",3", "t3,1,2"])
+        for block in (1, 2, data._READ_BLOCK):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(data, "_READ_BLOCK", block)
+                with pytest.raises(data.PanelError) as info:
+                    data._keyed_rows(path, ("tag", "a"), tag_key(path), "tag",
+                                     data.PanelError)
+            assert str(info.value) == f"{path}: line 3: bad a 'x' for tag 't2'"
+
+
 # ids and regions made of the characters the writer quotes, the loader strips
 # or a line reader would break on
 _ID_TEXTS = st.text(st.sampled_from(["A", "b", "7", "é", " ", "\t", ",", '"',

@@ -48,7 +48,7 @@ class TestBetas:
         idx = rng.standard_normal(10) * 0.01
         y = np.full(10, np.nan)
         y[:3] = 0.01
-        betas = pf.rolling_betas(y[:, None], idx, window=10, min_obs=5)
+        betas = pf.rolling_betas(y[:, None], idx, window=10)
         assert np.all(np.isnan(betas))
         y[2] = np.nan
         with pytest.raises(analytics.AnalyticsError, match="overlap"):
@@ -104,7 +104,7 @@ class TestBetas:
                 var = (ss - s * s / np.maximum(cnt, 1)) / np.maximum(cnt - 1, 1)
                 ok = cnt >= 20
                 vols[t, ok] = np.sqrt(np.maximum(var[ok], 0.0))
-        assert np.array_equal(pf.rolling_betas(ret, index, window, min_obs),
+        assert np.array_equal(pf.rolling_betas(ret, index, window),
                               betas, equal_nan=True)
         assert np.array_equal(pf.rolling_vols(ret, window), vols, equal_nan=True)
 

@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
 """Print a sha256 for every output file of the three benchmark workloads.
 
-Builds the inputs of `horserace`, `predictability` and `pool_wide` with
-perfbench/workloads.py at the given size and seed, runs each workload's
-CLI calls once, and prints one `path sha256` line per output file, the
-path relative to --out. The CLI's own messages go to stderr. Two source
-trees write the same bytes when their printouts match:
+Builds the inputs of `horserace`, `predictability` and `pool_wide` (or of
+each `--workload` given) with perfbench/workloads.py at the given size and
+seed, runs each workload's CLI calls once, and prints one `path sha256`
+line per output file, the path relative to --out. The CLI's own messages
+go to stderr. Two source trees write the same bytes when their printouts
+match:
 
     python scripts/output_hashes.py --size full --seed 3 --out /tmp/a > a.txt
     python scripts/output_hashes.py --size full --seed 3 --out /tmp/b > b.txt
     diff a.txt b.txt    # the second run from the other tree
+
+    python scripts/output_hashes.py --workload horserace --out /tmp/c
 """
 
 import argparse
@@ -35,9 +38,12 @@ def main() -> int:
     parser.add_argument("--size", choices=sorted(workloads.SIZES), default="smoke")
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--out", required=True)
+    parser.add_argument("--workload", choices=workloads.WORKLOADS, action="append",
+                        help="run only this workload (repeat for more; "
+                             "default: all three)")
     args = parser.parse_args()
     size = workloads.SIZES[args.size]
-    for name in workloads.WORKLOADS:
+    for name in args.workload or workloads.WORKLOADS:
         workdir = os.path.join(args.out, name)
         with contextlib.redirect_stdout(sys.stderr):
             workloads.setup(name, args.seed, size, workdir)

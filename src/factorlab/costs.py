@@ -93,8 +93,8 @@ def borrow_cost(short_positions, fees, dt_days: float,
     f = np.asarray(fees, dtype=float)
     if np.any(pos > 0):
         raise CostError("short book must have non-positive positions")
-    if np.any(f < 0):
-        raise CostError("borrow fee must be non-negative")
+    if not np.all(np.isfinite(f) & (f >= 0)):
+        raise CostError("borrow fee must be finite and non-negative")
     return float(np.sum(f * np.abs(pos))) * dt_days / trading_days_per_year
 
 
@@ -106,8 +106,9 @@ def resolve_borrow_fees(assets, overrides: Mapping[str, float] | None,
         for i, a in enumerate(assets):
             if a in overrides:
                 fee = overrides[a]
-                if fee < 0:
-                    raise CostError(f"negative borrow fee for {a!r}")
+                if not 0 <= fee < np.inf:
+                    raise CostError(f"borrow fee for {a!r} must be finite and "
+                                    f"non-negative, got {fee!r}")
                 fees[i] = fee
     return fees
 
@@ -121,6 +122,7 @@ def load_borrow_fee_overrides(path) -> dict[str, float]:
 
     rows = _keyed_rows(path, ("asset_id", "annual_fee_bps"), asset, "asset", CostError)
     for name, (line, (bps,)) in rows.items():
-        if bps < 0:
-            raise CostError(f"{path}: line {line}: negative fee for asset {name!r}")
+        if not 0 <= bps < np.inf:
+            raise CostError(f"{path}: line {line}: annual_fee_bps {bps!r} for asset "
+                            f"{name!r} must be finite and non-negative")
     return {name: bps * 1e-4 for name, (_, (bps,)) in rows.items()}

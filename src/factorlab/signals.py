@@ -249,9 +249,9 @@ def blend(signals: list[SignalPanel], weights) -> SignalPanel:
 # residual returns and predictability
 # ---------------------------------------------------------------------------
 
-# Power iteration for the leading correlation mode (`_leading_vector`): it
-# stops once successive unit iterates differ by less than _POWER_TOL, accepts
-# an iterate v only if |A v - lam v| <= _RAYLEIGH_TOL * lam, and past
+# Power iteration for the leading correlation mode (`_leading_vector`): a
+# column stops once successive unit iterates differ by less than _POWER_TOL,
+# is accepted only if |A v - lam v| <= _RAYLEIGH_TOL * lam, and past
 # _POWER_MAX_ITER steps (a spectral gap too small to resolve) falls back to
 # eigh, at about the cost of that many steps.
 _POWER_TOL = 1e-13
@@ -260,35 +260,61 @@ _POWER_MAX_ITER = 100
 
 RESID_MIN_FRAC = 0.8   # least valid share of an asset's residual window
 
+# `residual_returns` takes as many consecutive dates at once as keep their
+# stack of windows within this many bytes, and no more than the lookback
+_BLOCK_BYTES = 4 << 20
 
-def _leading_vector(matvec, start: np.ndarray, floor: float = 0.0) -> np.ndarray:
-    """Unit leading eigenvector of a symmetric positive semi-definite matrix
-    A known only through `matvec`, which maps a vector or an (n, k) block.
 
-    Power iteration v <- A v / |A v| from `start` (non-zero). The returned
-    vector has passed the Rayleigh check above, and its eigenvalue is at
-    least `floor`, a lower bound on the top eigenvalue such as A's largest
-    diagonal entry. The floor rejects a start that is itself a lesser
-    eigenvector below it, as all ones is for two assets with equal window
-    counts that move against each other. Otherwise A is formed as
-    matvec(I) and handed to eigh. The sign is left as found.
+def _col_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each column of a with the same column of b."""
+    return np.einsum("ij,ij->j", a, b)
+
+
+def _leading_vector(matvec, start: np.ndarray, floor=0.0) -> np.ndarray:
+    """Unit leading eigenvectors of symmetric positive semi-definite
+    matrices A_0 .. A_{k-1}, known only through `matvec(u, cols)`, which
+    maps column i of an (n, m) block u to A_{cols[i]} u[:, i].
+
+    Power iteration v <- A v / |A v| on each column of the (n, k) `start`
+    (no column zero); a column drops out of the products once it settles.
+    A returned column has passed the Rayleigh check above, and its
+    eigenvalue is at least its entry of `floor`, a lower bound on A_j's top
+    eigenvalue such as its largest diagonal entry. The floor rejects a
+    start that is itself a lesser eigenvector below it, as all ones is for
+    two assets with equal window counts that move against each other.
+    Otherwise A_j is formed as matvec(I, j) and handed to eigh, without
+    the rows and columns its zero diagonal entries leave empty. Signs are
+    left as found.
     """
-    v = start / np.sqrt(start @ start)
+    n, k = start.shape
+    v = start / np.sqrt(_col_dots(start, start))
+    floor = np.broadcast_to(floor, (k,))
+    live, u = np.arange(k), v
+    failed = []
     for _ in range(_POWER_MAX_ITER):
-        w = matvec(v)
-        lam = float(v @ w)
-        if not lam > 0:
+        w = matvec(u, live)
+        lam = _col_dots(u, w)
+        up = lam > 0
+        nxt = w / np.sqrt(np.where(up, _col_dots(w, w), 1.0))
+        step = nxt - u
+        moving = up & (_col_dots(step, step) >= _POWER_TOL ** 2)
+        if not np.all(moving):
+            stop = ~moving
+            lam, resid = lam[stop], w[:, stop] - lam[stop] * u[:, stop]
+            good = (up[stop] & (lam >= (1.0 - _RAYLEIGH_TOL) * floor[live[stop]])
+                    & (_col_dots(resid, resid) <= (_RAYLEIGH_TOL * lam) ** 2))
+            v[:, live[stop]] = u[:, stop]
+            failed.extend(live[stop][~good])
+            live, nxt = live[moving], nxt[:, moving]
+        u = nxt
+        if not len(live):
             break
-        nxt = w / np.sqrt(w @ w)
-        step = nxt - v
-        if step @ step < _POWER_TOL ** 2:
-            resid = w - lam * v
-            if (lam >= (1.0 - _RAYLEIGH_TOL) * floor
-                    and resid @ resid <= (_RAYLEIGH_TOL * lam) ** 2):
-                return v
-            break
-        v = nxt
-    return np.linalg.eigh(matvec(np.eye(len(v))))[1][:, -1]
+    for j in (*failed, *live):
+        a = matvec(np.eye(n), np.full(n, j))
+        on = np.diag(a) > 0   # a zero diagonal entry has a zero row and column
+        v[:, j] = 0.0
+        v[on, j] = np.linalg.eigh(a[np.ix_(on, on)])[1][:, -1]
+    return v
 
 
 def residual_returns(panel: ReturnsPanel, lookback_days: int = 250,
@@ -309,10 +335,20 @@ def residual_returns(panel: ReturnsPanel, lookback_days: int = 250,
     absolute return drops it. Window counts and means come from
     `window_sums` over the whole panel; sd comes from the centred window,
     as one from cumulative sums of squares would bury a constant asset's
-    zero spread in rounding error. Neither z nor z'z is formed: v comes
-    from `_leading_vector` on u -> D^-1 dev'(dev D^-1 u), started from the
-    previous date's vector restricted to today's assets (all ones on the
-    first date). Returns a (T, N) array, NaN where undefined.
+    zero spread in rounding error.
+
+    Dates go in blocks: as many consecutive dates as keep the block's
+    stack of centred windows within `_BLOCK_BYTES`, and no more than
+    lookback_days. The stack gives every date's sd, floor and dev[-1] at
+    once. One `_leading_vector` then runs with a column per date, each
+    started from the previous block's last vector restricted to that date's
+    assets (all ones where nothing is left). Neither z nor z'z is formed:
+    the block's lookback_days + k - 1 rows y, centred once at the block's
+    last mean, give date t's dev as y plus its mean offset delta_t (0 in
+    gaps) on its band of rows. So one step for all k dates is y @ Z masked
+    to the bands, then y' times that, each with a rank-one term in delta;
+    a block with gaps adds a product with the gap mask to each. Returns a
+    (T, N) array, NaN where undefined.
     """
     ret = panel.field("ret")
     t_total, n = ret.shape
@@ -322,43 +358,88 @@ def residual_returns(panel: ReturnsPanel, lookback_days: int = 250,
     if lookback_days > t_total:
         raise SignalError(f"lookback_days = {lookback_days} is longer than "
                           f"the panel's {t_total} dates")
+    block = int(np.clip(_BLOCK_BYTES // (8 * lookback_days * max(n, 1)), 1,
+                        lookback_days))
     min_obs = int(np.ceil(RESID_MIN_FRAC * lookback_days))
     valid = np.isfinite(ret)
     cnt = window_sums(valid.astype(float), lookback_days)
     eligible = valid & (cnt >= min_obs)
     if pool is not None:
         eligible &= pool.mask
+    filled = np.where(valid, ret, 0.0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        mean = window_sums(np.where(valid, ret, 0.0), lookback_days) / cnt
-        abs_mean = window_sums(np.where(valid, np.abs(ret), 0.0),
-                               lookback_days) / cnt
+        mean = window_sums(filled, lookback_days) / cnt
+        abs_mean = window_sums(np.abs(filled), lookback_days) / cnt
+    # row s of the views is the window of rows s .. s + lookback - 1
+    windows = np.lib.stride_tricks.sliding_window_view(
+        filled, lookback_days, axis=0).transpose(0, 2, 1)
+    gaps = np.lib.stride_tricks.sliding_window_view(
+        ~valid, lookback_days, axis=0).transpose(0, 2, 1)
     prev = np.zeros(n)
-    for t in range(lookback_days - 1, t_total):
-        idx = np.nonzero(eligible[t])[0]
-        if len(idx) < 2:
+    for first in range(lookback_days - 1, t_total, block):
+        dates = np.arange(first, min(first + block, t_total))
+        cols = np.nonzero(np.any(eligible[dates], axis=0))[0]
+        if len(cols) < 2:
             continue
-        dev = ret[t - lookback_days + 1:t + 1, idx] - mean[t, idx]
-        dev[~np.isfinite(dev)] = 0.0
+        rows = slice(first - lookback_days + 1, dates[-1] - lookback_days + 2)
+        grid = np.ix_(dates, cols)
+        block_gaps = not np.all(valid[rows.start:dates[-1] + 1, cols])
+        # each date's centred window, as the per-date statistics need it
+        dev = windows[rows] if len(cols) == n else windows[rows][:, :, cols]
+        dev = dev - mean[grid][:, None, :]
+        if block_gaps:
+            np.copyto(dev, 0.0, where=gaps[rows][:, :, cols])
+        c = cnt[grid]
+        sq = np.einsum("tia,tia->ta", dev, dev)
         # corrected two-pass variance: the sum of dev takes out the rounding
         # error of the window mean, so a constant asset reads as constant
-        c = cnt[t, idx]
-        sq = np.einsum("ij,ij->j", dev, dev)
-        var = np.maximum(sq - np.sum(dev, axis=0) ** 2 / c, 0.0) / c
-        keep = var > (1e-12 * abs_mean[t, idx]) ** 2
-        if not np.all(keep):
-            idx, dev, sq, var = idx[keep], dev[:, keep], sq[keep], var[keep]
-            if len(idx) < 2:
-                continue
-        sd = np.sqrt(var)
-        start = prev[idx]
-        # z'z has the diagonal sq / var, a floor under its top eigenvalue; the
-        # transposes scale rows of a vector and of eigh's (n, n) block alike
-        v = _leading_vector(lambda u: ((dev.T @ (dev @ (u.T / sd).T)).T / sd).T,
-                            start if np.any(start) else np.ones(len(idx)),
-                            floor=float(np.max(sq / var)))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            var = np.maximum(sq - (np.ones(lookback_days) @ dev) ** 2 / c, 0.0) / c
+        part = eligible[grid] & (var > (1e-12 * abs_mean[grid]) ** 2)
+        last = dev[:, -1].copy()
+        del dev   # one stack alive at a time
+        go = np.sum(part, axis=1) >= 2
+        if not np.any(go):
+            continue
+        on = np.any(part[go], axis=0)
+        dates, cols = dates[go], cols[on]
+        grid = np.ix_(dates, cols)
+        part, sq, var, last = (x[go][:, on].T for x in (part, sq, var, last))
+        sd = np.sqrt(var, out=np.zeros_like(var), where=part)
+        inv_sd = np.divide(1.0, sd, out=np.zeros_like(sd), where=part)
+        # z'z has the diagonal sq / var, a floor under its top eigenvalue
+        floor = np.max(sq * inv_sd ** 2, axis=0)
+        # the block's rows, centred at the block's last mean (defined, as a
+        # block is no longer than a window); date t's dev is y + delta[:, t]
+        # on its band of rows, 0 in gaps
+        centre = mean[dates[-1], cols]
+        delta = np.where(part, centre[:, None] - mean[grid].T, 0.0)
+        span = slice(dates[0] - lookback_days + 1, dates[-1] + 1)
+        y = np.where(valid[span, cols], filled[span, cols] - centre, 0.0)
+        mask = valid[span, cols].astype(float)
+        band = np.arange(len(y))[:, None] - (dates - dates[0])
+        band = ((band >= 0) & (band < lookback_days)).astype(float)
+        ones = np.ones(len(y))
+
+        def matvec(u, js):
+            scale, shift = inv_sd[:, js], delta[:, js]
+            z = u * scale
+            w = y @ z
+            w += mask @ (shift * z) if block_gaps else _col_dots(shift, z)
+            w *= band[:, js]
+            back = y.T @ w
+            back += shift * (mask.T @ w if block_gaps else ones @ w)
+            back *= scale
+            return back
+
+        start = prev[cols, None] * part
+        cold = ~np.any(start, axis=0)
+        start[:, cold] = part[:, cold]
+        v = _leading_vector(matvec, start, floor)
         prev[:] = 0.0
-        prev[idx] = v
-        out[t, idx] = ret[t, idx] - sd * v * (dev[-1] @ (v / sd))
+        prev[cols] = v[:, -1]
+        proj = np.einsum("at,at->t", last * inv_sd, v)
+        out[grid] = np.where(part, ret[grid].T - sd * v * proj, np.nan).T
     return out
 
 

@@ -110,6 +110,11 @@ class TestBorrow:
         with pytest.raises(costs.CostError):
             costs.borrow_cost(np.array([-1.0]), np.array([-0.01]), 1.0)
 
+    @pytest.mark.parametrize("fee", [np.nan, np.inf])
+    def test_fee_that_is_not_finite_rejected(self, fee):
+        with pytest.raises(costs.CostError, match="finite and non-negative"):
+            costs.borrow_cost(np.array([0.0, -1e6]), np.array([fee, 0.01]), 1.0)
+
     def test_long_positions_rejected(self):
         with pytest.raises(costs.CostError):
             costs.borrow_cost(np.array([1.0]), np.array([0.01]), 1.0)
@@ -133,6 +138,14 @@ class TestParamsAndSchedule:
         fees = costs.resolve_borrow_fees(("A", "B"), {"B": 0.05}, p)
         assert fees.tolist() == [0.0025, 0.05]
 
+    @pytest.mark.parametrize("fee", [np.nan, np.inf])
+    def test_resolve_rejects_a_fee_that_is_not_finite(self, fee):
+        p = costs.CostModelParams()
+        with pytest.raises(costs.CostError,
+                           match=f"borrow fee for 'B' must be finite and "
+                                 f"non-negative, got {fee!r}"):
+            costs.resolve_borrow_fees(("A", "B"), {"B": fee}, p)
+
     def test_load_override_csv(self, tmp_path):
         f = tmp_path / "fees.csv"
         f.write_text("asset_id,annual_fee_bps\nAAA,100\nBBB,25\n")
@@ -143,4 +156,15 @@ class TestParamsAndSchedule:
         f = tmp_path / "fees.csv"
         f.write_text("asset_id,annual_fee_bps\nAAA,-5\n")
         with pytest.raises(costs.CostError):
+            costs.load_borrow_fee_overrides(str(f))
+
+    @pytest.mark.parametrize("cell, shown", [("-5", "-5.0"), ("nan", "nan"),
+                                             ("NaN", "nan"), ("inf", "inf"),
+                                             ("Infinity", "inf")])
+    def test_override_csv_names_the_line_of_a_bad_fee(self, tmp_path, cell, shown):
+        f = tmp_path / "fees.csv"
+        f.write_text(f"asset_id,annual_fee_bps\nBBB,25\nAAA,{cell}\n")
+        with pytest.raises(costs.CostError,
+                           match=f"fees.csv: line 3: annual_fee_bps {shown} for "
+                                 f"asset 'AAA' must be finite and non-negative"):
             costs.load_borrow_fee_overrides(str(f))

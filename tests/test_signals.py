@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -593,43 +595,228 @@ class TestResidualsAgainstEigh:
         assert_same_residuals(with_constant[:, others], without)
 
 
+def blocked_residuals(panel, lookback, per_block, pool=None):
+    """residual_returns with `per_block` dates to a block."""
+    with mock.patch.object(signals, "_BLOCK_BYTES",
+                           per_block * 8 * lookback * panel.n_assets):
+        return signals.residual_returns(panel, lookback, pool=pool)
+
+
+def market_returns(t, n, seed):
+    """A market mode well above the noise, so the top eigenvalue stands
+    clear of the next in every window."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    beta = rng.uniform(0.5, 1.5, n)
+    return 0.01 * rng.standard_normal(t)[:, None] * beta \
+        + 0.005 * rng.standard_normal((t, n)) + 2e-4
+
+
+class TestResidualBlocks:
+    """The edges of a block of dates, against the per-date eigh loop. With
+    LOOKBACK 20 and 47 days the dates run from 19 to 46."""
+
+    LOOKBACK = 20
+
+    @staticmethod
+    def pool(panel, mask):
+        return data.PoolMask(dates=panel.dates, assets=panel.assets, mask=mask,
+                             rebalance_indices=np.array([0]))
+
+    @pytest.mark.parametrize("per_block", [1, 3, 5, 20, 50])
+    def test_block_sizes_that_do_not_divide_the_dates(self, per_block):
+        # 28 dates: 3 and 5 leave a short last block, 20 is the cap
+        # (the lookback) and 50 is cut down to it
+        panel = make_panel({"ret": market_returns(47, 6, seed=70)})
+        assert_same_residuals(blocked_residuals(panel, self.LOOKBACK, per_block),
+                              reference_residuals(panel, self.LOOKBACK))
+
+    def test_lookback_equal_to_the_panel(self):
+        panel = make_panel({"ret": market_returns(30, 5, seed=71)})
+        got = blocked_residuals(panel, 30, 4)
+        assert np.all(np.isnan(got[:-1])) and np.all(np.isfinite(got[-1]))
+        assert_same_residuals(got, reference_residuals(panel, 30))
+
+    def test_dates_with_too_few_assets_keep_the_warm_start(self, monkeypatch):
+        # blocks of 5 from date 19: one asset is pooled on date 26 (inside
+        # 24..28), on date 28 (its last) and on every date of 29..33 (assets
+        # 0 and 1 by turns) and of 39..43 (asset 0)
+        panel = make_panel({"ret": market_returns(47, 6, seed=72)})
+        mask = np.ones((47, 6), dtype=bool)
+        mask[[26, 28, 29, 31, 33], 1:] = False
+        mask[[30, 32]] = np.arange(6) == 1
+        mask[39:44, 1:] = False
+        pool = self.pool(panel, mask)
+        starts = []
+        leading = signals._leading_vector
+
+        def spy(matvec, start, floor=0.0):
+            starts.append(start.copy())
+            return leading(matvec, start, floor)
+
+        monkeypatch.setattr(signals, "_leading_vector", spy)
+        got = blocked_residuals(panel, self.LOOKBACK, 5, pool)
+        assert np.all(np.isnan(got[[26, 28, *range(29, 34), *range(39, 44)]]))
+        assert_same_residuals(got, reference_residuals(panel, self.LOOKBACK, pool))
+        # only the first block starts from all ones: the blocks after the
+        # skipped dates start from the vectors of dates 27 and 38
+        assert len(starts) == 4
+        assert np.all(starts[0] == 1.0)
+        for start in starts[1:]:
+            assert not np.any(np.all(np.isin(start, (0.0, 1.0)), axis=0))
+
+    def test_an_asset_turns_constant_mid_block(self):
+        # asset 2 holds 0.001 from day 10, so its window is constant from
+        # date 29, inside the block 26..32 of 7 dates
+        ret = market_returns(47, 6, seed=73)
+        ret[10:, 2] = 0.001
+        panel = make_panel({"ret": ret})
+        got = blocked_residuals(panel, self.LOOKBACK, 7)
+        assert np.all(np.isfinite(got[19:29, 2])) and np.all(np.isnan(got[29:, 2]))
+        assert_same_residuals(got[:29], reference_residuals(panel, self.LOOKBACK)[:29])
+        others = np.delete(np.arange(6), 2)
+        assert_same_residuals(
+            got[29:, others],
+            reference_residuals(make_panel({"ret": ret[:, others]}), self.LOOKBACK)[29:])
+
+    def test_gaps_in_one_block_only(self):
+        # blocks of 20 dates start at 19, 39 and 59; a gap on day 39 lies in
+        # the windows of dates 39..58 alone, which is the second block
+        ret = market_returns(70, 6, seed=74)
+        ret[39, [1, 4]] = np.nan
+        panel = make_panel({"ret": ret})
+        firsts = range(self.LOOKBACK - 1, 70, self.LOOKBACK)
+        assert [bool(np.any(np.isnan(ret[f - self.LOOKBACK + 1:f + self.LOOKBACK])))
+                for f in firsts] == [False, True, False]
+        got = blocked_residuals(panel, self.LOOKBACK, self.LOOKBACK)
+        assert np.all(np.isnan(got[39, [1, 4]]))
+        assert_same_residuals(got, reference_residuals(panel, self.LOOKBACK))
+
+    def test_pool_changes_mid_block(self):
+        # from date 31, inside the block 29..33, assets 0 and 1 leave the
+        # pool and asset 5 joins it
+        panel = make_panel({"ret": market_returns(47, 6, seed=75)})
+        mask = np.ones((47, 6), dtype=bool)
+        mask[31:, :2] = False
+        mask[:31, 5] = False
+        pool = self.pool(panel, mask)
+        got = blocked_residuals(panel, self.LOOKBACK, 5, pool)
+        assert np.all(np.isnan(got[31:, :2])) and np.all(np.isfinite(got[31:, 2:]))
+        assert_same_residuals(got, reference_residuals(panel, self.LOOKBACK, pool))
+
+    def test_a_panel_without_assets(self):
+        got = signals.residual_returns(make_panel({"ret": np.zeros((30, 0))}), 10)
+        assert got.shape == (30, 0)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), t=st.integers(10, 60),
+           n=st.integers(2, 7), lookback=st.integers(10, 60),
+           per_block=st.integers(1, 9), gap_rate=st.sampled_from([0.0, 0.03, 0.2]),
+           pool_rate=st.sampled_from([0.0, 0.2]))
+    def test_matches_per_date_eigh(self, seed, t, n, lookback, per_block,
+                                   gap_rate, pool_rate):
+        lookback = min(lookback, t)
+        ret = market_returns(t, n, seed)
+        rng = np.random.Generator(np.random.Philox(seed + 1))
+        ret[rng.random((t, n)) < gap_rate] = np.nan
+        panel = make_panel({"ret": ret})
+        pool = self.pool(panel, rng.random((t, n)) >= pool_rate) if pool_rate else None
+        # on two assets a residual can be ten times smaller than its return,
+        # and blocks of one date then miss the reference by 1.2e-12 of the
+        # largest residual: the rounding scales with the returns
+        got = blocked_residuals(panel, lookback, per_block, pool)
+        ref = reference_residuals(panel, lookback, pool)
+        ok = np.isfinite(ref)
+        assert np.array_equal(np.isfinite(got), ok)
+        if np.any(ok):
+            scale = np.max(np.abs(ret[ok]))
+            assert np.max(np.abs(got[ok] - ref[ok])) <= 1e-12 * scale
+
+
 class TestLeadingVector:
     def matrix(self, eigvals, seed):
         q, _ = np.linalg.qr(np.random.Generator(np.random.Philox(seed))
                             .standard_normal((len(eigvals), len(eigvals))))
         return (q * eigvals) @ q.T, q[:, 0]
 
+    @staticmethod
+    def products(mats, calls=None):
+        """matvec of one matrix per column, each column multiplied alone;
+        `calls` collects the columns of every call."""
+        def matvec(u, cols):
+            if calls is not None:
+                calls.append(list(cols))
+            return np.column_stack([mats[j] @ u[:, i] for i, j in enumerate(cols)])
+        return matvec
+
     def test_known_matrix(self, eigh_calls):
         a, top = self.matrix([5.0, 2.0, 1.0, 0.5, 0.1], seed=50)
-        v = signals._leading_vector(lambda u: a @ u, np.ones(5))
+        v = signals._leading_vector(self.products([a]), np.ones((5, 1)))[:, 0]
         assert eigh_calls == []
         assert np.linalg.norm(v) == pytest.approx(1.0)
         assert np.max(np.abs(v * np.sign(v @ top) - top)) < 1e-12
 
     def test_warm_start_converges_at_once(self):
         a, top = self.matrix([5.0, 2.0, 1.0, 0.5, 0.1], seed=51)
-        steps = []
-
-        def matvec(u):
-            steps.append(1)
-            return a @ u
-
-        v = signals._leading_vector(matvec, top)
-        assert len(steps) <= 2
+        calls = []
+        v = signals._leading_vector(self.products([a], calls), top[:, None])[:, 0]
+        assert len(calls) <= 2
         assert np.max(np.abs(v - top)) < 1e-14
 
     def test_start_on_a_lesser_eigenvector(self, eigh_calls):
         a = np.array([[1.0, -0.5], [-0.5, 1.0]])
-        v = signals._leading_vector(lambda u: a @ u, np.ones(2),
-                                    floor=np.max(np.diag(a)))
+        v = signals._leading_vector(self.products([a]), np.ones((2, 1)),
+                                    floor=np.max(np.diag(a)))[:, 0]
         assert eigh_calls == [(2, 2)]
         assert abs(v @ np.array([1.0, -1.0])) == pytest.approx(np.sqrt(2.0))
 
     def test_small_gap_falls_back_to_eigh(self, eigh_calls):
         a, top = self.matrix([1.0, 0.999, 0.5, 0.2], seed=52)
-        v = signals._leading_vector(lambda u: a @ u, np.ones(4))
+        v = signals._leading_vector(self.products([a]), np.ones((4, 1)))[:, 0]
         assert eigh_calls == [(4, 4)]
         assert np.max(np.abs(v * np.sign(v @ top) - top)) < 1e-12
+
+    def test_each_column_settles_on_its_own(self, eigh_calls):
+        # a warm column, a fast one and a slow one: each leaves the products
+        # when it settles, and each comes out as it would alone
+        eigvals = ([5.0, 2.0, 1.0, 0.5, 0.1], [5.0, 0.5, 0.2, 0.1, 0.1],
+                   [5.0, 3.0, 1.0, 0.5, 0.1])
+        mats, tops = zip(*(self.matrix(e, seed=60 + i) for i, e in enumerate(eigvals)))
+        start = np.column_stack([tops[0], np.ones(5), np.ones(5)])
+        calls = []
+        v = signals._leading_vector(self.products(mats, calls), start)
+        assert eigh_calls == []
+        for j, top in enumerate(tops):
+            assert np.max(np.abs(v[:, j] * np.sign(v[:, j] @ top) - top)) < 1e-12
+            alone = signals._leading_vector(self.products([mats[j]]), start[:, [j]])
+            assert np.array_equal(v[:, [j]], alone)
+        rounds = [sum(j in c for c in calls) for j in range(3)]
+        assert rounds[0] <= 2 < rounds[1] < rounds[2] == len(calls)
+        assert all(c == sorted(c) for c in calls)
+
+    def test_a_column_below_its_floor_falls_back_alone(self, eigh_calls):
+        # column 1 starts on its lesser eigenvector, under its floor; column 0
+        # settles by power steps and keeps what it gets alone
+        a, top = self.matrix([3.0, 1.0], seed=61)
+        b = np.array([[1.0, -0.5], [-0.5, 1.0]])
+        start = np.column_stack([np.ones(2), np.ones(2)])
+        floor = np.array([0.0, 1.0])
+        v = signals._leading_vector(self.products([a, b]), start, floor)
+        assert eigh_calls == [(2, 2)]
+        assert np.array_equal(
+            v[:, [0]], signals._leading_vector(self.products([a]), start[:, [0]]))
+        assert np.max(np.abs(v[:, 0] * np.sign(v[:, 0] @ top) - top)) < 1e-12
+        assert abs(v[:, 1] @ np.array([1.0, -1.0])) == pytest.approx(np.sqrt(2.0))
+
+    def test_eigh_skips_empty_rows(self, eigh_calls):
+        # asset 2 takes no part: its row and column of A are zero, eigh sees
+        # the other three and the vector is zero there
+        a, top = self.matrix([1.0, 0.999, 0.5], seed=62)
+        full = np.zeros((4, 4))
+        full[np.ix_([0, 1, 3], [0, 1, 3])] = a
+        start = np.array([[1.0], [1.0], [0.0], [1.0]])
+        v = signals._leading_vector(self.products([full]), start)[:, 0]
+        assert eigh_calls == [(3, 3)]
+        assert v[2] == 0.0
+        assert np.max(np.abs(v[[0, 1, 3]] * np.sign(v[[0, 1, 3]] @ top) - top)) < 1e-12
 
 
 class TestForwardMean:

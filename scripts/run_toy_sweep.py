@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Sweep the two-asset model grid and print where shorts become accretive.
 
-Writes the sweep CSV + threshold report into --out (default ./out/toy) and
-prints a small table of the ratio against the short loading for each
-residual-variance level.
+Runs `factorlab toy` on configs/toy_sweep.cfg, which writes the sweep CSV +
+threshold report into --out (default ./out/toy), and prints a small table
+of the ratio against the short loading for each residual-variance level.
 """
 
 import argparse
@@ -13,22 +13,15 @@ import sys
 
 from factorlab import cli
 
+CONFIG = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                      "configs", "toy_sweep.cfg")
+
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="out/toy")
     args = parser.parse_args()
-    os.makedirs(args.out, exist_ok=True)
-
-    cfg_path = os.path.join(args.out, "toy_sweep.cfg")
-    with open(cfg_path, "w") as fh:
-        fh.write(
-            "[toy]\n"
-            "alpha2 = 0.0 0.1 0.2 0.3 0.41421356237309515 0.5 0.7 1.0 1.5 2.0\n"
-            "gamma = 0.1 1 10\n"
-            "kappa = 1\n"
-        )
-    rc = cli.main(["toy", "--config", cfg_path, "--out", args.out])
+    rc = cli.main(["toy", "--config", CONFIG, "--out", args.out])
     if rc != 0:
         return rc
 

@@ -420,8 +420,14 @@ def cmd_backtest(cfg, config_dir: str, out: Outputs, seed) -> None:
     out.write_json("backtest_summary.json", summary)
 
 
+def _hedge_index(raw: str) -> str:
+    if raw.lower() not in ("blocks", "vw"):
+        raise ValueError(raw)
+    return raw.lower()
+
+
 _FAMAFRENCH = {
-    "factors": str.split, "factors_file": str, "hedge_index": str.lower,
+    "factors": str.split, "factors_file": str, "hedge_index": _hedge_index,
     "long_only_weights": _bool, "vol_legs": str,
     **{block: str for block in ("hml", "wml", "umd", "mom", "rmw", "cma", "vol")},
 }
@@ -446,8 +452,6 @@ def cmd_famafrench(cfg, config_dir: str, out: Outputs, seed) -> None:
     legs = load_famafrench(block_paths, _resolve(config_dir, sec["factors_file"]),
                            leg_paths=leg_paths or None)
     hedge_choice = sec.get("hedge_index", "blocks")
-    if hedge_choice not in ("blocks", "vw"):
-        raise ConfigError("hedge_index must be 'blocks' or 'vw'")
     long_only = sec.get("long_only_weights", True)
 
     factors = list(legs.factors)

@@ -52,16 +52,31 @@ class CostModelParams:
 ZERO_COSTS = CostModelParams(0.0, 0.0, 0.0, 0.0, 252)
 
 
+def impact_rates(adv, sigma_daily, params: CostModelParams, scale: float = 1.0):
+    """Each asset's scale * impact_coeff * sigma / sqrt(adv), the k of its
+    impact k * q^1.5, and the rule for which trade can be priced: 0
+    everywhere without impact, else NaN where the ADV is missing or not
+    positive or the vol is missing."""
+    adv, sigma = np.asarray(adv, dtype=float), np.asarray(sigma_daily, dtype=float)
+    if params.impact_coeff == 0:
+        return np.zeros(np.broadcast(adv, sigma).shape)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rate = scale * params.impact_coeff * sigma / np.sqrt(adv)
+    return np.where(np.isfinite(adv) & (adv > 0) & np.isfinite(sigma), rate, np.nan)
+
+
 def impact_cost(q, adv, sigma_daily, params: CostModelParams):
-    """Square-root impact component alone: Y * sigma * sqrt(q/adv) * q."""
+    """Square-root impact component alone: Y * sigma * sqrt(q/adv) * q, and
+    0 without impact, whatever the ADV."""
     q = np.asarray(q, dtype=float)
-    adv = np.asarray(adv, dtype=float)
     if np.any(q < 0):
         raise CostError("traded notional must be non-negative")
-    if np.any(~np.isfinite(adv)) or np.any(adv <= 0):
-        raise CostError("adv must be positive (unpriceable trade)")
-    out = params.impact_coeff * np.asarray(sigma_daily, dtype=float) \
-        * np.sqrt(q / adv) * q
+    adv, sigma = np.asarray(adv, dtype=float), np.asarray(sigma_daily, dtype=float)
+    rate = impact_rates(adv, sigma, params)
+    if np.any(np.isnan(rate)):
+        raise CostError("adv must be positive and vol finite (unpriceable trade)")
+    out = (rate * q if params.impact_coeff == 0
+           else params.impact_coeff * sigma * np.sqrt(q / adv) * q)
     return float(out) if out.ndim == 0 else out
 
 
@@ -73,18 +88,16 @@ def trade_cost(q, adv, sigma_daily, params: CostModelParams):
     return float(out) if out.ndim == 0 else out
 
 
-def financing_cost(gross_exposure: float, aum: float, rate: float,
-                   dt_days: float, trading_days_per_year: int = 252) -> float:
-    """Cost of running gross exposure above the capital base for dt days."""
+def financing_cost(gross_exposure: float, aum: float, params: CostModelParams) -> float:
+    """One day's cost of running gross exposure above the capital base."""
     if gross_exposure < 0:
         raise CostError("gross exposure must be non-negative")
     levered = max(gross_exposure - aum, 0.0)
-    return rate * levered * dt_days / trading_days_per_year
+    return params.financing_spread * levered / params.trading_days_per_year
 
 
-def borrow_cost(short_positions, fees, dt_days: float,
-                trading_days_per_year: int = 252) -> float:
-    """Accrued borrow fees on a short book.
+def borrow_cost(short_positions, fees, params: CostModelParams) -> float:
+    """One day's borrow fees on a short book.
 
     short_positions  signed notionals, expected <= 0
     fees             per-asset annual fee fractions, aligned with positions
@@ -95,7 +108,7 @@ def borrow_cost(short_positions, fees, dt_days: float,
         raise CostError("short book must have non-positive positions")
     if not np.all(np.isfinite(f) & (f >= 0)):
         raise CostError("borrow fee must be finite and non-negative")
-    return float(np.sum(f * np.abs(pos))) * dt_days / trading_days_per_year
+    return float(np.sum(f * np.abs(pos))) / params.trading_days_per_year
 
 
 def resolve_borrow_fees(assets, overrides: Mapping[str, float] | None,

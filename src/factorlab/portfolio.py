@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostModelParams, trade_cost, financing_cost, borrow_cost
+from .costs import CostModelParams, borrow_cost, financing_cost, impact_rates, trade_cost
 from .data import (
     VOL_MIN_OBS, PoolMask, ReturnsPanel, _fmt_column, month_start_indices,
     rolling_vols, window_sums,
@@ -287,7 +287,8 @@ def _fill_jumps(lo_book, hi_book, order, short):
     rest = np.subtract.accumulate(np.concatenate(([short], room[order])))
     take = np.empty_like(room)
     take[order] = np.clip(rest[:-1], 0.0, room[order])
-    return lo_book + take
+    # lo + (hi - lo) can round above hi, above an asset's cap
+    return np.minimum(lo_book + take, hi_book)
 
 
 def _check_min_invested(min_invested: float) -> None:
@@ -300,13 +301,6 @@ def _check_cost_aversion(cost_aversion: float) -> None:
         raise PortfolioError(f"cost_aversion must be in [0, inf), got {cost_aversion!r}")
 
 
-def _priced(adv, sigma_daily, cost_params: CostModelParams) -> np.ndarray:
-    """Where `costs.trade_cost` prices a trade: everywhere without impact,
-    else where the ADV is finite and positive and the trailing vol finite."""
-    return (cost_params.impact_coeff == 0) | (
-        np.isfinite(adv) & (np.asarray(adv) > 0) & np.isfinite(sigma_daily))
-
-
 def optimize_long_only(scores: np.ndarray, prev_positions: np.ndarray,
                        adv: np.ndarray, sigma_daily: np.ndarray, aum: float,
                        cost_params: CostModelParams, cap: float = 0.03,
@@ -317,12 +311,11 @@ def optimize_long_only(scores: np.ndarray, prev_positions: np.ndarray,
     Feasible set: w >= 0, w_i <= cap * aum, sum(w) <= aum, and, when
     min_invested > 0, the optimized assets sum to at least min_invested * aum
     as far as the budget and their caps reach. An asset whose trade cannot
-    be priced (impact on, and a missing or non-positive ADV or a missing
-    vol) is frozen at its previous position and excluded from the
-    optimization, at every cost_aversion. A missing score means hold, never
-    buy: the asset is capped at its previous position and scores zero, so
-    the cost barrier decides how much of it survives, and a floor never
-    buys it.
+    be priced (`costs.impact_rates` is NaN) is frozen at its previous
+    position and excluded from the optimization, at every cost_aversion. A
+    missing score means hold, never buy: the asset is capped at its previous
+    position and scores zero, so the cost barrier decides how much of it
+    survives, and a floor never buys it.
 
     The returned book is the exact optimum (see _solve_budget_dual) at
     every cost level. At zero cost (is_free, or cost_aversion = 0) it is the
@@ -337,7 +330,8 @@ def optimize_long_only(scores: np.ndarray, prev_positions: np.ndarray,
     n = len(scores)
     s = np.where(np.isfinite(scores), np.asarray(scores, dtype=float), 0.0)
     prev = np.maximum(np.where(np.isfinite(prev_positions), prev_positions, 0.0), 0.0)
-    tradable = _priced(adv, sigma_daily, cost_params)
+    k = impact_rates(adv, sigma_daily, cost_params, scale=cost_aversion)
+    tradable = ~np.isnan(k)
     frozen = ~tradable & (prev > 0)
 
     u = cap * aum
@@ -356,12 +350,8 @@ def optimize_long_only(scores: np.ndarray, prev_positions: np.ndarray,
     ub = np.where(np.isfinite(scores[idx]), u, np.minimum(prev[idx], u))
 
     lin = cost_aversion * cost_params.linear_rate
-    kv = np.zeros(len(idx))
-    if cost_params.impact_coeff > 0:
-        kv = cost_aversion * cost_params.impact_coeff * \
-            np.asarray(sigma_daily, dtype=float)[idx] / np.sqrt(np.asarray(adv, dtype=float)[idx])
     floor = min(min_invested * aum, budget, float(np.sum(ub)))
-    out[idx] = _solve_budget_dual(s[idx], prev[idx], lin, 1.5 * kv, ub, budget, floor)
+    out[idx] = _solve_budget_dual(s[idx], prev[idx], lin, 1.5 * k[idx], ub, budget, floor)
     return out
 
 
@@ -460,13 +450,10 @@ def build_long_short(scores: np.ndarray, cleaned: CleanedCorrelation,
                         cleaned.corr, target_daily_var)
     if not (cost_params.is_free or cost_aversion == 0.0) and np.any(w != prev):
         lin = cost_aversion * cost_params.linear_rate
-        adv_v = np.asarray(adv, dtype=float)[idx]
-        kimp = np.zeros(len(idx))
-        if cost_params.impact_coeff > 0:
-            if not np.all(_priced(adv_v, sig, cost_params)):
-                raise PortfolioError("missing ADV on a long-short book asset")
-            kimp = cost_aversion * cost_params.impact_coeff * sig / np.sqrt(adv_v)
-        tempered = _piece_argmax(0.0, s - lin, s + lin, prev, 1.5 * kimp,
+        k = impact_rates(np.asarray(adv)[idx], sig, cost_params, scale=cost_aversion)
+        if np.any(np.isnan(k)):
+            raise PortfolioError("missing ADV on a long-short book asset")
+        tempered = _piece_argmax(0.0, s - lin, s + lin, prev, 1.5 * k,
                                  np.minimum(prev, w), np.maximum(prev, w))
         w, a = _capped_book(tempered, v, u, sig, cleaned.corr, target_daily_var)
 
@@ -648,7 +635,7 @@ def _ls_step(panel, config, cost_params, adv, sigma, pool, vol_target_series):
         book = w != 0.0
         if cleaned is not None:
             book[cleaned.asset_indices] = True
-        bad = np.nonzero(book & ~_priced(adv[t], sigma[t], cost_params))[0]
+        bad = np.nonzero(book & np.isnan(impact_rates(adv[t], sigma[t], cost_params)))[0]
         if len(bad):
             raise PortfolioError(
                 f"cannot price a trade in {panel.assets[bad[0]]} on {panel.dates[t]}: "
@@ -685,10 +672,11 @@ def run_backtest(panel: ReturnsPanel, signal, config: StrategyConfig,
     another strategy's realized volatility. Deterministic: same inputs,
     bit-identical result.
 
-    If no trade in the date range can be priced (see _priced), the run stops
-    before its first day. Otherwise LH freezes an asset it cannot price, and
-    LS stops on a day it holds or may trade one. LH buys an asset only once
-    its beta window holds enough returns.
+    If no trade in the date range can be priced (`costs.impact_rates` is
+    NaN everywhere), the run stops before its first day. Otherwise LH
+    freezes an asset it cannot price, and LS stops on a day it holds or may
+    trade one. LH buys an asset only once its beta window holds enough
+    returns.
     """
     scores_panel = getattr(signal, "scores", signal)
     ret = panel.field("ret")
@@ -709,7 +697,7 @@ def run_backtest(panel: ReturnsPanel, signal, config: StrategyConfig,
         )
 
     sigma = rolling_vols(ret, window=config.vol_window)
-    if not np.any(_priced(adv_panel[i0:i1], sigma[i0:i1], cost_params)):
+    if np.all(np.isnan(impact_rates(adv_panel[i0:i1], sigma[i0:i1], cost_params))):
         raise PortfolioError(
             f"no trade can be priced from {panel.dates[i0]} to {panel.dates[i1 - 1]}: "
             f"impact_coeff = {cost_params.impact_coeff} needs a finite positive ADV "
@@ -748,23 +736,16 @@ def run_backtest(panel: ReturnsPanel, signal, config: StrategyConfig,
         target, hedge_target, pred_vol, warn = step_fn(t, srow, w)
         trades = target - w
         traded = float(np.sum(np.abs(trades)))
-        tc = 0.0
-        if traded > 0 and not cost_params.is_free:
-            live = np.abs(trades) > 0
-            q = np.abs(trades[live])
-            if cost_params.impact_coeff > 0:
-                tc = float(np.sum(trade_cost(q, adv_panel[t][live], sigma[t][live], cost_params)))
-            else:
-                tc = float(np.sum(q)) * cost_params.linear_rate
+        live = trades != 0
+        tc = float(np.sum(trade_cost(np.abs(trades[live]), adv_panel[t][live],
+                                     sigma[t][live], cost_params)))
         w = target
         hedge = hedge_target
 
         # 3. accrue financing and borrow on the end-of-day book
         gross = float(np.sum(np.abs(w)))
-        fin = financing_cost(gross + abs(hedge), config.aum, cost_params.financing_spread,
-                             1.0, cost_params.trading_days_per_year)
-        bor = borrow_cost(np.minimum(w, 0.0), borrow_fees, 1.0,
-                          cost_params.trading_days_per_year)
+        fin = financing_cost(gross + abs(hedge), config.aum, cost_params)
+        bor = borrow_cost(np.minimum(w, 0.0), borrow_fees, cost_params)
         total = pnl_ret - tc - fin - bor
         if not np.isfinite(total):
             raise PortfolioError(f"non-finite P&L on {panel.dates[t]}")

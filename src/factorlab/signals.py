@@ -345,10 +345,11 @@ def residual_returns(panel: ReturnsPanel, lookback_days: int = 250,
     assets (all ones where nothing is left). Neither z nor z'z is formed:
     the block's lookback_days + k - 1 rows y, centred once at the block's
     last mean, give date t's dev as y plus its mean offset delta_t (0 in
-    gaps) on its band of rows. So one step for all k dates is y @ Z masked
-    to the bands, then y' times that, each with a rank-one term in delta;
-    a block with gaps adds a product with the gap mask to each. Returns a
-    (T, N) array, NaN where undefined.
+    gaps) on its band of rows. So one step for all k dates is y @ Z plus a
+    rank-one term in delta, masked to the bands, then y' times that, which
+    needs no delta term as each date's dev sums to zero over its window. A
+    block with gaps takes a product with the gap mask in both instead.
+    Returns a (T, N) array, NaN where undefined.
     """
     ret = panel.field("ret")
     t_total, n = ret.shape
@@ -419,7 +420,6 @@ def residual_returns(panel: ReturnsPanel, lookback_days: int = 250,
         mask = valid[span, cols].astype(float)
         band = np.arange(len(y))[:, None] - (dates - dates[0])
         band = ((band >= 0) & (band < lookback_days)).astype(float)
-        ones = np.ones(len(y))
 
         def matvec(u, js):
             scale, shift = inv_sd[:, js], delta[:, js]
@@ -428,7 +428,8 @@ def residual_returns(panel: ReturnsPanel, lookback_days: int = 250,
             w += mask @ (shift * z) if block_gaps else _col_dots(shift, z)
             w *= band[:, js]
             back = y.T @ w
-            back += shift * (mask.T @ w if block_gaps else ones @ w)
+            if block_gaps:
+                back += shift * (mask.T @ w)
             back *= scale
             return back
 

@@ -451,6 +451,68 @@ class TestBacktest:
         assert run(["backtest", "--config", str(cfg), "--out", str(dest)]) == 1
         assert not list(dest.iterdir())
 
+    def test_failure_after_a_write_removes_it(self, tmp_path, capsys, monkeypatch):
+        # LH freezes SYN03 on the day its ADV is missing and writes its
+        # file; LS then stops on that day, and the LH file goes
+        gen = tmp_path / "gen.cfg"
+        gen.write_text("[generate]\nn_assets = 20\nn_periods = 400\nseed = 5\n"
+                       "alpha2 = 0.8\nresid_vol_long = 0.01\nresid_vol_short = 0.01\n"
+                       "factor_mean = 5e-4\nfactor_vol = 0.005\nmarket_vol = 0.01\n")
+        assert run(["generate", "--config", str(gen), "--out", str(tmp_path)]) == 0
+        panel = data.load_panel(tmp_path / "panel.csv")
+        adv = panel.field("adv").copy()
+        adv[350, panel.assets.index("SYN03")] = np.nan
+        data.write_panel(dataclasses.replace(panel, arrays={**panel.arrays, "adv": adv}),
+                         tmp_path / "panel.csv")
+        cfg = tmp_path / "bt.cfg"
+        cfg.write_text(
+            "[backtest]\npanel = panel.csv\ntruth_series = truth_series.csv\nmode = BOTH\n"
+            "beta_window = 60\ncov_window = 60\nvol_window = 60\n"
+            "\n[signals]\nfactors = SMB\nema_span = 0\n")
+        removed = []
+
+        def cleanup(self, original=cli.Outputs.cleanup):
+            removed.extend(os.path.basename(p) for p in self.written if os.path.exists(p))
+            original(self)
+        monkeypatch.setattr(cli.Outputs, "cleanup", cleanup)
+        dest = tmp_path / "bt"
+        assert run(["backtest", "--config", str(cfg), "--out", str(dest)]) == 1
+        assert "cannot price a trade in SYN03 on 2001-05-07" in capsys.readouterr().err
+        assert removed == ["backtest_LH.csv"]
+        assert not list(dest.iterdir())
+
+    def test_zero_impact_prices_trades_from_the_notional(self, gen_dir, tmp_path):
+        _, _, out = gen_dir
+        panel = data.load_panel(out / "panel.csv")
+        arrays = {k: v for k, v in panel.arrays.items() if k != "adv"}
+        data.write_panel(dataclasses.replace(panel, arrays=arrays),
+                         tmp_path / "panel.csv")
+        cfg = tmp_path / "bt.cfg"
+        self.write_cfg(cfg, tmp_path / "panel.csv", out / "truth_series.csv")
+        cfg.write_text(cfg.read_text().replace("impact_coeff = 1.0", "impact_coeff = 0"))
+        dest = tmp_path / "bt"
+        assert run(["backtest", "--config", str(cfg), "--out", str(dest)]) == 0
+        for mode in ("LH", "LS"):
+            with open(dest / f"backtest_{mode}.csv") as fh:
+                rows = list(csv.DictReader(fh))
+            traded = np.array([float(r["traded_notional"]) for r in rows])
+            cost = np.array([float(r["trading_cost"]) for r in rows])
+            assert np.sum(traded > 0) > 100
+            assert np.allclose(cost, -5e-4 * traded, rtol=1e-15, atol=0.0)
+
+    def test_factor_it_cannot_build_is_skipped(self, gen_dir, tmp_path, capsys):
+        _, _, out = gen_dir
+        dests = []
+        for factors in ("MOM ROA\nweights = 1 1", "MOM\nweights = 1"):
+            cfg = tmp_path / "bt.cfg"
+            self.write_cfg(cfg, out / "panel.csv", out / "truth_series.csv", mode="LS")
+            cfg.write_text(cfg.read_text().replace("MOM\nweights = 1", factors))
+            dests.append(tmp_path / f"bt{len(dests)}")
+            assert run(["backtest", "--config", str(cfg), "--out", str(dests[-1])]) == 0
+        err = capsys.readouterr().err
+        assert "warning: skipping factor ROA: factor 'ROA' needs field(s)" in err
+        assert files_equal(dests[0] / "backtest_LS.csv", dests[1] / "backtest_LS.csv")
+
 
 class TestFamaFrench:
     def test_report_on_fixture(self, tmp_path):
@@ -520,6 +582,16 @@ class TestFamaFrench:
         err = capsys.readouterr().err
         for part in ("factor VOL", "'vol'", "'vol_legs'"):
             assert part in err
+
+    def test_bad_hedge_index_reported_before_any_file(self, tmp_path, capsys):
+        cfg = tmp_path / "ff.cfg"
+        cfg.write_text("[famafrench]\nfactors = HML\nhml = nowhere.csv\n"
+                       "factors_file = nowhere.csv\nhedge_index = median\n")
+        assert run(["famafrench", "--config", str(cfg), "--out",
+                    str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert "bad value for 'hedge_index': 'median'" in err
+        assert "nowhere" not in err
 
     def test_missing_block_path_is_an_error(self, tmp_path, capsys):
         _, factors_path = make_ff_fixture(str(tmp_path))

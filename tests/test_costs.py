@@ -32,6 +32,18 @@ class TestTradeCost:
         with pytest.raises(costs.CostError):
             costs.trade_cost(10.0, np.nan, 0.02, DEFAULTS)
 
+    def test_unpriceable_vol(self):
+        with pytest.raises(costs.CostError, match="unpriceable"):
+            costs.trade_cost(np.array([10.0, 5.0]), np.full(2, 1e6),
+                             np.array([0.02, np.nan]), DEFAULTS)
+
+    def test_zero_impact_prices_from_the_notional_alone(self):
+        p = costs.CostModelParams(linear_rate=5e-4, impact_coeff=0.0)
+        assert costs.trade_cost(1e6, np.nan, np.nan, p) == 5e-4 * 1e6
+        got = costs.trade_cost(np.array([1e6, 2e5]), np.array([np.nan, 0.0]),
+                               np.array([0.02, np.nan]), p)
+        assert got.tolist() == [5e-4 * 1e6, 5e-4 * 2e5]
+
     def test_negative_notional_rejected(self):
         with pytest.raises(costs.CostError):
             costs.trade_cost(-1.0, 1e6, 0.02, DEFAULTS)
@@ -70,54 +82,87 @@ class TestTradeCost:
         assert np.all(mid <= 0.5 * (vals[:-1] + vals[1:]) + 1e-9)
 
 
+class TestImpactRates:
+    def test_rate_left_to_right(self):
+        adv, sigma = np.array([1e7, 4e8]), np.array([0.02, 0.013])
+        p = costs.CostModelParams(impact_coeff=1.3)
+        got = costs.impact_rates(adv, sigma, p, scale=0.7)
+        assert got.tolist() == (0.7 * 1.3 * sigma / np.sqrt(adv)).tolist()
+
+    def test_unpriceable_cells_are_nan(self):
+        adv = np.array([1e7, np.nan, 0.0, -5.0, 1e7, np.inf])
+        sigma = np.array([0.02, 0.02, 0.02, 0.02, np.nan, 0.02])
+        got = costs.impact_rates(adv, sigma, DEFAULTS)
+        assert np.isfinite(got[0])
+        assert np.all(np.isnan(got[1:]))
+
+    def test_zero_impact_prices_everything_at_zero(self):
+        p = costs.CostModelParams(impact_coeff=0.0)
+        got = costs.impact_rates(np.array([np.nan, 0.0, 1e7]),
+                                 np.array([0.02, np.nan, 0.02]), p, scale=3.0)
+        assert got.tolist() == [0.0, 0.0, 0.0]
+
+    def test_impact_cost_refuses_exactly_the_nan_rates(self):
+        for adv in (np.nan, np.inf, 0.0, -1.0, 3e7):
+            for sigma in (np.nan, 0.0, 0.02):
+                if np.isnan(costs.impact_rates(adv, sigma, DEFAULTS)):
+                    with pytest.raises(costs.CostError, match="unpriceable"):
+                        costs.impact_cost(1e4, adv, sigma, DEFAULTS)
+                else:
+                    assert costs.impact_cost(1e4, adv, sigma, DEFAULTS) >= 0
+
+
 class TestFinancing:
     def test_unlevered_is_free(self):
-        assert costs.financing_cost(1e9, 1e9, 0.02, 1.0) == 0.0
-        assert costs.financing_cost(5e8, 1e9, 0.02, 1.0) == 0.0
+        assert costs.financing_cost(1e9, 1e9, DEFAULTS) == 0.0
+        assert costs.financing_cost(5e8, 1e9, DEFAULTS) == 0.0
 
     def test_two_x_leverage_over_a_year(self):
         aum = 1e9
-        got = costs.financing_cost(2 * aum, aum, 0.02, 252, 252)
+        p = costs.CostModelParams(financing_spread=0.02, trading_days_per_year=250)
+        got = 250 * costs.financing_cost(2 * aum, aum, p)
         assert got == pytest.approx(0.02 * aum)
 
     def test_currency_homogeneity(self):
-        a = costs.financing_cost(3e9, 1e9, 0.03, 10)
-        b = costs.financing_cost(3e6, 1e6, 0.03, 10)
+        p = costs.CostModelParams(financing_spread=0.03)
+        a = costs.financing_cost(3e9, 1e9, p)
+        b = costs.financing_cost(3e6, 1e6, p)
         assert a == pytest.approx(1e3 * b)
 
     def test_negative_gross_rejected(self):
         with pytest.raises(costs.CostError):
-            costs.financing_cost(-1.0, 1e9, 0.02, 1.0)
+            costs.financing_cost(-1.0, 1e9, DEFAULTS)
 
 
 class TestBorrow:
     def test_no_shorts_no_cost(self):
-        assert costs.borrow_cost(np.zeros(3), np.full(3, 0.01), 1.0) == 0.0
+        assert costs.borrow_cost(np.zeros(3), np.full(3, 0.01), DEFAULTS) == 0.0
 
     def test_single_short_for_a_year(self):
-        got = costs.borrow_cost(np.array([-1e6]), np.array([0.01]), 252, 252)
+        p = costs.CostModelParams(trading_days_per_year=250)
+        got = 250 * costs.borrow_cost(np.array([-1e6]), np.array([0.01]), p)
         assert got == pytest.approx(1e4)
 
     def test_matches_brute_force(self):
         rng = np.random.Generator(np.random.Philox(8))
         pos = -rng.uniform(0, 1e6, 20)
         fees = rng.uniform(0, 0.05, 20)
-        got = costs.borrow_cost(pos, fees, 5, 252)
-        expected = sum(f * abs(p) for f, p in zip(fees, pos)) * 5 / 252
+        got = costs.borrow_cost(pos, fees, DEFAULTS)
+        expected = sum(f * abs(p) for f, p in zip(fees, pos)) / 252
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_negative_fee_rejected(self):
         with pytest.raises(costs.CostError):
-            costs.borrow_cost(np.array([-1.0]), np.array([-0.01]), 1.0)
+            costs.borrow_cost(np.array([-1.0]), np.array([-0.01]), DEFAULTS)
 
     @pytest.mark.parametrize("fee", [np.nan, np.inf])
     def test_fee_that_is_not_finite_rejected(self, fee):
         with pytest.raises(costs.CostError, match="finite and non-negative"):
-            costs.borrow_cost(np.array([0.0, -1e6]), np.array([fee, 0.01]), 1.0)
+            costs.borrow_cost(np.array([0.0, -1e6]), np.array([fee, 0.01]), DEFAULTS)
 
     def test_long_positions_rejected(self):
         with pytest.raises(costs.CostError):
-            costs.borrow_cost(np.array([1.0]), np.array([0.01]), 1.0)
+            costs.borrow_cost(np.array([1.0]), np.array([0.01]), DEFAULTS)
 
 
 class TestParamsAndSchedule:

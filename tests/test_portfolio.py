@@ -295,6 +295,8 @@ class TestLongOnlyOptimizer:
            min_invested=st.sampled_from([0.0, 0.4, 0.95]))
     @example(seed=3, n=3, cap=0.5, linear_rate=0.0, impact=0.0, zero_vol=0.0,
              min_invested=0.95)
+    @example(seed=418, n=25, cap=0.010000000000000002, linear_rate=5e-4, impact=0.0,
+             zero_vol=0.0, min_invested=0.4)
     def test_kkt_conditions(self, seed, n, cap, linear_rate, impact, zero_vol,
                             min_invested):
         """The book is optimal: one price lam on the total supports every

@@ -952,6 +952,20 @@ class TestPredictability:
                                              n_bins=8)
         assert np.isnan(curve.slope_ratio)
 
+    def test_positive_side_fit_alone(self):
+        # one negative abscissa: that side has no slope, and the positive
+        # side is fit alone with its own intercept
+        x = np.array([-1.0, 0.5, 1.0, 2.0])
+        y = np.array([7.0, 0.4, 0.5, 0.7])
+        se = np.array([1.0, 1.0, 0.5, 2.0])
+        b0, sp, sn, ep, en = signals._two_slope_fit(x, y, se)
+        design = np.column_stack([np.ones(3), x[1:]])
+        a = design.T @ (design / se[1:, None] ** 2)
+        theta = np.linalg.solve(a, design.T @ (y[1:] / se[1:] ** 2))
+        assert (b0, sp) == pytest.approx(tuple(theta), rel=1e-12)
+        assert ep == pytest.approx(np.sqrt(np.linalg.inv(a)[1, 1]), rel=1e-12)
+        assert np.isnan(sn) and np.isnan(en)
+
     def test_short_loading_recovered_on_spread_universe(self):
         spec = tm.SyntheticUniverseSpec(
             n_assets=100, n_periods=1600, seed=6, loading_short_scale=0.8,

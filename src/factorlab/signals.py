@@ -260,8 +260,9 @@ _POWER_MAX_ITER = 100
 
 RESID_MIN_FRAC = 0.8   # least valid share of an asset's residual window
 
-# `residual_returns` takes as many consecutive dates at once as keep their
-# stack of windows within this many bytes, and no more than the lookback
+# `residual_returns` takes as many consecutive dates k at once as keep
+# k * lookback * n, the multiply-adds of each product of a power step, within
+# this many bytes / 8, and no more than the lookback
 _BLOCK_BYTES = 4 << 20
 
 
@@ -333,29 +334,31 @@ def residual_returns(panel: ReturnsPanel, lookback_days: int = 250,
     RESID_MIN_FRAC of the window valid, is in `pool` (when given), and is not
     constant: a window standard deviation at most 1e-12 of its mean
     absolute return drops it. Window counts and means come from
-    `window_sums` over the whole panel; sd comes from the centred window,
-    as one from cumulative sums of squares would bury a constant asset's
-    zero spread in rounding error.
+    `window_sums` over the whole panel.
 
-    Dates go in blocks: as many consecutive dates as keep the block's
-    stack of centred windows within `_BLOCK_BYTES`, and no more than
-    lookback_days. The stack gives every date's sd, floor and dev[-1] at
-    once. One `_leading_vector` then runs with a column per date, each
-    started from the previous block's last vector restricted to that date's
-    assets (all ones where nothing is left). Neither z nor z'z is formed:
-    the block's lookback_days + k - 1 rows y, centred once at the block's
-    last mean, give date t's dev as y plus its mean offset delta_t (0 in
-    gaps) on its band of rows. So one step for all k dates is y @ Z plus a
-    rank-one term in delta, masked to the bands, then y' times that, which
-    needs no delta term as each date's dev sums to zero over its window. A
-    block with gaps takes a product with the gap mask in both instead.
+    Dates go in blocks of as many consecutive dates as `_BLOCK_BYTES`
+    allows, and no more than lookback_days, with no stack of windows. The
+    block's lookback_days + k - 1 rows y, centred once at its last mean,
+    give date t's dev as y plus its mean offset delta_t (0 in gaps) on its
+    band of rows. The band sums s1 of y and s2 of y * y give the window
+    variance (s2 - s1^2 / c) / c, c the window count, in which delta_t
+    cancels; a window within its rounding of the constant cut is measured
+    about its own mean instead. Each dev sums to zero over its window, so
+    z'z has the diagonal c, whose largest entry floors its top eigenvalue,
+    and dev[-1] is date t's row of y plus delta_t. One `_leading_vector`
+    then runs with a column per date, each started from the previous
+    block's last vector restricted to that date's assets (all ones where
+    nothing is left). One step for all k dates is y @ Z plus a rank-one
+    term in delta, masked to the bands, then y' times that, which needs no
+    delta term as each dev sums to zero. A block with gaps takes a product
+    with the gap mask in both instead.
     Returns a (T, N) array, NaN where undefined.
     """
     ret = panel.field("ret")
     t_total, n = ret.shape
     out = np.full((t_total, n), np.nan)
     if lookback_days < 10:
-        raise SignalError("lookback_days too short")
+        raise SignalError(f"lookback_days must be at least 10, got {lookback_days}")
     if lookback_days > t_total:
         raise SignalError(f"lookback_days = {lookback_days} is longer than "
                           f"the panel's {t_total} dates")
@@ -371,55 +374,51 @@ def residual_returns(panel: ReturnsPanel, lookback_days: int = 250,
     with np.errstate(invalid="ignore", divide="ignore"):
         mean = window_sums(filled, lookback_days) / cnt
         abs_mean = window_sums(np.abs(filled), lookback_days) / cnt
-    # row s of the views is the window of rows s .. s + lookback - 1
-    windows = np.lib.stride_tricks.sliding_window_view(
-        filled, lookback_days, axis=0).transpose(0, 2, 1)
-    gaps = np.lib.stride_tricks.sliding_window_view(
-        ~valid, lookback_days, axis=0).transpose(0, 2, 1)
     prev = np.zeros(n)
     for first in range(lookback_days - 1, t_total, block):
         dates = np.arange(first, min(first + block, t_total))
         cols = np.nonzero(np.any(eligible[dates], axis=0))[0]
         if len(cols) < 2:
             continue
-        rows = slice(first - lookback_days + 1, dates[-1] - lookback_days + 2)
+        # date t's dev is y + delta[:, t] on its band of rows, 0 in gaps; the
+        # centre is defined, as a block is no longer than a window
+        centre = mean[dates[-1], cols]
+        span = slice(first - lookback_days + 1, dates[-1] + 1)
+        mask = valid[span, cols].astype(float)
+        y = (filled[span, cols] - centre) * mask
+        band = np.arange(len(y))[:, None] - (dates - first)
+        band = ((band >= 0) & (band < lookback_days)).astype(float)
         grid = np.ix_(dates, cols)
-        block_gaps = not np.all(valid[rows.start:dates[-1] + 1, cols])
-        # each date's centred window, as the per-date statistics need it
-        dev = windows[rows] if len(cols) == n else windows[rows][:, :, cols]
-        dev = dev - mean[grid][:, None, :]
-        if block_gaps:
-            np.copyto(dev, 0.0, where=gaps[rows][:, :, cols])
         c = cnt[grid]
-        sq = np.einsum("tia,tia->ta", dev, dev)
-        # corrected two-pass variance: the sum of dev takes out the rounding
-        # error of the window mean, so a constant asset reads as constant
+        # the rounding of var grows with delta (at most 4 eps s2): a window
+        # that close to the constant cut is measured about its own mean
+        s1, s2 = band.T @ y, band.T @ (y * y)
+        cut = (1e-12 * abs_mean[grid]) ** 2
         with np.errstate(invalid="ignore", divide="ignore"):
-            var = np.maximum(sq - (np.ones(lookback_days) @ dev) ** 2 / c, 0.0) / c
-        part = eligible[grid] & (var > (1e-12 * abs_mean[grid]) ** 2)
-        last = dev[:, -1].copy()
-        del dev   # one stack alive at a time
+            var = np.maximum(s2 - s1 ** 2 / c, 0.0) / c
+            near = eligible[grid] & (np.abs(var - cut) < 4 * np.finfo(float).eps * s2)
+        if np.any(near):
+            j, a = np.nonzero(near)
+            at, col = dates[j, None] - np.arange(lookback_days), cols[a, None]
+            dev = (filled[at, col] - mean[dates[j, None], col]) * valid[at, col]
+            sq, total = np.sum(dev * dev, axis=1), np.sum(dev, axis=1)
+            var[near] = np.maximum(sq - total ** 2 / c[near], 0.0) / c[near]
+        part = eligible[grid] & (var > cut)
         go = np.sum(part, axis=1) >= 2
         if not np.any(go):
             continue
         on = np.any(part[go], axis=0)
         dates, cols = dates[go], cols[on]
         grid = np.ix_(dates, cols)
-        part, sq, var, last = (x[go][:, on].T for x in (part, sq, var, last))
+        part, c, var = (x[go][:, on].T for x in (part, c, var))
+        y, mask, band = y[:, on], mask[:, on], band[:, go]
         sd = np.sqrt(var, out=np.zeros_like(var), where=part)
         inv_sd = np.divide(1.0, sd, out=np.zeros_like(sd), where=part)
-        # z'z has the diagonal sq / var, a floor under its top eigenvalue
-        floor = np.max(sq * inv_sd ** 2, axis=0)
-        # the block's rows, centred at the block's last mean (defined, as a
-        # block is no longer than a window); date t's dev is y + delta[:, t]
-        # on its band of rows, 0 in gaps
-        centre = mean[dates[-1], cols]
-        delta = np.where(part, centre[:, None] - mean[grid].T, 0.0)
-        span = slice(dates[0] - lookback_days + 1, dates[-1] + 1)
-        y = np.where(valid[span, cols], filled[span, cols] - centre, 0.0)
-        mask = valid[span, cols].astype(float)
-        band = np.arange(len(y))[:, None] - (dates - dates[0])
-        band = ((band >= 0) & (band < lookback_days)).astype(float)
+        # each dev sums to zero, so z'z has the diagonal c
+        floor = np.max(c * part, axis=0)
+        delta = np.where(part, centre[on, None] - mean[grid].T, 0.0)
+        last = y[dates - first + lookback_days - 1].T + delta
+        block_gaps = not np.all(mask)
 
         def matvec(u, js):
             scale, shift = inv_sd[:, js], delta[:, js]

@@ -6,7 +6,7 @@ from hypothesis import settings
 
 from factorlab import toy_model as tm
 
-settings.register_profile("ci", deadline=None, max_examples=60)
+settings.register_profile("ci", deadline=None, max_examples=60, derandomize=True)
 settings.load_profile("ci")
 
 

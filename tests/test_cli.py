@@ -235,6 +235,19 @@ class TestPredictability:
         assert err == ("error: lookback_days = 1000 is longer than the "
                        "panel's 900 dates\n")
 
+    def test_short_lookback_is_named(self, gen_dir, tmp_path, capsys):
+        _, _, out = gen_dir
+        cfg = tmp_path / "pred.cfg"
+        cfg.write_text("[predictability]\n"
+                       f"panel = {out / 'panel.csv'}\nfactors = MOM SMB\n"
+                       "lookback_days = 5\n")
+        dest = tmp_path / "pred"
+        assert run(["predictability", "--config", str(cfg), "--out",
+                    str(dest)]) == 1
+        assert capsys.readouterr().err == \
+            "error: lookback_days must be at least 10, got 5\n"
+        assert not (dest / "pred_summary.json").exists()
+
     @pytest.mark.parametrize("key, message", [
         ("horizon_days = 0", "horizon_days must be at least 1, got 0"),
         ("n_bins = 1", "n_bins must be at least 2, got 1"),

@@ -678,6 +678,34 @@ class TestResidualBlocks:
             got[29:, others],
             reference_residuals(make_panel({"ret": ret[:, others]}), self.LOOKBACK)[29:])
 
+    @pytest.mark.parametrize("held", [0.0, 0.001, 0.03])
+    def test_a_constant_stretch_ends_mid_block(self, held):
+        # asset 2 holds `held` to day 44 and moves after it, so its window
+        # is constant on dates 19..44; the block 39..58 of 20 dates is
+        # centred at the mean of date 58, far from `held`
+        ret = market_returns(70, 6, seed=77)
+        ret[:45, 2] = held
+        panel = make_panel({"ret": ret})
+        got = blocked_residuals(panel, self.LOOKBACK, self.LOOKBACK)
+        assert np.all(np.isnan(got[:45, 2])) and np.all(np.isfinite(got[45:, 2]))
+        others = np.delete(np.arange(6), 2)
+        assert_same_residuals(
+            got[:45, others],
+            reference_residuals(make_panel({"ret": ret[:, others]}), self.LOOKBACK)[:45])
+        assert_same_residuals(got[45:], reference_residuals(panel, self.LOOKBACK)[45:])
+
+    @pytest.mark.parametrize("jump", [0.5, 10.0, 1e3])
+    @pytest.mark.parametrize("per_block", [1, 5, 20])
+    def test_means_far_from_the_block_centre(self, jump, per_block):
+        # a jump on day 70 lies in the windows of dates 70..99 only, so a
+        # block that holds dates 69 and 70, or 99 and 100, mixes means with
+        # and without it
+        ret = market_returns(120, 8, seed=78)
+        ret[70, 3] += jump
+        panel = make_panel({"ret": ret})
+        assert_same_residuals(blocked_residuals(panel, 30, per_block),
+                              reference_residuals(panel, 30))
+
     def test_gaps_in_one_block_only(self):
         # blocks of 20 dates start at 19, 39 and 59; a gap on day 39 lies in
         # the windows of dates 39..58 alone, which is the second block

@@ -2,8 +2,8 @@
 leg correlations, maximum-Sharpe allocations, the size-exposure diagnostic
 for index-hedged legs, and cost attribution of backtest results.
 
-Annualization conventions: 252 trading days for daily series, 12 for
-monthly ones.
+Annualization conventions: `costs.TRADING_DAYS` (252) for daily series, 12
+for monthly ones.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .costs import TRADING_DAYS
 from .portfolio import BacktestResult, _ols_slope
 
-TRADING_DAYS = 252
 MONTHS = 12
 
 
@@ -215,11 +215,10 @@ class PerfSummary:
     mean_gross_leverage: float
 
 
-def cost_attribution(result: BacktestResult,
-                     periods_per_year: int = TRADING_DAYS) -> PerfSummary:
+def cost_attribution(result: BacktestResult) -> PerfSummary:
     """Annualize each P&L component of a backtest as a fraction of AUM."""
     aum = result.aum
-    scale = periods_per_year / aum
+    scale = TRADING_DAYS / aum
 
     def ann(x):
         return float(np.mean(x)) * scale
@@ -231,10 +230,9 @@ def cost_attribution(result: BacktestResult,
         to_gmv = result.traded_notional / gmv
     to_gmv = to_gmv[np.isfinite(to_gmv)]
     return PerfSummary(
-        sharpe=sharpe(result.total_pnl, aum, periods_per_year),
+        sharpe=sharpe(result.total_pnl, aum),
         ann_return=ann(result.total_pnl),
-        ann_vol=float(np.std(result.total_pnl / aum, ddof=1))
-        * math.sqrt(periods_per_year),
+        ann_vol=float(np.std(result.total_pnl / aum, ddof=1)) * math.sqrt(TRADING_DAYS),
         mean_drawdown=depth,
         returns_and_divs=ann(result.ret_pnl),
         trading_cost=ann(result.trading_cost),

@@ -359,8 +359,7 @@ _BACKTEST = {
     "min_invested": float,
 }
 _COSTS = {"linear_rate": float, "impact_coeff": float, "financing_spread": float,
-          "default_borrow_fee": float, "trading_days_per_year": int,
-          "borrow_file": str}
+          "default_borrow_fee": float, "borrow_file": str}
 
 
 def cmd_backtest(cfg, config_dir: str, out: Outputs, seed) -> None:
@@ -403,9 +402,7 @@ def cmd_backtest(cfg, config_dir: str, out: Outputs, seed) -> None:
     for mode in modes:
         vol_series = None
         if mode == "LS" and match_lh:
-            vol_series = lh_matched_vol_targets(
-                lh_result, panel.dates,
-                periods_per_year=params.trading_days_per_year)
+            vol_series = lh_matched_vol_targets(lh_result, panel.dates)
         result = run_backtest(panel, signal, dataclasses.replace(config, mode=mode),
                               params, index_returns=index, pool=pool,
                               borrow_fees=fees, start=sec.get("start"),
@@ -413,8 +410,7 @@ def cmd_backtest(cfg, config_dir: str, out: Outputs, seed) -> None:
         if mode == "LH":
             lh_result = result
         result.write_csv(out.path(f"backtest_{mode}.csv"))
-        summary[mode] = dataclasses.asdict(analytics.cost_attribution(
-            result, periods_per_year=params.trading_days_per_year))
+        summary[mode] = dataclasses.asdict(analytics.cost_attribution(result))
     if len(modes) == 2 and summary["LH"]["sharpe"] and summary["LS"]["sharpe"]:
         summary["ls_minus_lh_sharpe"] = summary["LS"]["sharpe"] - summary["LH"]["sharpe"]
     out.write_json("backtest_summary.json", summary)

@@ -24,6 +24,11 @@ import numpy as np
 from .data import _keyed_rows
 
 
+# the trading days in a year: every annual rate accrues, and every daily
+# variance and daily Sharpe ratio is annualized, over this many days
+TRADING_DAYS = 252
+
+
 class CostError(ValueError):
     """Unpriceable trade or invalid cost parameter."""
 
@@ -34,22 +39,19 @@ class CostModelParams:
     impact_coeff: float = 1.0          # prefactor of the square-root law
     financing_spread: float = 0.02     # annual, on gross above AUM
     default_borrow_fee: float = 0.0025  # annual, 25 bps
-    trading_days_per_year: int = 252
 
     def __post_init__(self):
         for name in ("linear_rate", "impact_coeff", "financing_spread",
                      "default_borrow_fee"):
             if not getattr(self, name) >= 0:
                 raise CostError(f"{name} must be non-negative, got {getattr(self, name)!r}")
-        if not 200 <= self.trading_days_per_year <= 260:
-            raise CostError("trading_days_per_year must be in [200, 260]")
 
     @property
     def is_free(self) -> bool:
         return self.linear_rate == 0.0 and self.impact_coeff == 0.0
 
 
-ZERO_COSTS = CostModelParams(0.0, 0.0, 0.0, 0.0, 252)
+ZERO_COSTS = CostModelParams(0.0, 0.0, 0.0, 0.0)
 
 
 def impact_rates(adv, sigma_daily, params: CostModelParams, scale: float = 1.0):
@@ -93,7 +95,7 @@ def financing_cost(gross_exposure: float, aum: float, params: CostModelParams) -
     if gross_exposure < 0:
         raise CostError("gross exposure must be non-negative")
     levered = max(gross_exposure - aum, 0.0)
-    return params.financing_spread * levered / params.trading_days_per_year
+    return params.financing_spread * levered / TRADING_DAYS
 
 
 def borrow_cost(short_positions, fees, params: CostModelParams) -> float:
@@ -108,7 +110,7 @@ def borrow_cost(short_positions, fees, params: CostModelParams) -> float:
         raise CostError("short book must have non-positive positions")
     if not np.all(np.isfinite(f) & (f >= 0)):
         raise CostError("borrow fee must be finite and non-negative")
-    return float(np.sum(f * np.abs(pos))) / params.trading_days_per_year
+    return float(np.sum(f * np.abs(pos))) / TRADING_DAYS
 
 
 def resolve_borrow_fees(assets, overrides: Mapping[str, float] | None,

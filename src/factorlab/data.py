@@ -36,7 +36,6 @@ PANEL_FIELDS = (
     "earnings",
     "net_income",
     "total_assets",
-    "borrow_fee",
 )
 
 DEFAULT_FFILL_LIMIT_DAYS = 370
@@ -153,8 +152,6 @@ class PoolMask:
     mask is (T, N) bool; membership only changes on rebalance dates.
     """
 
-    dates: np.ndarray
-    assets: tuple[str, ...]
     mask: np.ndarray
     rebalance_indices: np.ndarray
 
@@ -642,12 +639,7 @@ def select_pool(panel: ReturnsPanel, counts_by_region: Mapping[str, int],
             order = in_region[np.lexsort((in_region, -means[in_region]))]
             current[order[: min(count, len(order))]] = True
         mask[start:boundaries[k + 1]] = current
-    return PoolMask(
-        dates=panel.dates,
-        assets=panel.assets,
-        mask=mask,
-        rebalance_indices=rebal,
-    )
+    return PoolMask(mask=mask, rebalance_indices=rebal)
 
 
 # ---------------------------------------------------------------------------

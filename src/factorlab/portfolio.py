@@ -36,7 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostModelParams, borrow_cost, financing_cost, impact_rates, trade_cost
+from .costs import (
+    TRADING_DAYS, CostModelParams, borrow_cost, financing_cost, impact_rates, trade_cost,
+)
 from .data import (
     VOL_MIN_OBS, PoolMask, ReturnsPanel, _fmt_column, month_start_indices,
     rolling_vols, window_sums,
@@ -374,7 +376,9 @@ def _neutral_projection(w: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _capped_book(x, v, u, sig, corr, target):
     """(w(a), a) at the least a >= 0 where the daily variance of w(a)*sig
-    under corr is target; (the path's last book, inf) if there is none.
+    under corr is target; (the path's last book, inf) if there is none,
+    which is the least-norm book among the capped neutral books that
+    maximize x.w.
 
     w(a) = clip(a*x - m1 - m2*v, -u, u) with sum(w) = v.w = 0 projects a*x
     onto the neutral books within the caps. Between cap events (a free
@@ -418,8 +422,7 @@ def build_long_short(scores: np.ndarray, cleaned: CleanedCorrelation,
                      vol_target: float, aum: float,
                      prev_positions: np.ndarray, adv: np.ndarray,
                      cost_params: CostModelParams, cap: float = 0.03,
-                     cost_aversion: float = 1.0,
-                     periods_per_year: int = 252) -> tuple[np.ndarray, float, bool]:
+                     cost_aversion: float = 1.0) -> tuple[np.ndarray, float, bool]:
     """Dollar-neutral, market-mode-neutral book scaled to a volatility target.
 
     scores/prev_positions/adv are full panel cross-sections; the book lives
@@ -437,7 +440,7 @@ def build_long_short(scores: np.ndarray, cleaned: CleanedCorrelation,
     s = np.where(np.isfinite(scores[idx]), scores[idx], 0.0)
     prev = np.where(np.isfinite(prev_positions[idx]), prev_positions[idx], 0.0)
     v, sig = cleaned.leading_eigenvector, cleaned.vols
-    target_daily_var, u = (vol_target * aum) ** 2 / periods_per_year, cap * aum
+    target_daily_var, u = (vol_target * aum) ** 2 / TRADING_DAYS, cap * aum
 
     def daily_var(wv):
         return float((wv * sig) @ (cleaned.corr @ (wv * sig)))
@@ -459,7 +462,7 @@ def build_long_short(scores: np.ndarray, cleaned: CleanedCorrelation,
 
     out = np.zeros(len(scores))
     out[idx] = w
-    pred_vol = math.sqrt(max(daily_var(w), 0.0) * periods_per_year) / aum
+    pred_vol = math.sqrt(max(daily_var(w), 0.0) * TRADING_DAYS) / aum
     return out, pred_vol, a == math.inf
 
 
@@ -555,8 +558,8 @@ MATCHED_VOL_WINDOW = 250
 MATCHED_VOL_MIN_OBS = 60
 
 
-def lh_matched_vol_targets(lh_result: BacktestResult, panel_dates: np.ndarray,
-                           periods_per_year: int = 252) -> np.ndarray:
+def lh_matched_vol_targets(lh_result: BacktestResult,
+                           panel_dates: np.ndarray) -> np.ndarray:
     """Per-day volatility targets equal to the hedged-long track's trailing
     realized vol, refreshed on month starts.
 
@@ -575,7 +578,7 @@ def lh_matched_vol_targets(lh_result: BacktestResult, panel_dates: np.ndarray,
     vols = rolling_vols((lh_result.total_pnl / lh_result.aum)[:, None],
                         window=MATCHED_VOL_WINDOW, min_obs=min_obs)[refresh - 1, 0]
     k = np.searchsorted(dates[refresh], panel_dates, side="right") - 1
-    return vols[np.maximum(k, 0)] * math.sqrt(periods_per_year)
+    return vols[np.maximum(k, 0)] * math.sqrt(TRADING_DAYS)
 
 
 def _lh_step(panel, config, cost_params, adv, sigma, index_returns):
@@ -648,7 +651,6 @@ def _ls_step(panel, config, cost_params, adv, sigma, pool, vol_target_series):
         target, pred_vol, warn = build_long_short(
             scores, cleaned, vt, config.aum, w, adv[t], cost_params, cap=config.cap,
             cost_aversion=config.cost_aversion,
-            periods_per_year=cost_params.trading_days_per_year,
         )
         return target, 0.0, pred_vol, warn
     return step

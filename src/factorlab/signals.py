@@ -36,11 +36,11 @@ class SignalError(ValueError):
 
 FACTOR_IDS = ("MOM", "VALUEEAR", "LOWVOL", "SMB", "ROA")
 
-MOM_WINDOW = (252, 21)   # trading-day offsets, inclusive: 11 months lagged 1
+MOM_WINDOW = (-252, -21)  # rows t-252 .. t-21: 11 months lagged 1
 MOM_MIN_OBS = 120
 LOWVOL_WINDOW = 250
 LOWVOL_MIN_OBS = 120
-SMB_WINDOW = (59, 20)    # 40 days ending 20 days ago
+SMB_WINDOW = (-59, -20)   # 40 days ending 20 days ago
 SMB_MIN_OBS = 20
 
 # predictability defaults: forward window of the mean residual, and bins
@@ -98,20 +98,21 @@ def rank_normalize(values: np.ndarray) -> np.ndarray:
 # descriptors: each maps the panel to a (T, N) array of raw values
 # ---------------------------------------------------------------------------
 
-def _lagged_mean(arr: np.ndarray, lo: int, hi: int, min_obs: int) -> np.ndarray:
-    """Row t holds the column mean over rows t-lo .. t-hi inclusive; NaN
-    before row lo and where fewer than min_obs values are present."""
-    t_total, n = arr.shape
-    out = np.full((t_total, n), np.nan)
-    if t_total <= lo:
-        return out
+def _window_mean(arr: np.ndarray, lo: int, hi: int, min_obs: int) -> np.ndarray:
+    """Row t holds the column mean of the finite values over rows t+lo ..
+    t+hi inclusive; NaN where that window runs off the array or holds fewer
+    than min_obs values."""
+    t_total = len(arr)
+    out = np.full(arr.shape, np.nan)
     valid = np.isfinite(arr)
-    width = lo - hi + 1
-    cnt = window_sums(valid.astype(float), width)
-    total = window_sums(np.where(valid, arr, 0.0), width)
-    # the window ending at row r = t - hi is complete from r = lo - hi on
-    ok = cnt[lo - hi:t_total - hi] >= min_obs
-    out[lo:][ok] = total[lo - hi:t_total - hi][ok] / cnt[lo - hi:t_total - hi][ok]
+    cnt = window_sums(valid.astype(float), hi - lo + 1)
+    total = window_sums(np.where(valid, arr, 0.0), hi - lo + 1)
+    # the trailing window ending at row t + hi is the one of row t
+    first, stop = max(-lo, 0), min(t_total, t_total - hi)
+    if first < stop:
+        c, s = cnt[first + hi:stop + hi], total[first + hi:stop + hi]
+        ok = c >= min_obs
+        out[first:stop][ok] = s[ok] / c[ok]
     return out
 
 
@@ -124,7 +125,7 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 def _mom(panel: ReturnsPanel) -> np.ndarray:
-    return _lagged_mean(panel.field("ret"), *MOM_WINDOW, min_obs=MOM_MIN_OBS)
+    return _window_mean(panel.field("ret"), *MOM_WINDOW, MOM_MIN_OBS)
 
 
 def _lowvol(panel: ReturnsPanel) -> np.ndarray:
@@ -134,7 +135,7 @@ def _lowvol(panel: ReturnsPanel) -> np.ndarray:
 
 
 def _smb(panel: ReturnsPanel) -> np.ndarray:
-    return -_lagged_mean(panel.field("mcap"), *SMB_WINDOW, min_obs=SMB_MIN_OBS)
+    return -_window_mean(panel.field("mcap"), *SMB_WINDOW, SMB_MIN_OBS)
 
 
 def _valueear(panel: ReturnsPanel) -> np.ndarray:
@@ -474,20 +475,6 @@ class PredictabilityCurve:
         return bool(np.isfinite(self.slope_ratio) and self.slope_ratio > self.threshold)
 
 
-def _forward_mean(resid: np.ndarray, horizon_days: int) -> np.ndarray:
-    """Mean residual over [t+1, t+horizon]; NaN unless the window is full."""
-    t_total, n = resid.shape
-    out = np.full((t_total, n), np.nan)
-    if t_total <= horizon_days:
-        return out
-    valid = np.isfinite(resid)
-    # the trailing window ending at t + horizon is the forward one from t
-    sums = window_sums(np.where(valid, resid, 0.0), horizon_days)[horizon_days:]
-    full = window_sums(valid.astype(float), horizon_days)[horizon_days:] == horizon_days
-    out[:t_total - horizon_days][full] = sums[full] / horizon_days
-    return out
-
-
 def _bin_weights(se: np.ndarray) -> np.ndarray:
     """Inverse-variance weights; degenerate bins borrow the largest weight."""
     se = np.asarray(se, dtype=float)
@@ -572,7 +559,7 @@ def predictability_curve(scores, resid: np.ndarray,
     score_arr = scores.scores if isinstance(scores, SignalPanel) else np.asarray(scores)
     if score_arr.shape != resid.shape:
         raise SignalError("scores and residuals must be aligned")
-    y = _forward_mean(resid, horizon_days)
+    y = _window_mean(resid, 1, horizon_days, horizon_days)
     ok = np.isfinite(score_arr) & np.isfinite(y)
     x = score_arr[ok]
     yv = y[ok]
@@ -639,7 +626,7 @@ def bootstrap_slope_ratio(scores, resid: np.ndarray,
     shared-intercept two-slope model the curve uses.
     """
     score_arr = scores.scores if isinstance(scores, SignalPanel) else np.asarray(scores)
-    y = _forward_mean(resid, horizon_days)
+    y = _window_mean(resid, 1, horizon_days, horizon_days)
     ok = np.isfinite(score_arr) & np.isfinite(y)
     if not np.any(ok):
         raise SignalError("no usable observations for the bootstrap")

@@ -284,7 +284,7 @@ class TestCostAttribution:
         res = self.run_ls(small_universe, params)
         fee = params.default_borrow_fee
         expected = np.array([
-            fee * np.sum(np.abs(np.minimum(row, 0.0))) / params.trading_days_per_year
+            fee * np.sum(np.abs(np.minimum(row, 0.0))) / costs.TRADING_DAYS
             for row in res.positions
         ])
         assert np.allclose(-res.borrow_cost, expected, rtol=1e-12)

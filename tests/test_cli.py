@@ -414,6 +414,9 @@ class TestBacktest:
          "ema_span must be 0 (no smoothing) or positive, got -5"),
         (("mode = BOTH", "mode = BOTH\nindex = index.csv"),
          "the hedge index is given both as 'index' and as 'truth_series'"),
+        ("trading_days_per_year = 252\n",
+         "unknown key 'trading_days_per_year' in [costs]; known: borrow_file, "
+         "default_borrow_fee, financing_spread, impact_coeff, linear_rate"),
     ])
     def test_bad_value_names_its_key(self, gen_dir, tmp_path, capsys, edit,
                                      message):
@@ -896,7 +899,7 @@ def test_readme_config_reference_shows_the_defaults():
             if key in table:
                 assert table[key](cfg[section][key]) == default, (section, key)
                 checked.append(key)
-    assert len(checked) == 20
+    assert len(checked) == 19
 
 
 @pytest.mark.parametrize("script, lines", [

@@ -119,8 +119,8 @@ class TestFinancing:
 
     def test_two_x_leverage_over_a_year(self):
         aum = 1e9
-        p = costs.CostModelParams(financing_spread=0.02, trading_days_per_year=250)
-        got = 250 * costs.financing_cost(2 * aum, aum, p)
+        p = costs.CostModelParams(financing_spread=0.02)
+        got = costs.TRADING_DAYS * costs.financing_cost(2 * aum, aum, p)
         assert got == pytest.approx(0.02 * aum)
 
     def test_currency_homogeneity(self):
@@ -139,8 +139,8 @@ class TestBorrow:
         assert costs.borrow_cost(np.zeros(3), np.full(3, 0.01), DEFAULTS) == 0.0
 
     def test_single_short_for_a_year(self):
-        p = costs.CostModelParams(trading_days_per_year=250)
-        got = 250 * costs.borrow_cost(np.array([-1e6]), np.array([0.01]), p)
+        got = costs.TRADING_DAYS * costs.borrow_cost(np.array([-1e6]), np.array([0.01]),
+                                                     DEFAULTS)
         assert got == pytest.approx(1e4)
 
     def test_matches_brute_force(self):
@@ -169,8 +169,6 @@ class TestParamsAndSchedule:
     def test_parameter_validation(self):
         with pytest.raises(costs.CostError):
             costs.CostModelParams(linear_rate=-1e-4)
-        with pytest.raises(costs.CostError):
-            costs.CostModelParams(trading_days_per_year=100)
 
     @pytest.mark.parametrize("name", ["linear_rate", "impact_coeff",
                                       "financing_spread", "default_borrow_fee"])

@@ -318,6 +318,16 @@ class TestLoadPanel:
         with pytest.raises(data.PanelError, match="ret"):
             data.load_panel(path)
 
+    def test_borrow_fee_column_refused(self, tmp_path):
+        # the backtest's fees come from [costs], so a panel's would be ignored
+        path = write_lines(tmp_path / "p.csv", [
+            "date,asset_id,region,ret,borrow_fee",
+            "2020-01-02,AAA,NA,0.01,0.03",
+        ])
+        with pytest.raises(data.PanelError) as info:
+            data.load_panel(path)
+        assert str(info.value).startswith(f"{path}: unknown field column(s) borrow_fee;")
+
     def test_round_trip_normal_form(self, three_asset_csv, tmp_path):
         panel = data.load_panel(three_asset_csv)
         out1 = tmp_path / "w1.csv"

@@ -579,7 +579,7 @@ def capped_projections(a, x, maps, u):
 
 class TestCappedBook:
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 6),
-           tied=st.booleans(), flat_mode=st.booleans(), reach=st.floats(0.1, 8.0))
+           tied=st.booleans(), flat_mode=st.booleans(), reach=st.floats(0.1, 50.0))
     @example(seed=1, n=2, tied=False, flat_mode=False, reach=0.5)
     @example(seed=2, n=5, tied=True, flat_mode=True, reach=1.5)
     @example(seed=3, n=6, tied=True, flat_mode=False, reach=2.0)
@@ -588,8 +588,12 @@ class TestCappedBook:
         book is neutral, within its caps and the projection of a*x; it meets
         the target at the least a that does, and it is flagged (a = inf)
         only when no a on a fine grid reaches the target, and then below
-        it. The loadings are market-like (no negative correlation), so two
-        assets, or flat_mode, make v parallel to 1."""
+        it. A flagged book is the path's limit: of the neutral books within
+        the caps that maximize x.w, the least-norm one. It is checked on
+        the faces whose direction is 0, not at a large a, where a face's
+        rounding-level direction times a outweighs the norm tie-break. The
+        loadings are market-like (no negative correlation), so two assets,
+        or flat_mode, make v parallel to 1."""
         rng = np.random.Generator(np.random.Philox(seed))
         x = rng.integers(-2, 3, n).astype(float) if tied else rng.standard_normal(n)
         x[0] += 3.0 * np.all(x == x[0])
@@ -624,6 +628,13 @@ class TestCappedBook:
         else:
             assert var < target
             assert not np.any(grid_var > target * (1 + 1e-7))
+            alpha, beta, _ = maps
+            ends = beta[np.all(np.abs(alpha) <= 1e-12 * np.max(np.abs(x)), axis=1)
+                        & np.all(np.abs(beta) <= u * (1 + 1e-9), axis=1)]
+            gain = ends @ x
+            best = ends[gain >= np.max(gain) - 1e-9 * u * np.sum(np.abs(x))]
+            least = best[np.argmin(np.sum(best * best, axis=1))]
+            assert np.allclose(w, least, rtol=0, atol=1e-9 * u)
 
     def test_tied_scores_keep_the_caps(self):
         """Scores in seven tied groups on 20 assets, and a target out of
@@ -976,7 +987,7 @@ class TestBacktest:
 
         lh = track(dates, pnl)
 
-        def per_day_loop(periods_per_year=252):
+        def per_day_loop():
             window, min_obs = pf.MATCHED_VOL_WINDOW, pf.MATCHED_VOL_MIN_OBS
             rets = lh.total_pnl / lh.aum
             marks = set(data.month_start_indices(dates).tolist())
@@ -986,8 +997,7 @@ class TestBacktest:
                 if i in marks or (np.isnan(current) and i >= min_obs):
                     lo = max(0, i - window)
                     if i - lo >= min_obs:
-                        current = float(np.std(rets[lo:i], ddof=1)) \
-                            * np.sqrt(periods_per_year)
+                        current = float(np.std(rets[lo:i], ddof=1)) * np.sqrt(252)
                 targets[i] = current
             finite = np.isfinite(targets)
             targets[~finite] = targets[finite][0]
@@ -1002,9 +1012,8 @@ class TestBacktest:
                     out[i] = out[i - 1]
             return out
 
-        for kw in (dict(), dict(periods_per_year=250)):
-            got = pf.lh_matched_vol_targets(lh, panel_dates, **kw)
-            assert np.allclose(got, per_day_loop(**kw), rtol=1e-12, atol=0)
+        got = pf.lh_matched_vol_targets(lh, panel_dates)
+        assert np.allclose(got, per_day_loop(), rtol=1e-12, atol=0)
         # the first estimate needs MATCHED_VOL_MIN_OBS days strictly before it
         n = pf.MATCHED_VOL_MIN_OBS
         with pytest.raises(pf.PortfolioError, match="too short"):

@@ -149,8 +149,7 @@ class TestDescriptors:
         _, panel, _ = small_universe
         mask = np.zeros((panel.n_dates, panel.n_assets), dtype=bool)
         mask[:, :5] = True
-        pool = data.PoolMask(dates=panel.dates, assets=panel.assets, mask=mask,
-                             rebalance_indices=np.array([0]))
+        pool = data.PoolMask(mask=mask, rebalance_indices=np.array([0]))
         sig = signals.factor_signal(panel, pool, "MOM")
         assert np.all(np.isnan(sig.scores[:, 5:]))
 
@@ -272,8 +271,7 @@ class TestWholePanelSignal:
         month = np.arange(t) // 21
         mask = rng.random((month[-1] + 1, n))[month] < 0.8
         mask[:, :2] = True
-        pool = data.PoolMask(dates=panel.dates, assets=panel.assets, mask=mask,
-                             rebalance_indices=np.arange(0, t, 21))
+        pool = data.PoolMask(mask=mask, rebalance_indices=np.arange(0, t, 21))
         return panel, pool
 
     @pytest.mark.parametrize("factor", signals.FACTOR_IDS)
@@ -526,8 +524,7 @@ class TestResidualsAgainstEigh:
         panel = make_panel({"ret": ret})
         month = np.arange(t) // 21
         mask = rng.random((month[-1] + 1, n))[month] < 0.85
-        pool = data.PoolMask(dates=panel.dates, assets=panel.assets, mask=mask,
-                             rebalance_indices=np.arange(0, t, 21))
+        pool = data.PoolMask(mask=mask, rebalance_indices=np.arange(0, t, 21))
         return panel, pool
 
     @pytest.mark.parametrize("pooled", [False, True])
@@ -619,8 +616,7 @@ class TestResidualBlocks:
 
     @staticmethod
     def pool(panel, mask):
-        return data.PoolMask(dates=panel.dates, assets=panel.assets, mask=mask,
-                             rebalance_indices=np.array([0]))
+        return data.PoolMask(mask=mask, rebalance_indices=np.array([0]))
 
     @pytest.mark.parametrize("per_block", [1, 3, 5, 20, 50])
     def test_block_sizes_that_do_not_divide_the_dates(self, per_block):
@@ -853,7 +849,7 @@ class TestForwardMean:
         x = rng.standard_normal((40, 3))
         x[rng.random((40, 3)) < 0.15] = np.nan
         h = 5
-        got = signals._forward_mean(x, h)
+        got = signals._window_mean(x, 1, h, h)
         for t in range(40):
             for j in range(3):
                 if t + h >= 40:
@@ -871,7 +867,7 @@ def reference_bootstrap_slopes(scores, resid, horizon_days, n_boot, seed,
     """The per-draw bilinear forms the block-sum `bootstrap_slope_ratio`
     replaced: every draw weights all T dates of the 8 moment matrices.
     Returns the point slopes and the positive and negative slope samples."""
-    y = signals._forward_mean(resid, horizon_days)
+    y = signals._window_mean(resid, 1, horizon_days, horizon_days)
     ok = np.isfinite(scores) & np.isfinite(y)
     xp = np.where(ok & (scores > 0), scores, 0.0)
     xn = np.where(ok & (scores < 0), scores, 0.0)

@@ -314,13 +314,14 @@ def cmd_predictability(cfg, config_dir: str, out: Outputs, seed) -> None:
     pool = _pool(conf, panel)
     # what is left, lookback_days, feeds residual_returns
     resid = signals.residual_returns(panel, pool=pool, **given)
+    # predictability_curve per factor, with the forward mean computed once
+    forward = signals._window_mean(resid, 1, horizon, horizon)
     summary = {"horizon_days": horizon, "n_bins": n_bins, "factors": {}}
     ok = 0
     for name in names:
         try:
             sig = signals.factor_signal(panel, pool, name)
-            curve = signals.predictability_curve(sig, resid, horizon_days=horizon,
-                                                 n_bins=n_bins)
+            curve = signals._binned_curve(sig.scores, forward, n_bins)
         except signals.SignalError as exc:
             print(f"warning: skipping factor {name}: {exc}", file=sys.stderr)
             continue

@@ -374,6 +374,24 @@ def _neutral_projection(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _least_norm_solve(g: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
+    """(m, rank) for the symmetric positive semi-definite 2 x 2 system
+    g m = rhs, as np.linalg.lstsq(g, rhs, rcond=1e-13) gives them: an
+    eigenvalue at most 1e-13 of the largest counts as zero, and a singular
+    g gets the least-norm m."""
+    (a, b), (_, c) = g
+    top = 0.5 * (a + c) + math.hypot(0.5 * (a - c), b)
+    det = a * c - b * b
+    if det > 1e-13 * top * top:     # the lesser eigenvalue is det / top
+        return np.array([[c, -b], [-b, a]]) @ rhs / det, 2
+    if top <= 0:
+        return np.zeros_like(rhs), 0
+    # rank 1: g's larger column is along its top eigenvector
+    e = g[:, 0] if a >= c else g[:, 1]
+    e = e / math.hypot(*e)
+    return np.outer(e, e @ rhs) / top, 1
+
+
 def _capped_book(x, v, u, sig, corr, target):
     """(w(a), a) at the least a >= 0 where the daily variance of w(a)*sig
     under corr is target; (the path's last book, inf) if there is none,
@@ -393,8 +411,9 @@ def _capped_book(x, v, u, sig, corr, target):
     for _ in range(4 * n + 4):
         free = side == 0
         if lo > 0:
-            rhs = np.column_stack([b[:, free] @ x[free], b[:, ~free] @ (u * side[~free])])
-            m, _, rank, _ = np.linalg.lstsq(b[:, free] @ b[:, free].T, rhs, rcond=1e-13)
+            bf = b[:, free]
+            rhs = np.column_stack([bf @ x[free], b[:, ~free] @ (u * side[~free])])
+            m, rank = _least_norm_solve(bf @ bf.T, rhs)
             r, s = x - m[:, 0] @ b, -(m[:, 1] @ b)
             # rounding-level r is 0: pinned or tied free sets, capped assets tied with them
             tiny = np.abs(r) <= 1e-9 * np.max(np.abs(x))

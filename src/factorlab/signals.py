@@ -76,7 +76,9 @@ def rank_normalize(values: np.ndarray) -> np.ndarray:
     t, n = x.shape
     valid = ~np.isnan(x)
     count = np.sum(valid, axis=1, keepdims=True)
-    order = np.argsort(x, axis=1, kind="stable")   # NaN sorts last
+    # NaN sorts last under any kind; each tie group takes its average rank,
+    # so the order within a group does not matter
+    order = np.argsort(x, axis=1)
     srt = np.take_along_axis(x, order, axis=1)
     pos = np.broadcast_to(np.arange(n), (t, n))
     # a tie group spans [first, last]; NaN != NaN keeps the masked tail apart
@@ -263,8 +265,10 @@ RESID_MIN_FRAC = 0.8   # least valid share of an asset's residual window
 
 # `residual_returns` takes as many consecutive dates k at once as keep
 # k * lookback * n, the multiply-adds of each product of a power step, within
-# this many bytes / 8, and no more than the lookback
-_BLOCK_BYTES = 4 << 20
+# this many bytes / 8, and no more than the lookback: 83 dates at 200 assets
+# and lookback 250, enough that a block's set-up and each step's fixed
+# numpy calls are shared by many dates, while wide panels get small blocks
+_BLOCK_BYTES = 32 << 20
 
 
 def _col_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -337,8 +341,9 @@ def residual_returns(panel: ReturnsPanel, lookback_days: int = 250,
     absolute return drops it. Window counts and means come from
     `window_sums` over the whole panel.
 
-    Dates go in blocks of as many consecutive dates as `_BLOCK_BYTES`
-    allows, and no more than lookback_days, with no stack of windows. The
+    Dates go in blocks of k consecutive dates, k * lookback_days * n within
+    `_BLOCK_BYTES` / 8 (83 dates at 200 assets and a 250-day lookback) and
+    k no more than lookback_days, with no stack of windows. The
     block's lookback_days + k - 1 rows y, centred once at its last mean,
     give date t's dev as y plus its mean offset delta_t (0 in gaps) on its
     band of rows. The band sums s1 of y and s2 of y * y give the window
@@ -559,13 +564,33 @@ def predictability_curve(scores, resid: np.ndarray,
     score_arr = scores.scores if isinstance(scores, SignalPanel) else np.asarray(scores)
     if score_arr.shape != resid.shape:
         raise SignalError("scores and residuals must be aligned")
-    y = _window_mean(resid, 1, horizon_days, horizon_days)
-    ok = np.isfinite(score_arr) & np.isfinite(y)
+    return _binned_curve(score_arr, _window_mean(resid, 1, horizon_days, horizon_days),
+                         n_bins)
+
+
+def _stable_argsort(x: np.ndarray) -> np.ndarray:
+    """np.argsort(x, kind="stable") of a 1-D array without NaN, from two
+    plain sorts: the first numbers x's distinct values in order, and the
+    keys group * len(x) + index, which have no ties, then sort in the
+    stable order. Exact while len(x) ** 2 < 2 ** 63."""
+    n = len(x)
+    plain = np.argsort(x)
+    srt = x[plain]
+    group = np.cumsum(np.concatenate(([0], srt[1:] != srt[:-1])))
+    return np.sort(group * n + plain) % n
+
+
+def _binned_curve(score_arr: np.ndarray, forward: np.ndarray,
+                  n_bins: int) -> PredictabilityCurve:
+    """`predictability_curve` on aligned (T, N) scores and forward mean
+    residuals."""
+    ok = np.isfinite(score_arr) & np.isfinite(forward)
     x = score_arr[ok]
-    yv = y[ok]
+    yv = forward[ok]
     if len(x) < n_bins:
         raise SignalError("not enough observations to bin")
-    order = np.argsort(x, kind="stable")
+    # bin_y and bin_se sum each bin in the stable order
+    order = _stable_argsort(x)
     chunks = [c for c in np.array_split(order, n_bins) if len(c) > 0]
     bin_x = np.array([float(np.mean(x[c])) for c in chunks])
     bin_y = np.array([float(np.mean(yv[c])) for c in chunks])

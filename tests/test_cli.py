@@ -167,6 +167,33 @@ class TestPredictability:
         assert len(rows) == 10
         assert list(rows[0]) == ["bin_x", "bin_y", "stderr", "count"]
 
+    def test_rows_are_the_public_curve(self, gen_dir, tmp_path):
+        # the command bins one forward mean against every factor; each file
+        # holds what predictability_curve gives for that factor alone
+        _, _, out = gen_dir
+        cfg = tmp_path / "pred.cfg"
+        cfg.write_text(
+            "[predictability]\n"
+            f"panel = {out / 'panel.csv'}\n"
+            "factors = MOM LOWVOL SMB\n"
+            "horizon_days = 10\nn_bins = 12\nlookback_days = 120\n"
+        )
+        dest = tmp_path / "pred"
+        assert run(["predictability", "--config", str(cfg), "--out", str(dest)]) == 0
+        panel = data.load_panel(str(out / "panel.csv"))
+        resid = signals.residual_returns(panel, 120)
+        summary = read_json(dest / "pred_summary.json")["factors"]
+        for name in ("MOM", "LOWVOL", "SMB"):
+            curve = signals.predictability_curve(
+                signals.factor_signal(panel, None, name), resid, 10, 12)
+            with open(dest / f"pred_{name}.csv") as fh:
+                rows = list(csv.reader(fh))[1:]
+            assert rows == [[cli._fmt(x), cli._fmt(y), cli._fmt(se), str(int(c))]
+                            for x, y, se, c in zip(curve.bin_x, curve.bin_y,
+                                                   curve.bin_se, curve.bin_count)]
+            assert summary[name]["slope_ratio"] == cli._json_num(curve.slope_ratio)
+            assert summary[name]["n_obs"] == curve.n_obs
+
     def test_momentum_recovers_short_loading_on_spread_market(self, tmp_path):
         gen_cfg = tmp_path / "gen.cfg"
         gen_cfg.write_text(

@@ -636,6 +636,27 @@ class TestCappedBook:
             least = best[np.argmin(np.sum(best * best, axis=1))]
             assert np.allclose(w, least, rtol=0, atol=1e-9 * u)
 
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 6),
+           parallel=st.booleans())
+    @example(seed=4, n=0, parallel=False)
+    @example(seed=5, n=4, parallel=True)
+    def test_least_norm_solve_matches_lstsq(self, seed, n, parallel):
+        """The walk's 2 x 2 solve on the Gram matrix of [1, v] over a free
+        set gives lstsq's rank and least-norm answer: rank 1 when v is
+        parallel to 1 there, rank 0 when the set is empty."""
+        rng = np.random.Generator(np.random.Philox(seed))
+        v = np.full(n, rng.uniform(-1.0, 1.0)) if parallel else rng.standard_normal(n)
+        b = np.stack([np.ones(n), v])
+        rhs = rng.standard_normal((2, 2))
+        g = b @ b.T
+        m, rank = pf._least_norm_solve(g, rhs)
+        want, _, want_rank, _ = np.linalg.lstsq(g, rhs, rcond=1e-13)
+        assert rank == want_rank
+        # at rank 2 both answers carry g's condition number times the rounding
+        lam = np.linalg.eigvalsh(g)
+        tol = 1e-12 * (lam[1] / lam[0] if rank == 2 else 1.0)
+        assert np.allclose(m, want, rtol=tol, atol=tol)
+
     def test_tied_scores_keep_the_caps(self):
         """Scores in seven tied groups on 20 assets, and a target out of
         reach: an asset capped while tied with the last free group has a

@@ -2,8 +2,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
+from numpy.testing import assert_array_equal
 
 from factorlab import data, signals, toy_model as tm
 
@@ -65,6 +66,17 @@ class TestRankNormalize:
         assert np.allclose(base, affine, equal_nan=True)
         assert abs(np.nansum(base)) < 1e-12
         assert np.nanmax(np.abs(base)) <= 0.5
+
+    # on rows of 40 numpy's plain sort reorders the members of tie groups
+    # (-0.0 and 0.0 among them), which a short row would not show
+    @example(x=np.resize([2.0, 0.0, 1.0, np.nan, -0.0, 1.0, np.inf, -np.inf],
+                         (2, 40)))
+    @given(x=arrays(float, st.tuples(st.integers(1, 4), st.integers(1, 60)),
+                    elements=st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0,
+                                              np.nan, np.inf, -np.inf])))
+    def test_ties_match_a_stable_sort(self, x):
+        assert_array_equal(signals.rank_normalize(x),
+                           [reference_ranks(row) for row in x])
 
 
 class TestDescriptors:
@@ -691,16 +703,18 @@ class TestResidualBlocks:
         assert_same_residuals(got[45:], reference_residuals(panel, self.LOOKBACK)[45:])
 
     @pytest.mark.parametrize("jump", [0.5, 10.0, 1e3])
-    @pytest.mark.parametrize("per_block", [1, 5, 20])
+    @pytest.mark.parametrize("per_block", [1, 5, 20, None])
     def test_means_far_from_the_block_centre(self, jump, per_block):
         # a jump on day 70 lies in the windows of dates 70..99 only, so a
         # block that holds dates 69 and 70, or 99 and 100, mixes means with
-        # and without it
+        # and without it; None keeps the default bound, which gives blocks
+        # of the lookback here
         ret = market_returns(120, 8, seed=78)
         ret[70, 3] += jump
         panel = make_panel({"ret": ret})
-        assert_same_residuals(blocked_residuals(panel, 30, per_block),
-                              reference_residuals(panel, 30))
+        got = (signals.residual_returns(panel, 30) if per_block is None
+               else blocked_residuals(panel, 30, per_block))
+        assert_same_residuals(got, reference_residuals(panel, 30))
 
     def test_gaps_in_one_block_only(self):
         # blocks of 20 dates start at 19, 39 and 59; a gap on day 39 lies in
@@ -1011,3 +1025,36 @@ class TestPredictability:
         with pytest.raises(signals.SignalError):
             signals.predictability_curve(np.zeros((3, 2)), np.zeros((3, 2)),
                                          horizon_days=1, n_bins=20)
+
+    # rows longer than 16 are where numpy's plain sort reorders tie groups
+    @given(x=arrays(float, st.integers(1, 80),
+                    elements=st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0])))
+    def test_stable_argsort(self, x):
+        assert_array_equal(signals._stable_argsort(x), np.argsort(x, kind="stable"))
+
+    @pytest.mark.parametrize("n_bins", [7, 20])
+    def test_bins_match_a_stable_sort(self, n_bins):
+        # rank scores of small integers on dates with 12 to 30 valid assets:
+        # each score value recurs on many dates, and tie groups cross the
+        # bin edges
+        rng = np.random.Generator(np.random.Philox(19))
+        t, n, horizon = 160, 30, 5
+        raw = rng.integers(0, 6, (t, n)).astype(float)
+        raw[rng.random((t, n)) < rng.uniform(0.0, 0.6, (t, 1))] = np.nan
+        scores = signals.rank_normalize(raw)
+        resid = 0.002 * np.nan_to_num(scores) + 0.004 * rng.standard_normal((t, n))
+        resid[rng.random((t, n)) < 0.03] = np.nan
+        curve = signals.predictability_curve(scores, resid, horizon, n_bins)
+        forward = signals._window_mean(resid, 1, horizon, horizon)
+        ok = np.isfinite(scores) & np.isfinite(forward)
+        x, y = scores[ok], forward[ok]
+        chunks = np.array_split(np.argsort(x, kind="stable"), n_bins)
+        srt = np.sort(x)
+        edges = np.cumsum([len(c) for c in chunks])[:-1]
+        assert np.any(srt[edges - 1] == srt[edges])
+        assert_array_equal(curve.bin_x, [np.mean(x[c]) for c in chunks])
+        assert_array_equal(curve.bin_y, [np.mean(y[c]) for c in chunks])
+        assert_array_equal(curve.bin_se, [np.std(y[c], ddof=1) / np.sqrt(len(c))
+                                          for c in chunks])
+        assert_array_equal(curve.bin_count, [len(c) for c in chunks])
+        assert curve.n_obs == len(x)

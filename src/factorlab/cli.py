@@ -309,19 +309,18 @@ def cmd_predictability(cfg, config_dir: str, out: Outputs, seed) -> None:
     names = given.pop("factors")
     horizon = given.pop("horizon_days", signals.HORIZON_DAYS)
     n_bins = given.pop("n_bins", signals.N_BINS)
-    signals._check_curve_args(horizon, n_bins)   # before the panel is loaded
+    signals._check_args(horizon_days=horizon, n_bins=n_bins)   # before load_panel
     panel = load_panel(_resolve(config_dir, given.pop("panel")))
     pool = _pool(conf, panel)
     # what is left, lookback_days, feeds residual_returns
     resid = signals.residual_returns(panel, pool=pool, **given)
-    # predictability_curve per factor, with the forward mean computed once
-    forward = signals._window_mean(resid, 1, horizon, horizon)
+    forward = signals.forward_mean(resid, horizon)
     summary = {"horizon_days": horizon, "n_bins": n_bins, "factors": {}}
     ok = 0
     for name in names:
         try:
             sig = signals.factor_signal(panel, pool, name)
-            curve = signals._binned_curve(sig.scores, forward, n_bins)
+            curve = signals.predictability_curve(sig, forward, n_bins)
         except signals.SignalError as exc:
             print(f"warning: skipping factor {name}: {exc}", file=sys.stderr)
             continue
@@ -339,7 +338,7 @@ def cmd_predictability(cfg, config_dir: str, out: Outputs, seed) -> None:
             "positive_slope_se": _json_num(curve.positive_slope_se),
             "negative_slope_se": _json_num(curve.negative_slope_se),
             "slope_ratio": _json_num(curve.slope_ratio),
-            "threshold": curve.threshold,
+            "threshold": signals.SLOPE_RATIO_THRESHOLD,
             "above_threshold": curve.above_threshold,
             "n_obs": curve.n_obs,
         }

@@ -633,9 +633,10 @@ def _lh_step(panel, config, cost_params, adv, sigma, index_returns):
     return step
 
 
-def _ls_step(panel, config, cost_params, adv, sigma, pool, vol_target_series):
+def _ls_step(panel, config, cost_params, adv, sigma, vol_target_series):
     """LS's daily step: the book on the correlation cleaned on month starts
-    (and every day until two assets are eligible), flat while it is not."""
+    (and every day until two assets have a score and a full, non-constant
+    return window), flat while it is not."""
     ret = panel.field("ret")
     rebal = set(month_start_indices(panel.dates).tolist())
     cleaned: CleanedCorrelation | None = None
@@ -645,8 +646,7 @@ def _ls_step(panel, config, cost_params, adv, sigma, pool, vol_target_series):
         if cleaned is None or t in rebal:
             lo = t - config.cov_window + 1
             window = ret[max(lo, 0):t + 1]
-            idx = np.nonzero((np.isfinite(scores) if pool is None else pool.mask[t])
-                             & np.all(np.isfinite(window), axis=0)
+            idx = np.nonzero(np.isfinite(scores) & np.all(np.isfinite(window), axis=0)
                              & ~_constant_columns(window))[0]
             # a short history or fewer than two eligible assets (e.g. the
             # signal is still warming up): no book today, clean again tomorrow
@@ -726,7 +726,7 @@ def run_backtest(panel: ReturnsPanel, signal, config: StrategyConfig,
     if config.mode == "LH":
         step_fn = _lh_step(panel, config, cost_params, adv_panel, sigma, index_returns)
     else:
-        step_fn = _ls_step(panel, config, cost_params, adv_panel, sigma, pool,
+        step_fn = _ls_step(panel, config, cost_params, adv_panel, sigma,
                            vol_target_series)
     if borrow_fees is None:
         borrow_fees = np.full(n, cost_params.default_borrow_fee)

@@ -20,7 +20,7 @@ every date at once, which makes a raw signal dollar-neutral by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +46,10 @@ SMB_MIN_OBS = 20
 # predictability defaults: forward window of the mean residual, and bins
 HORIZON_DAYS = 21
 N_BINS = 20
+# least values of the predictability arguments, checked by `_check_args`
+_ARG_MIN = {"horizon_days": 1, "n_bins": 2, "block_days": 1}
+# the slope ratio above which shorts are accretive, at equal residual variances
+SLOPE_RATIO_THRESHOLD = float(shorts_threshold(1.0))
 
 
 @dataclass(frozen=True)
@@ -459,7 +463,7 @@ class PredictabilityCurve:
     the whole curve, and a through-origin fit would fold that offset into
     the slopes and bias their ratio toward one. slope_ratio compares the
     short side to the long side and is read against the accretive-shorts
-    threshold.
+    threshold, `SLOPE_RATIO_THRESHOLD`.
     """
 
     bin_x: np.ndarray
@@ -473,11 +477,11 @@ class PredictabilityCurve:
     negative_slope_se: float
     slope_ratio: float
     n_obs: int
-    threshold: float = field(default_factory=lambda: float(shorts_threshold(1.0)))
 
     @property
     def above_threshold(self) -> bool:
-        return bool(np.isfinite(self.slope_ratio) and self.slope_ratio > self.threshold)
+        return bool(np.isfinite(self.slope_ratio)
+                    and self.slope_ratio > SLOPE_RATIO_THRESHOLD)
 
 
 def _bin_weights(se: np.ndarray) -> np.ndarray:
@@ -542,30 +546,18 @@ def _two_slope_fit(bin_x, bin_y, bin_se):
     return np.nan, np.nan, np.nan, np.nan, np.nan
 
 
-def _check_curve_args(horizon_days: int, n_bins: int) -> None:
-    """The forward horizon and bin count every predictability curve needs."""
-    if horizon_days < 1:
-        raise SignalError(f"horizon_days must be at least 1, got {horizon_days}")
-    if n_bins < 2:
-        raise SignalError(f"n_bins must be at least 2, got {n_bins}")
+def _check_args(**args: int) -> None:
+    """Each predictability argument given is at least its `_ARG_MIN`."""
+    for name, value in args.items():
+        if value < _ARG_MIN[name]:
+            raise SignalError(f"{name} must be at least {_ARG_MIN[name]}, got {value}")
 
 
-def predictability_curve(scores, resid: np.ndarray,
-                         horizon_days: int = HORIZON_DAYS,
-                         n_bins: int = N_BINS) -> PredictabilityCurve:
-    """Pool (score, future mean residual) pairs into equal-count bins and
-    fit one slope per predictor sign around a shared intercept (see
-    `PredictabilityCurve`).
-
-    Sides with fewer than two bins leave their slope (and the ratio)
-    undefined.
-    """
-    _check_curve_args(horizon_days, n_bins)
-    score_arr = scores.scores if isinstance(scores, SignalPanel) else np.asarray(scores)
-    if score_arr.shape != resid.shape:
-        raise SignalError("scores and residuals must be aligned")
-    return _binned_curve(score_arr, _window_mean(resid, 1, horizon_days, horizon_days),
-                         n_bins)
+def forward_mean(resid: np.ndarray, horizon_days: int = HORIZON_DAYS) -> np.ndarray:
+    """Row t holds each column's mean residual over rows t+1 .. t+horizon_days;
+    NaN where that window runs off the panel or has a gap."""
+    _check_args(horizon_days=horizon_days)
+    return _window_mean(resid, 1, horizon_days, horizon_days)
 
 
 def _stable_argsort(x: np.ndarray) -> np.ndarray:
@@ -580,10 +572,20 @@ def _stable_argsort(x: np.ndarray) -> np.ndarray:
     return np.sort(group * n + plain) % n
 
 
-def _binned_curve(score_arr: np.ndarray, forward: np.ndarray,
-                  n_bins: int) -> PredictabilityCurve:
-    """`predictability_curve` on aligned (T, N) scores and forward mean
-    residuals."""
+def predictability_curve(scores, forward: np.ndarray,
+                         n_bins: int = N_BINS) -> PredictabilityCurve:
+    """Pool (score, forward mean residual) pairs into equal-count bins and
+    fit one slope per predictor sign around a shared intercept (see
+    `PredictabilityCurve`). `forward` is `forward_mean` of the residuals,
+    aligned with the (T, N) scores.
+
+    Sides with fewer than two bins leave their slope (and the ratio)
+    undefined.
+    """
+    _check_args(n_bins=n_bins)
+    score_arr = scores.scores if isinstance(scores, SignalPanel) else np.asarray(scores)
+    if score_arr.shape != forward.shape:
+        raise SignalError("scores and forward means must be aligned")
     ok = np.isfinite(score_arr) & np.isfinite(forward)
     x = score_arr[ok]
     yv = forward[ok]
@@ -650,13 +652,14 @@ def bootstrap_slope_ratio(scores, resid: np.ndarray,
     slopes; the point estimates are the unbinned raw-pair fit of the same
     shared-intercept two-slope model the curve uses.
     """
+    y = forward_mean(resid, horizon_days)
+    if block_days is None:
+        block_days = 2 * horizon_days
+    _check_args(block_days=block_days)
     score_arr = scores.scores if isinstance(scores, SignalPanel) else np.asarray(scores)
-    y = _window_mean(resid, 1, horizon_days, horizon_days)
     ok = np.isfinite(score_arr) & np.isfinite(y)
     if not np.any(ok):
         raise SignalError("no usable observations for the bootstrap")
-    if block_days is None:
-        block_days = 2 * horizon_days
     xp = np.where(ok & (score_arr > 0), score_arr, 0.0)
     xn = np.where(ok & (score_arr < 0), score_arr, 0.0)
     yy = np.where(ok, y, 0.0)

@@ -199,11 +199,6 @@ def sharpe_per_period(pnl: np.ndarray) -> float:
     return float(np.mean(pnl)) / sd
 
 
-def sharpe_standard_error(sr: float, n: int) -> float:
-    """Large-sample standard error of an estimated Sharpe ratio."""
-    return math.sqrt((1.0 + 0.5 * sr * sr) / n)
-
-
 # ---------------------------------------------------------------------------
 # N-asset synthetic market
 # ---------------------------------------------------------------------------

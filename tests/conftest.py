@@ -1,3 +1,4 @@
+import math
 import os
 
 import numpy as np
@@ -22,6 +23,12 @@ def small_universe():
     )
     panel, truth = tm.generate_universe(spec)
     return spec, panel, truth
+
+
+def sharpe_standard_error(sr: float, n: int) -> float:
+    """Large-sample standard error of a per-period Sharpe ratio estimated
+    from n periods."""
+    return math.sqrt((1.0 + 0.5 * sr * sr) / n)
 
 
 def make_ff_fixture(tmpdir, seed=17, months=240):

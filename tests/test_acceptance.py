@@ -154,7 +154,8 @@ def test_criterion_4_predictability_recovery(universe, residual_panel):
                                            horizon_days=21, n_boot=200, seed=4)
         assert ci.lo <= ACCEPTANCE_SPEC.loading_short_scale <= ci.hi, \
             (ci.lo, ci.point, ci.hi)
-        curve = signals.predictability_curve(sig, residual_panel, 21, 20)
+        curve = signals.predictability_curve(
+            sig, signals.forward_mean(residual_panel, 21), 20)
         assert curve.above_threshold
 
         noise_spec = tm.SyntheticUniverseSpec(

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from factorlab import analytics, costs, portfolio as pf, signals, toy_model as tm
+from conftest import sharpe_standard_error
 
 
 class TestSharpe:
@@ -33,7 +34,7 @@ class TestSharpe:
         pnl = tm.LONG_SHORT.pnl(s)
         sr = analytics.sharpe(pnl, base=1.0, periods_per_year=1)
         closed = tm.sr_long_short(p)
-        assert abs(sr - closed) < 3 * tm.sharpe_standard_error(closed, n)
+        assert abs(sr - closed) < 3 * sharpe_standard_error(closed, n)
 
     def test_scale_invariance(self):
         rng = np.random.Generator(np.random.Philox(2))

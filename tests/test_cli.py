@@ -2,6 +2,7 @@ import configparser
 import csv
 import dataclasses
 import hashlib
+import importlib.util
 import inspect
 import json
 import os
@@ -181,11 +182,11 @@ class TestPredictability:
         dest = tmp_path / "pred"
         assert run(["predictability", "--config", str(cfg), "--out", str(dest)]) == 0
         panel = data.load_panel(str(out / "panel.csv"))
-        resid = signals.residual_returns(panel, 120)
+        forward = signals.forward_mean(signals.residual_returns(panel, 120), 10)
         summary = read_json(dest / "pred_summary.json")["factors"]
         for name in ("MOM", "LOWVOL", "SMB"):
             curve = signals.predictability_curve(
-                signals.factor_signal(panel, None, name), resid, 10, 12)
+                signals.factor_signal(panel, None, name), forward, 12)
             with open(dest / f"pred_{name}.csv") as fh:
                 rows = list(csv.reader(fh))[1:]
             assert rows == [[cli._fmt(x), cli._fmt(y), cli._fmt(se), str(int(c))]
@@ -193,6 +194,33 @@ class TestPredictability:
                                                    curve.bin_se, curve.bin_count)]
             assert summary[name]["slope_ratio"] == cli._json_num(curve.slope_ratio)
             assert summary[name]["n_obs"] == curve.n_obs
+
+    def test_benchmark_span_sees_each_curve(self, gen_dir, tmp_path):
+        # perfbench/spans.py times the curves through the public
+        # signals.predictability_curve, so the command must bin through it
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_spans", ROOT / "perfbench" / "spans.py")
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        _, _, out = gen_dir
+        cfg = tmp_path / "pred.cfg"
+        cfg.write_text("[predictability]\n"
+                       f"panel = {out / 'panel.csv'}\n"
+                       "factors = MOM ROA SMB\nlookback_days = 120\n")
+        dest = tmp_path / "pred"
+        inst = spans.Instrument(trace=True, capture=set()).install()
+        try:
+            assert run(["predictability", "--config", str(cfg), "--out",
+                        str(dest)]) == 0
+        finally:
+            inst.remove()
+        curves = [counts for name, _, _, _, counts in inst.spans
+                  if name == "signals.predictability_curve"]
+        summary = read_json(dest / "pred_summary.json")["factors"]
+        assert list(summary) == ["MOM", "SMB"]   # ROA needs fundamentals
+        assert len(curves) == len(summary)
+        assert sum(c["obs"] for c in curves) == \
+            sum(f["n_obs"] for f in summary.values())
 
     def test_momentum_recovers_short_loading_on_spread_market(self, tmp_path):
         gen_cfg = tmp_path / "gen.cfg"
@@ -911,7 +939,7 @@ def test_readme_config_reference_shows_the_defaults():
         "signals": {"ema_span": _defaults(signals.smooth_ema)["span_days"]},
         "predictability": {
             "lookback_days": _defaults(signals.residual_returns)["lookback_days"],
-            "horizon_days": _defaults(signals.predictability_curve)["horizon_days"],
+            "horizon_days": _defaults(signals.forward_mean)["horizon_days"],
             "n_bins": _defaults(signals.predictability_curve)["n_bins"],
         },
     }

@@ -894,6 +894,28 @@ class TestBacktest:
         assert np.all(res.positions[:, 3] == 0.0)
         assert np.all(np.any(res.positions != 0.0, axis=1))
 
+    def test_ls_pool_member_without_a_score_stays_out(self):
+        # LS cleans over the assets with a score, pool or no pool: a pool
+        # member with no score is not bought at score 0
+        spec = tm.SyntheticUniverseSpec(
+            n_assets=20, n_periods=400, seed=3, resid_vol_long=0.004,
+            resid_vol_short=0.004, market_vol=0.012,
+        )
+        panel, _ = tm.generate_universe(spec)
+        raw = np.tile(np.arange(20.0), (panel.n_dates, 1))
+        raw[:, 3] = np.nan
+        scores = signals.rank_normalize(raw)
+        pool = data.PoolMask(mask=np.ones(scores.shape, dtype=bool),
+                             rebalance_indices=np.array([0]))
+        cfg = pf.StrategyConfig(mode="LS", aum=1e8, cap=0.03)
+        kw = dict(start=panel.dates[300])
+        alone = pf.run_backtest(panel, scores, cfg, costs.CostModelParams(), **kw)
+        pooled = pf.run_backtest(panel, scores, cfg, costs.CostModelParams(),
+                                 pool=pool, **kw)
+        assert np.all(alone.positions[:, 3] == 0.0)
+        assert np.any(alone.positions != 0.0)
+        assert np.array_equal(pooled.positions, alone.positions)
+
     def test_constant_hedge_index_names_date_and_cause(self):
         spec = tm.SyntheticUniverseSpec(
             n_assets=20, n_periods=300, seed=4, loading_short_scale=0.8,

@@ -863,7 +863,7 @@ class TestForwardMean:
         x = rng.standard_normal((40, 3))
         x[rng.random((40, 3)) < 0.15] = np.nan
         h = 5
-        got = signals._window_mean(x, 1, h, h)
+        got = signals.forward_mean(x, h)
         for t in range(40):
             for j in range(3):
                 if t + h >= 40:
@@ -881,7 +881,7 @@ def reference_bootstrap_slopes(scores, resid, horizon_days, n_boot, seed,
     """The per-draw bilinear forms the block-sum `bootstrap_slope_ratio`
     replaced: every draw weights all T dates of the 8 moment matrices.
     Returns the point slopes and the positive and negative slope samples."""
-    y = signals._window_mean(resid, 1, horizon_days, horizon_days)
+    y = signals.forward_mean(resid, horizon_days)
     ok = np.isfinite(scores) & np.isfinite(y)
     xp = np.where(ok & (scores > 0), scores, 0.0)
     xn = np.where(ok & (scores < 0), scores, 0.0)
@@ -920,23 +920,23 @@ class TestPredictability:
 
     def test_antisymmetric_response_ratio_one(self):
         scores, resid = self.antisymmetric_panel()
-        curve = signals.predictability_curve(scores, resid, horizon_days=5,
-                                             n_bins=10)
+        curve = signals.predictability_curve(
+            scores, signals.forward_mean(resid, horizon_days=5), n_bins=10)
         assert curve.slope_ratio == pytest.approx(1.0, abs=0.1)
         assert curve.intercept == pytest.approx(0.0, abs=1e-4)
         assert curve.above_threshold
 
     def test_bins_partition_observations(self):
         scores, resid = self.antisymmetric_panel()
-        curve = signals.predictability_curve(scores, resid, horizon_days=5,
-                                             n_bins=12)
+        curve = signals.predictability_curve(
+            scores, signals.forward_mean(resid, horizon_days=5), n_bins=12)
         assert int(np.sum(curve.bin_count)) == curve.n_obs
         assert len(curve.bin_count) == 12
 
     def test_slopes_match_independent_wls(self):
         scores, resid = self.antisymmetric_panel(seed=21)
-        curve = signals.predictability_curve(scores, resid, horizon_days=5,
-                                             n_bins=10)
+        curve = signals.predictability_curve(
+            scores, signals.forward_mean(resid, horizon_days=5), n_bins=10)
         w = 1.0 / curve.bin_se ** 2
         pos = np.where(curve.bin_x > 0, curve.bin_x, 0.0)
         neg = np.where(curve.bin_x < 0, curve.bin_x, 0.0)
@@ -980,14 +980,25 @@ class TestPredictability:
         assert bs.positive_slope_se == pytest.approx(se[0], rel=1e-9)
         assert bs.negative_slope_se == pytest.approx(se[1], rel=1e-9)
 
+    @pytest.mark.parametrize("kw, message", [
+        ({"horizon_days": 0}, "horizon_days must be at least 1, got 0"),
+        ({"horizon_days": -3}, "horizon_days must be at least 1, got -3"),
+        ({"block_days": 0}, "block_days must be at least 1, got 0"),
+        ({"block_days": -5}, "block_days must be at least 1, got -5"),
+    ])
+    def test_bootstrap_rejects_bad_windows(self, kw, message):
+        scores, resid = self.antisymmetric_panel(t=100, n=10)
+        with pytest.raises(signals.SignalError, match=f"^{message}$"):
+            signals.bootstrap_slope_ratio(scores, resid, n_boot=20, **kw)
+
     def test_two_point_scores_unidentifiable(self):
         rng = np.random.Generator(np.random.Philox(16))
         t, n = 300, 20
         base = np.concatenate([np.full(10, 1.0), np.full(10, -1.0)])
         scores = np.tile(signals.rank_normalize(base), (t, 1))
         resid = 0.001 * scores + 1e-4 * rng.standard_normal((t, n))
-        curve = signals.predictability_curve(scores, resid, horizon_days=5,
-                                             n_bins=8)
+        curve = signals.predictability_curve(
+            scores, signals.forward_mean(resid, horizon_days=5), n_bins=8)
         assert np.isnan(curve.slope_ratio)
 
     def test_positive_side_fit_alone(self):
@@ -1017,14 +1028,16 @@ class TestPredictability:
         ci = signals.bootstrap_slope_ratio(sig.scores, res, horizon_days=21,
                                            n_boot=150, seed=2)
         assert ci.lo <= 0.8 <= ci.hi
-        curve = signals.predictability_curve(sig.scores, res, 21, 20)
+        curve = signals.predictability_curve(sig.scores,
+                                             signals.forward_mean(res, 21), 20)
         assert curve.slope_ratio == pytest.approx(0.8, abs=0.05)
         assert curve.above_threshold
 
     def test_insufficient_pairs_rejected(self):
         with pytest.raises(signals.SignalError):
-            signals.predictability_curve(np.zeros((3, 2)), np.zeros((3, 2)),
-                                         horizon_days=1, n_bins=20)
+            signals.predictability_curve(
+                np.zeros((3, 2)), signals.forward_mean(np.zeros((3, 2)), horizon_days=1),
+                n_bins=20)
 
     # rows longer than 16 are where numpy's plain sort reorders tie groups
     @given(x=arrays(float, st.integers(1, 80),
@@ -1044,8 +1057,8 @@ class TestPredictability:
         scores = signals.rank_normalize(raw)
         resid = 0.002 * np.nan_to_num(scores) + 0.004 * rng.standard_normal((t, n))
         resid[rng.random((t, n)) < 0.03] = np.nan
-        curve = signals.predictability_curve(scores, resid, horizon, n_bins)
-        forward = signals._window_mean(resid, 1, horizon, horizon)
+        forward = signals.forward_mean(resid, horizon)
+        curve = signals.predictability_curve(scores, forward, n_bins)
         ok = np.isfinite(scores) & np.isfinite(forward)
         x, y = scores[ok], forward[ok]
         chunks = np.array_split(np.argsort(x, kind="stable"), n_bins)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from factorlab import toy_model as tm
+from conftest import sharpe_standard_error
 
 
 def params(mean_f=1.0, var_f=1.0, a=0.0, g=0.0, k=0.0):
@@ -116,7 +117,7 @@ class TestMonteCarlo:
         for book, closed in ((tm.LONG_SHORT, tm.sr_long_short(p)),
                              (tm.HEDGED_LONG, tm.sr_hedged_long(p))):
             emp = tm.sharpe_per_period(book.pnl(s))
-            se = tm.sharpe_standard_error(closed, n)
+            se = sharpe_standard_error(closed, n)
             assert abs(emp - closed) < 3 * se
 
     def test_ratio_within_one_percent_at_1e6(self):

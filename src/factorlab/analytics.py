@@ -72,13 +72,6 @@ def mean_pairwise_correlation(streams: np.ndarray) -> float:
     return float(np.mean(vals))
 
 
-@dataclass(frozen=True)
-class AllocationResult:
-    weights: np.ndarray
-    long_weight: float
-    short_weight: float
-
-
 def max_sharpe_weights(returns: np.ndarray, long_only: bool = False) -> np.ndarray:
     """Maximum-Sharpe weights, normalized to sum to one.
 
@@ -128,21 +121,6 @@ def max_sharpe_weights(returns: np.ndarray, long_only: bool = False) -> np.ndarr
     if total <= 0:
         raise AnalyticsError("max-Sharpe weights do not sum to a positive total")
     return w / total
-
-
-def max_sharpe_allocation(returns: np.ndarray, long_mask,
-                          long_only: bool = False) -> AllocationResult:
-    """Maximum-Sharpe weights plus the aggregate split between two groups of
-    streams (long-leg streams vs short-leg streams)."""
-    mask = np.asarray(long_mask, dtype=bool)
-    w = max_sharpe_weights(returns, long_only=long_only)
-    if len(mask) != len(w):
-        raise AnalyticsError("long_mask length mismatch")
-    return AllocationResult(
-        weights=w,
-        long_weight=float(np.sum(w[mask])),
-        short_weight=float(np.sum(w[~mask])),
-    )
 
 
 def estimate_series_beta(stream: np.ndarray, index: np.ndarray) -> float:

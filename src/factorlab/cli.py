@@ -320,7 +320,7 @@ def cmd_predictability(cfg, config_dir: str, out: Outputs, seed) -> None:
     for name in names:
         try:
             sig = signals.factor_signal(panel, pool, name)
-            curve = signals.predictability_curve(sig, forward, n_bins)
+            curve = signals.predictability_curve(sig.scores, forward, n_bins)
         except signals.SignalError as exc:
             print(f"warning: skipping factor {name}: {exc}", file=sys.stderr)
             continue
@@ -491,18 +491,17 @@ def cmd_famafrench(cfg, config_dir: str, out: Outputs, seed) -> None:
         report["short_corr_exceeds_long"] = (
             report["mean_short_corr"] > report["mean_long_corr"]
         )
-        streams = np.column_stack([long_streams, short_streams])
-        alloc = analytics.max_sharpe_allocation(
-            streams, [True] * len(factors) + [False] * len(factors),
-            long_only=long_only,
-        )
+        # the first len(factors) streams are the long legs
+        w = analytics.max_sharpe_weights(
+            np.column_stack([long_streams, short_streams]), long_only=long_only)
+        k = len(factors)
         report["max_sharpe"] = {
-            "long_weight": alloc.long_weight,
-            "short_weight": alloc.short_weight,
+            "long_weight": float(np.sum(w[:k])),
+            "short_weight": float(np.sum(w[k:])),
             "weights": {
                 name: float(wt) for name, wt in zip(
                     [f + "_long" for f in factors] + [f + "_short" for f in factors],
-                    alloc.weights,
+                    w,
                 )
             },
         }

@@ -497,53 +497,50 @@ def _bin_weights(se: np.ndarray) -> np.ndarray:
     return w
 
 
-def _solve_wls(x_cols: list[np.ndarray], y: np.ndarray, w: np.ndarray):
-    """Weighted normal equations; returns (theta, standard errors) or None
-    when the system is singular."""
-    design = np.column_stack(x_cols)
-    a = design.T @ (w[:, None] * design)
-    b = design.T @ (w * y)
+def _normal_fit(a: np.ndarray, b: np.ndarray):
+    """Solution of the normal equations a theta = b and its standard errors
+    sqrt(diag(inv(a))), or None when a is singular (condition number above
+    1e12). The one solve of the shared-intercept two-slope model, on bins
+    (`_two_slope_fit`) and on raw pairs (`bootstrap_slope_ratio`)."""
     if np.linalg.cond(a) > 1e12:
         return None
-    theta = np.linalg.solve(a, b)
-    ses = np.sqrt(np.diag(np.linalg.inv(a)))
-    return theta, ses
+    return np.linalg.solve(a, b), np.sqrt(np.diag(np.linalg.inv(a)))
 
 
 def _two_slope_fit(bin_x, bin_y, bin_se):
-    """Per-sign slopes with one shared intercept.
+    """Per-sign slopes with one shared intercept, by weighted least squares.
 
     Returns (intercept, pos_slope, neg_slope, pos_se, neg_se). A side whose
     bins do not span at least two distinct abscissas leaves its slope
-    undefined; if only one side is identifiable it is fit alone with its
-    own intercept.
+    undefined. Both sides identifiable are fit on all bins; one alone is
+    fit on its own bins with its own intercept. No identifiable side, or a
+    singular system, leaves all five undefined.
     """
-    w = _bin_weights(bin_se)
-    pos = bin_x > 0
-    neg = bin_x < 0
-    pos_ok = len(np.unique(bin_x[pos])) >= 2
-    neg_ok = len(np.unique(bin_x[neg])) >= 2
-    ones = np.ones(len(bin_x))
-    if pos_ok and neg_ok:
-        fit = _solve_wls(
-            [ones, np.where(pos, bin_x, 0.0), np.where(neg, bin_x, 0.0)],
-            bin_y, w,
-        )
-        if fit is not None:
-            (b0, sp, sn), (_, ep, en) = fit
-            return float(b0), float(sp), float(sn), float(ep), float(en)
-        pos_ok = neg_ok = False
-    if pos_ok:
-        fit = _solve_wls([ones[pos], bin_x[pos]], bin_y[pos], w[pos])
-        if fit is not None:
-            (b0, sp), (_, ep) = fit
-            return float(b0), float(sp), np.nan, float(ep), np.nan
-    if neg_ok:
-        fit = _solve_wls([ones[neg], bin_x[neg]], bin_y[neg], w[neg])
-        if fit is not None:
-            (b0, sn), (_, en) = fit
-            return float(b0), np.nan, float(sn), np.nan, float(en)
-    return np.nan, np.nan, np.nan, np.nan, np.nan
+    sides = (bin_x > 0, bin_x < 0)
+    ok = [len(np.unique(bin_x[s])) >= 2 for s in sides]
+    if not any(ok):
+        return (np.nan,) * 5
+    rows = np.ones(len(bin_x), dtype=bool) if all(ok) else sides[ok.index(True)]
+    design = np.column_stack([np.ones(len(bin_x))] + [
+        np.where(s, bin_x, 0.0) for s, good in zip(sides, ok) if good])[rows]
+    w = _bin_weights(bin_se)[rows]
+    fit = _normal_fit(design.T @ (w[:, None] * design), design.T @ (w * bin_y[rows]))
+    if fit is None:
+        return (np.nan,) * 5
+    theta, ses = fit
+    # column 1 + i of the design is the i-th identifiable side
+    out = np.full(5, np.nan)
+    on = np.flatnonzero(ok)
+    out[0], out[1 + on], out[3 + on] = theta[0], theta[1:], ses[1:]
+    return tuple(map(float, out))
+
+
+def _slope_ratio(pos_slope, neg_slope) -> float:
+    """Short side over long side: neg / pos where both slopes are finite
+    and pos is not zero, NaN otherwise."""
+    if np.isfinite(pos_slope) and np.isfinite(neg_slope) and pos_slope != 0:
+        return neg_slope / pos_slope
+    return np.nan
 
 
 def _check_args(**args: int) -> None:
@@ -572,22 +569,23 @@ def _stable_argsort(x: np.ndarray) -> np.ndarray:
     return np.sort(group * n + plain) % n
 
 
-def predictability_curve(scores, forward: np.ndarray,
+def predictability_curve(scores: np.ndarray, forward: np.ndarray,
                          n_bins: int = N_BINS) -> PredictabilityCurve:
     """Pool (score, forward mean residual) pairs into equal-count bins and
     fit one slope per predictor sign around a shared intercept (see
-    `PredictabilityCurve`). `forward` is `forward_mean` of the residuals,
-    aligned with the (T, N) scores.
+    `PredictabilityCurve`). `scores` is a (T, N) score array, such as a
+    `SignalPanel`'s `scores`, and `forward` is `forward_mean` of the
+    residuals, aligned with it.
 
-    Sides with fewer than two bins leave their slope (and the ratio)
-    undefined.
+    A side whose bins span fewer than two distinct scores leaves its slope
+    (and the ratio) undefined.
     """
     _check_args(n_bins=n_bins)
-    score_arr = scores.scores if isinstance(scores, SignalPanel) else np.asarray(scores)
-    if score_arr.shape != forward.shape:
+    scores = np.asarray(scores)
+    if scores.shape != forward.shape:
         raise SignalError("scores and forward means must be aligned")
-    ok = np.isfinite(score_arr) & np.isfinite(forward)
-    x = score_arr[ok]
+    ok = np.isfinite(scores) & np.isfinite(forward)
+    x = scores[ok]
     yv = forward[ok]
     if len(x) < n_bins:
         raise SignalError("not enough observations to bin")
@@ -604,15 +602,11 @@ def predictability_curve(scores, forward: np.ndarray,
     intercept, pos_slope, neg_slope, pos_se, neg_se = _two_slope_fit(
         bin_x, bin_y, bin_se,
     )
-    if np.isfinite(pos_slope) and np.isfinite(neg_slope) and pos_slope != 0:
-        ratio = neg_slope / pos_slope
-    else:
-        ratio = np.nan
     return PredictabilityCurve(
         bin_x=bin_x, bin_y=bin_y, bin_se=bin_se, bin_count=bin_count,
         intercept=intercept, positive_slope=pos_slope, negative_slope=neg_slope,
         positive_slope_se=pos_se, negative_slope_se=neg_se,
-        slope_ratio=ratio, n_obs=int(len(x)),
+        slope_ratio=_slope_ratio(pos_slope, neg_slope), n_obs=int(len(x)),
     )
 
 
@@ -636,7 +630,7 @@ class BootstrapCI:
     negative_slope_se: float
 
 
-def bootstrap_slope_ratio(scores, resid: np.ndarray,
+def bootstrap_slope_ratio(scores: np.ndarray, resid: np.ndarray,
                           horizon_days: int = HORIZON_DAYS,
                           n_boot: int = 200, seed: int = 0,
                           block_days: int | None = None) -> BootstrapCI:
@@ -650,18 +644,19 @@ def bootstrap_slope_ratio(scores, resid: np.ndarray,
     is weighted by the product of its multiplicities. Reports the 95%
     percentile band of the ratio and bootstrap standard errors for both
     slopes; the point estimates are the unbinned raw-pair fit of the same
-    shared-intercept two-slope model the curve uses.
+    shared-intercept two-slope model the curve uses, through the same
+    `_normal_fit`. `scores` is a (T, N) score array aligned with `resid`.
     """
     y = forward_mean(resid, horizon_days)
     if block_days is None:
         block_days = 2 * horizon_days
     _check_args(block_days=block_days)
-    score_arr = scores.scores if isinstance(scores, SignalPanel) else np.asarray(scores)
-    ok = np.isfinite(score_arr) & np.isfinite(y)
+    scores = np.asarray(scores)
+    ok = np.isfinite(scores) & np.isfinite(y)
     if not np.any(ok):
         raise SignalError("no usable observations for the bootstrap")
-    xp = np.where(ok & (score_arr > 0), score_arr, 0.0)
-    xn = np.where(ok & (score_arr < 0), score_arr, 0.0)
+    xp = np.where(ok & (scores > 0), scores, 0.0)
+    xn = np.where(ok & (scores < 0), scores, 0.0)
     yy = np.where(ok, y, 0.0)
     # (T, N) entries of X'X and X'y for design columns (1, x_pos, x_neg)
     mats = [ok.astype(float), xp, xn, xp * xp, xn * xn, yy, xp * yy, xn * yy]
@@ -676,11 +671,9 @@ def bootstrap_slope_ratio(scores, resid: np.ndarray,
             [sxp, sxxp, 0.0],
             [sxn, 0.0, sxxn],
         ])
-        b = np.array([sy, sxyp, sxyn])
-        if sxxp <= 0 or sxxn <= 0 or np.linalg.cond(a) > 1e12:
-            return np.nan, np.nan
-        _, sp, sn = np.linalg.solve(a, b)
-        return sp, sn
+        fit = None if sxxp <= 0 or sxxn <= 0 else \
+            _normal_fit(a, np.array([sy, sxyp, sxyn]))
+        return (np.nan, np.nan) if fit is None else tuple(fit[0][1:])
 
     point_sp, point_sn = slopes([np.ones(t) @ m @ np.ones(n) for m in mats])
     # the block of dates that starts at s sums to the trailing window that
@@ -703,9 +696,9 @@ def bootstrap_slope_ratio(scores, resid: np.ndarray,
     if len(finite) < max(10, n_boot // 2):
         raise SignalError("bootstrap produced too few finite ratios")
     lo, hi = np.percentile(finite, [2.5, 97.5])
-    point = point_sn / point_sp if point_sp not in (0.0,) else np.nan
     return BootstrapCI(
-        point=float(point), lo=float(lo), hi=float(hi), samples=samples,
+        point=float(_slope_ratio(point_sp, point_sn)), lo=float(lo),
+        hi=float(hi), samples=samples,
         positive_slope=float(point_sp),
         positive_slope_se=float(np.nanstd(sp_samples, ddof=1)),
         negative_slope=float(point_sn),

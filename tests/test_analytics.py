@@ -196,14 +196,12 @@ class TestMaxSharpe:
         t = 2000
         a = 0.01 + 0.02 * rng.standard_normal(t)
         b = 0.02 + 0.03 * rng.standard_normal(t)
-        base = analytics.max_sharpe_allocation(
-            np.column_stack([a, b]), long_mask=[True, False])
+        base = analytics.max_sharpe_weights(np.column_stack([a, b]))
         jitter = 1e-5 * rng.standard_normal(t)  # break exact singularity
-        split = analytics.max_sharpe_allocation(
-            np.column_stack([a, a + jitter, b]),
-            long_mask=[True, True, False])
-        assert split.long_weight == pytest.approx(base.long_weight, abs=1e-3)
-        assert split.short_weight == pytest.approx(base.short_weight, abs=1e-3)
+        split = analytics.max_sharpe_weights(np.column_stack([a, a + jitter, b]))
+        # long group: the a streams; short group: b
+        assert np.sum(split[:2]) == pytest.approx(base[0], abs=1e-3)
+        assert split[2] == pytest.approx(base[1], abs=1e-3)
 
     def test_singular_covariance_suggests_cleaning(self):
         x = np.random.default_rng(0).standard_normal((50, 2))

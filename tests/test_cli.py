@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from factorlab import cli, costs, data, portfolio as pf, signals, toy_model as tm
+from factorlab import (
+    analytics, cli, costs, data, portfolio as pf, signals, toy_model as tm,
+)
 from conftest import make_ff_fixture
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -186,7 +188,7 @@ class TestPredictability:
         summary = read_json(dest / "pred_summary.json")["factors"]
         for name in ("MOM", "LOWVOL", "SMB"):
             curve = signals.predictability_curve(
-                signals.factor_signal(panel, None, name), forward, 12)
+                signals.factor_signal(panel, None, name).scores, forward, 12)
             with open(dest / f"pred_{name}.csv") as fh:
                 rows = list(csv.reader(fh))[1:]
             assert rows == [[cli._fmt(x), cli._fmt(y), cli._fmt(se), str(int(c))]
@@ -585,6 +587,97 @@ class TestBacktest:
         assert files_equal(dests[0] / "backtest_LS.csv", dests[1] / "backtest_LS.csv")
 
 
+@pytest.fixture(scope="module")
+def pool_market(gen_dir, tmp_path_factory):
+    """The generated market with an ADV that differs by asset and drifts
+    over time, starts late for every fifth asset, and two regions, so a
+    [pool] section picks a changing subset: returns the panel path and the
+    truth series path."""
+    _, _, out = gen_dir
+    panel = data.load_panel(str(out / "panel.csv"))
+    t, n = panel.n_dates, panel.n_assets
+    cols = np.arange(n)
+    adv = 1e6 * (1 + cols) * (1.0 + 0.8 * np.sin(2 * np.pi * np.arange(t)[:, None]
+                                                 / 250 + cols))
+    for j in cols[::5]:
+        adv[:300 + 10 * j, j] = np.nan
+    panel = data.ReturnsPanel(
+        dates=panel.dates, assets=panel.assets,
+        regions=tuple("EU" if j % 3 == 0 else "SYN" for j in cols),
+        arrays={**panel.arrays, "adv": adv})
+    path = tmp_path_factory.mktemp("pool") / "panel.csv"
+    data.write_panel(panel, path)
+    return path, out / "truth_series.csv"
+
+
+class TestPool:
+    """A config's [pool] section gives the same outputs as the library path
+    through `data.select_pool` with the same keys."""
+
+    SECTION = "[pool]\ncounts = SYN:8 EU:4\nadv_window_days = 40\nmin_valid_days = 30\n"
+
+    @staticmethod
+    def library_pool(path):
+        panel = data.load_panel(str(path))
+        pool = data.select_pool(panel, {"SYN": 8, "EU": 4}, adv_window_days=40,
+                                min_valid_days=30)
+        held = np.sum(pool.mask, axis=1)
+        assert held.max() == 12 and held.max() < panel.n_assets
+        return panel, pool
+
+    def test_predictability(self, pool_market, tmp_path):
+        path, _ = pool_market
+        cfg = tmp_path / "pred.cfg"
+        cfg.write_text(
+            "[predictability]\n"
+            f"panel = {path}\nfactors = MOM SMB\n"
+            "horizon_days = 10\nn_bins = 12\nlookback_days = 120\n" + self.SECTION)
+        dest = tmp_path / "pred"
+        assert run(["predictability", "--config", str(cfg), "--out", str(dest)]) == 0
+        panel, pool = self.library_pool(path)
+        forward = signals.forward_mean(
+            signals.residual_returns(panel, 120, pool=pool), 10)
+        summary = read_json(dest / "pred_summary.json")["factors"]
+        for name in ("MOM", "SMB"):
+            curve = signals.predictability_curve(
+                signals.factor_signal(panel, pool, name).scores, forward, 12)
+            with open(dest / f"pred_{name}.csv") as fh:
+                rows = list(csv.reader(fh))[1:]
+            assert rows == [[cli._fmt(x), cli._fmt(y), cli._fmt(se), str(int(c))]
+                            for x, y, se, c in zip(curve.bin_x, curve.bin_y,
+                                                   curve.bin_se, curve.bin_count)]
+            assert summary[name]["slope_ratio"] == cli._json_num(curve.slope_ratio)
+            assert summary[name]["n_obs"] == curve.n_obs
+
+    def test_ls_backtest(self, pool_market, tmp_path):
+        path, truth = pool_market
+        cfg = tmp_path / "bt.cfg"
+        cfg.write_text(
+            "[backtest]\n"
+            f"panel = {path}\nmode = LS\ntruth_series = {truth}\n"
+            "aum = 1e9\ncap = 0.06\nvol_target = 0.05\nstart = 2001-01-08\n"
+            "[signals]\nfactors = MOM\nema_span = 150\n"
+            "[costs]\nlinear_rate = 5e-4\nimpact_coeff = 1.0\n" + self.SECTION)
+        dest = tmp_path / "bt"
+        assert run(["backtest", "--config", str(cfg), "--out", str(dest)]) == 0
+        panel, pool = self.library_pool(path)
+        signal = signals.blend([signals.smooth_ema(
+            signals.factor_signal(panel, pool, "MOM"), 150)], [1.0])
+        params = costs.CostModelParams(linear_rate=5e-4, impact_coeff=1.0)
+        result = pf.run_backtest(
+            panel, signal, pf.StrategyConfig(mode="LS", aum=1e9, cap=0.06,
+                                             vol_target=0.05),
+            params, index_returns=cli._load_dated_column(truth, "market",
+                                                         panel.dates),
+            pool=pool, borrow_fees=costs.resolve_borrow_fees(panel.assets, None,
+                                                             params),
+            start="2001-01-08")
+        result.write_csv(tmp_path / "lib.csv")
+        assert files_equal(dest / "backtest_LS.csv", tmp_path / "lib.csv")
+        assert read_json(dest / "backtest_summary.json")["LS"] == json.loads(
+            json.dumps(dataclasses.asdict(analytics.cost_attribution(result))))
+
+
 class TestFamaFrench:
     def test_report_on_fixture(self, tmp_path):
         paths, factors_path = make_ff_fixture(str(tmp_path))
@@ -757,6 +850,20 @@ def test_dates_are_yyyy_mm_dd_only(tmp_path, text, load, error, header, tail):
     assert str(info.value) == f"{path}: line 3: bad date {text!r}"
 
 
+def _golden_market(tmp_path):
+    """The small fixed market of the golden tests, generated into
+    tmp_path / "gen"."""
+    gen_cfg = tmp_path / "gen.cfg"
+    gen_cfg.write_text(
+        "[generate]\nn_assets = 12\nn_periods = 320\nseed = 7\n"
+        "alpha2 = 0.8\nresid_vol_long = 0.004\nresid_vol_short = 0.004\n"
+        "factor_mean = 0.0008\nfactor_vol = 0.004\n"
+        "market_mean = 0.0003\nmarket_vol = 0.012\n"
+    )
+    assert run(["generate", "--config", str(gen_cfg),
+                "--out", str(tmp_path / "gen")]) == 0
+
+
 # sha256 of each output of a small fixed `generate` and LS `backtest` run.
 # A change to how any cell is formatted, quoted or ordered moves a hash.
 GOLDEN_SHA256 = {
@@ -773,15 +880,7 @@ GOLDEN_SHA256 = {
 
 
 def test_golden_output_bytes(tmp_path, monkeypatch):
-    gen_cfg = tmp_path / "gen.cfg"
-    gen_cfg.write_text(
-        "[generate]\nn_assets = 12\nn_periods = 320\nseed = 7\n"
-        "alpha2 = 0.8\nresid_vol_long = 0.004\nresid_vol_short = 0.004\n"
-        "factor_mean = 0.0008\nfactor_vol = 0.004\n"
-        "market_mean = 0.0003\nmarket_vol = 0.012\n"
-    )
-    assert run(["generate", "--config", str(gen_cfg),
-                "--out", str(tmp_path / "gen")]) == 0
+    _golden_market(tmp_path)
     bt_cfg = tmp_path / "bt.cfg"
     bt_cfg.write_text(
         "[backtest]\n"
@@ -833,20 +932,41 @@ GOLDEN_LH_SHA256 = (
 
 
 def test_golden_lh_backtest_bytes(tmp_path):
-    gen_cfg = tmp_path / "gen.cfg"
-    gen_cfg.write_text(
-        "[generate]\nn_assets = 12\nn_periods = 320\nseed = 7\n"
-        "alpha2 = 0.8\nresid_vol_long = 0.004\nresid_vol_short = 0.004\n"
-        "factor_mean = 0.0008\nfactor_vol = 0.004\n"
-        "market_mean = 0.0003\nmarket_vol = 0.012\n"
-    )
-    assert run(["generate", "--config", str(gen_cfg),
-                "--out", str(tmp_path / "gen")]) == 0
+    _golden_market(tmp_path)
     cfg = _bt_lh_config(tmp_path, tmp_path / "gen")
     assert run(["backtest", "--config", str(cfg),
                 "--out", str(tmp_path / "bt")]) == 0
     got = hashlib.sha256((tmp_path / "bt" / "backtest_LH.csv").read_bytes())
     assert got.hexdigest() == GOLDEN_LH_SHA256
+
+
+# sha256 of each output of `predictability` on the `_golden_market`: the
+# residual returns, the forward mean, the bins and the two-slope fit
+GOLDEN_PRED_SHA256 = {
+    "pred_LOWVOL.csv":
+        "660e152522a22a810d0b5912f6401527f66ab1029ed99ab558856e48dbc9b45c",
+    "pred_MOM.csv":
+        "9070e0d3a99078cbe777d01babc07599c2d249302d9b5f8d1f04929405e6f997",
+    "pred_SMB.csv":
+        "927b067f53ab8255cd6aa30aba1abfc4ccc47181320c0adcd32201984250cd98",
+    "pred_summary.json":
+        "20571dd3ec028c76718d306033981bc1cf1cbed803195d9c13182750e9ebcd7a",
+}
+
+
+def test_golden_predictability_bytes(tmp_path):
+    _golden_market(tmp_path)
+    cfg = tmp_path / "pred.cfg"
+    cfg.write_text(
+        "[predictability]\n"
+        f"panel = {tmp_path / 'gen' / 'panel.csv'}\nfactors = MOM LOWVOL SMB\n"
+        "horizon_days = 10\nn_bins = 8\nlookback_days = 60\n"
+    )
+    dest = tmp_path / "pred"
+    assert run(["predictability", "--config", str(cfg), "--out", str(dest)]) == 0
+    got = {name: hashlib.sha256((dest / name).read_bytes()).hexdigest()
+           for name in sorted(os.listdir(dest))}
+    assert got == GOLDEN_PRED_SHA256
 
 
 def _vol_leg_csv(tmp_path, factors_path):

@@ -1015,6 +1015,28 @@ class TestPredictability:
         assert ep == pytest.approx(np.sqrt(np.linalg.inv(a)[1, 1]), rel=1e-12)
         assert np.isnan(sn) and np.isnan(en)
 
+    @pytest.mark.parametrize("x", [
+        # both sides span two abscissas, but each pair is 1e-9 apart: the
+        # joint system is singular, and no side is fit alone
+        [-1.0 - 1e-9, -1.0, 1.0, 1.0 + 1e-9],
+        # no side spans two distinct abscissas
+        [-1.0, -1.0, 0.0, 2.0],
+    ])
+    def test_unfit_slopes_are_all_undefined(self, x):
+        got = signals._two_slope_fit(np.array(x), np.array([0.3, 0.1, 0.2, 0.5]),
+                                     np.ones(4))
+        assert len(got) == 5 and np.all(np.isnan(got))
+
+    def test_degenerate_errors_weigh_bins_equally(self):
+        # with no usable bin error every bin weighs one, as with unit errors
+        x = np.array([-2.0, -1.0, 0.5, 1.0, 2.0])
+        y = np.array([0.4, 0.1, 0.2, 0.6, 0.7])
+        se = np.array([np.nan, 0.0, 0.0, np.nan, 0.0])
+        assert_array_equal(signals._bin_weights(se), np.ones(5))
+        got = signals._two_slope_fit(x, y, se)
+        assert got == signals._two_slope_fit(x, y, np.ones(5))
+        assert np.all(np.isfinite(got))
+
     def test_short_loading_recovered_on_spread_universe(self):
         spec = tm.SyntheticUniverseSpec(
             n_assets=100, n_periods=1600, seed=6, loading_short_scale=0.8,

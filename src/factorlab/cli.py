@@ -30,8 +30,8 @@ import numpy as np
 
 from . import analytics, costs, signals
 from .data import (
-    ReturnsPanel, _day, _fmt, _fmt_column, _keyed_rows, load_famafrench, load_panel,
-    select_pool, write_panel,
+    DEFAULT_LONG_TERTILE, ReturnsPanel, _day, _fmt, _fmt_column, _keyed_rows,
+    load_famafrench, load_panel, select_pool, write_panel,
 )
 from .portfolio import StrategyConfig, lh_matched_vol_targets, run_backtest
 from .toy_model import (
@@ -270,9 +270,9 @@ def cmd_generate(cfg, config_dir: str, out: Outputs, seed) -> None:
 _SIGNALS = {"factors": str.split, "weights": _floats, "ema_span": _ema_span}
 
 
-def _build_signal(sec: dict, panel, pool):
-    """Blended, optionally EMA-slowed signal per the [signals] values; an
-    absent section or empty factor list means a zero signal."""
+def _build_signal(sec: dict, panel, pool) -> np.ndarray:
+    """Blended, optionally EMA-slowed (T, N) score array per the [signals]
+    values; an absent section or empty factor list means a zero signal."""
     names = sec.get("factors", [])
     if not names:
         return np.zeros((panel.n_dates, panel.n_assets))
@@ -284,7 +284,7 @@ def _build_signal(sec: dict, panel, pool):
     built, used = [], []
     for name, weight in zip(names, weights):
         try:
-            sig = signals.factor_signal(panel, pool, name)
+            sig = signals.factor_signal(panel, pool, name).scores
         except signals.SignalError as exc:
             print(f"warning: skipping factor {name}: {exc}", file=sys.stderr)
             continue
@@ -425,7 +425,7 @@ def _hedge_index(raw: str) -> str:
 _FAMAFRENCH = {
     "factors": str.split, "factors_file": str, "hedge_index": _hedge_index,
     "long_only_weights": _bool, "vol_legs": str,
-    **{block: str for block in ("hml", "wml", "umd", "mom", "rmw", "cma", "vol")},
+    **{factor.lower(): str for factor in DEFAULT_LONG_TERTILE},
 }
 
 

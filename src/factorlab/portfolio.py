@@ -361,19 +361,6 @@ def optimize_long_only(scores: np.ndarray, prev_positions: np.ndarray,
 # the long-short book
 # ---------------------------------------------------------------------------
 
-def _neutral_projection(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Project onto {sum(w) = 0, v.w = 0} (orthonormalized constraint pair)."""
-    k = len(w)
-    e1 = np.full(k, 1.0 / math.sqrt(k))
-    out = w - np.dot(w, e1) * e1
-    u2 = v - np.dot(v, e1) * e1
-    norm = float(np.linalg.norm(u2))
-    if norm > 1e-12:
-        e2 = u2 / norm
-        out = out - np.dot(out, e2) * e2
-    return out
-
-
 def _least_norm_solve(g: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
     """(m, rank) for the symmetric positive semi-definite 2 x 2 system
     g m = rhs, as np.linalg.lstsq(g, rhs, rcond=1e-13) gives them: an
@@ -402,22 +389,25 @@ def _capped_book(x, v, u, sig, corr, target):
     onto the neutral books within the caps. Between cap events (a free
     asset reaching +-u, a capped one leaving its cap) each asset's unclipped
     value is a*r + s, with (m1, m2) from the 2 x 2 normal equations of
-    [1, v] on the free set, and the variance is a quadratic in a.
+    [1, v] on the free set, and the variance is a quadratic in a. Every
+    piece takes that solve, and an r at most 1e-9 of max|x| is 0. So an x
+    whose neutral part is rounding has r = 0 on the first piece and gets
+    the zero book, with a = inf.
     """
     n = len(x)
     side = np.zeros(n)      # +1 at the upper cap, -1 at the lower, 0 free
-    r, s, lo = _neutral_projection(x, v), np.zeros(n), 0.0
+    lo = 0.0
     b = np.stack([np.ones(n), v])
     for _ in range(4 * n + 4):
         free = side == 0
-        if lo > 0:
-            bf = b[:, free]
-            rhs = np.column_stack([bf @ x[free], b[:, ~free] @ (u * side[~free])])
-            m, rank = _least_norm_solve(bf @ bf.T, rhs)
-            r, s = x - m[:, 0] @ b, -(m[:, 1] @ b)
-            # rounding-level r is 0: pinned or tied free sets, capped assets tied with them
-            tiny = np.abs(r) <= 1e-9 * np.max(np.abs(x))
-            r[np.where(free, np.sum(free) <= rank or np.all(tiny[free]), tiny)] = 0.0
+        bf = b[:, free]
+        rhs = np.column_stack([bf @ x[free], b[:, ~free] @ (u * side[~free])])
+        m, rank = _least_norm_solve(bf @ bf.T, rhs)
+        r, s = x - m[:, 0] @ b, -(m[:, 1] @ b)
+        # rounding-level r is 0: pinned or tied free sets, capped assets tied
+        # with them, an x with no neutral part
+        tiny = np.abs(r) <= 1e-9 * np.max(np.abs(x))
+        r[np.where(free, np.sum(free) <= rank or np.all(tiny[free]), tiny)] = 0.0
         ps, qs = np.where(free, r, 0.0) * sig, np.where(free, s, u * side) * sig
         cp, root = corr @ ps, math.inf
         c2, c1, c0 = float(ps @ cp), float(qs @ cp), float(qs @ (corr @ qs))
@@ -448,7 +438,8 @@ def build_long_short(scores: np.ndarray, cleaned: CleanedCorrelation,
     on cleaned.asset_indices (assets leaving that set are sold). Returns
     (positions, predicted annual vol as a fraction of aum, warning flag).
     The book, and then the cost-tempered one, is _capped_book's. The warning
-    marks a target out of reach under the caps, or a null neutral signal.
+    marks a target out of reach under the caps, or a signal with no neutral
+    part, whose book is flat and is not tempered.
     """
     if vol_target <= 0:
         raise PortfolioError("vol_target must be positive")
@@ -460,16 +451,9 @@ def build_long_short(scores: np.ndarray, cleaned: CleanedCorrelation,
     prev = np.where(np.isfinite(prev_positions[idx]), prev_positions[idx], 0.0)
     v, sig = cleaned.leading_eigenvector, cleaned.vols
     target_daily_var, u = (vol_target * aum) ** 2 / TRADING_DAYS, cap * aum
-
-    def daily_var(wv):
-        return float((wv * sig) @ (cleaned.corr @ (wv * sig)))
-
-    d = _neutral_projection(s - np.mean(s), v)
-    var0 = daily_var(d)
-    if float(np.linalg.norm(d)) < 1e-15 or var0 <= 0:
+    w, a = _capped_book(s, v, u, sig, cleaned.corr, target_daily_var)
+    if not np.any(w):
         return np.zeros(len(scores)), 0.0, True
-    w, a = _capped_book(d * math.sqrt(target_daily_var / var0), v, u, sig,
-                        cleaned.corr, target_daily_var)
     if not (cost_params.is_free or cost_aversion == 0.0) and np.any(w != prev):
         lin = cost_aversion * cost_params.linear_rate
         k = impact_rates(np.asarray(adv)[idx], sig, cost_params, scale=cost_aversion)
@@ -481,7 +465,8 @@ def build_long_short(scores: np.ndarray, cleaned: CleanedCorrelation,
 
     out = np.zeros(len(scores))
     out[idx] = w
-    pred_vol = math.sqrt(max(daily_var(w), 0.0) * TRADING_DAYS) / aum
+    sw = w * sig
+    pred_vol = math.sqrt(max(float(sw @ (cleaned.corr @ sw)), 0.0) * TRADING_DAYS) / aum
     return out, pred_vol, a == math.inf
 
 
@@ -675,7 +660,7 @@ def _ls_step(panel, config, cost_params, adv, sigma, vol_target_series):
     return step
 
 
-def run_backtest(panel: ReturnsPanel, signal, config: StrategyConfig,
+def run_backtest(panel: ReturnsPanel, signal: np.ndarray, config: StrategyConfig,
                  cost_params: CostModelParams,
                  index_returns: np.ndarray | None = None,
                  pool: PoolMask | None = None,
@@ -686,12 +671,11 @@ def run_backtest(panel: ReturnsPanel, signal, config: StrategyConfig,
     target with the mode's step (_lh_step, _ls_step), trade at the close
     with costs, accrue financing and borrow.
 
-    The signal argument is a SignalPanel (or bare (T, N) score array)
-    aligned with the panel. LH needs index_returns aligned with the panel
-    dates. vol_target_series (aligned with the panel, LS only) overrides the
-    scalar target day by day where finite, letting the long-short book track
-    another strategy's realized volatility. Deterministic: same inputs,
-    bit-identical result.
+    The signal is a (T, N) score array aligned with the panel. LH needs
+    index_returns aligned with the panel dates. vol_target_series (aligned
+    with the panel, LS only) overrides the scalar target day by day where
+    finite, letting the long-short book track another strategy's realized
+    volatility. Deterministic: same inputs, bit-identical result.
 
     If no trade in the date range can be priced (`costs.impact_rates` is
     NaN everywhere), the run stops before its first day. Otherwise LH
@@ -699,10 +683,9 @@ def run_backtest(panel: ReturnsPanel, signal, config: StrategyConfig,
     trade one. LH buys an asset only once its beta window holds enough
     returns.
     """
-    scores_panel = getattr(signal, "scores", signal)
     ret = panel.field("ret")
     t_total, n = ret.shape
-    if scores_panel.shape != (t_total, n):
+    if np.shape(signal) != (t_total, n):
         raise PortfolioError("signal is not aligned with the panel")
     adv_panel = panel.field("adv") if panel.has_field("adv") else np.full((t_total, n), np.nan)
 
@@ -751,7 +734,7 @@ def run_backtest(panel: ReturnsPanel, signal, config: StrategyConfig,
         w = np.where(fin_r, w * (1.0 + r), w)
 
         # 2. rebuild the target and trade at the close
-        srow = scores_panel[max(t - config.exec_lag, 0)].copy()
+        srow = signal[max(t - config.exec_lag, 0)].copy()
         if pool is not None:
             srow[~pool.mask[t]] = np.nan
         target, hedge_target, pred_vol, warn = step_fn(t, srow, w)

@@ -54,7 +54,9 @@ SLOPE_RATIO_THRESHOLD = float(shorts_threshold(1.0))
 
 @dataclass(frozen=True)
 class SignalPanel:
-    """Date x asset normalized scores for one factor (or a blend)."""
+    """`factor_signal`'s result: one factor's date x asset rank-normalized
+    scores. Every other signal function takes and returns the bare (T, N)
+    score array."""
 
     dates: np.ndarray
     assets: tuple[str, ...]
@@ -188,20 +190,19 @@ def factor_signal(panel: ReturnsPanel, pool: PoolMask | None,
                        scores=rank_normalize(raw))
 
 
-def scores_from_values(panel: ReturnsPanel, values: np.ndarray) -> SignalPanel:
+def scores_from_values(panel: ReturnsPanel, values: np.ndarray) -> np.ndarray:
     """Rank-normalize arbitrary per-asset values into a constant-in-time
-    signal panel (ground-truth loadings, externally supplied scores)."""
-    row = rank_normalize(np.asarray(values, dtype=float))
-    scores = np.tile(row, (panel.n_dates, 1))
-    return SignalPanel(dates=panel.dates, assets=panel.assets, scores=scores)
+    (T, N) score array (ground-truth loadings, externally supplied scores)."""
+    return np.tile(rank_normalize(np.asarray(values, dtype=float)), (panel.n_dates, 1))
 
 
 # ---------------------------------------------------------------------------
 # slowing and blending
 # ---------------------------------------------------------------------------
 
-def smooth_ema(signal: SignalPanel, span_days: int = 150) -> SignalPanel:
-    """Exponential moving average with lam = 2 / (span + 1).
+def smooth_ema(raw: np.ndarray, span_days: int = 150) -> np.ndarray:
+    """Exponential moving average down each column of a (T, N) score array,
+    with lam = 2 / (span + 1).
 
     Assets initialize at their first valid raw score. On masked days the
     state is carried unchanged (and the output stays masked), so a gap does
@@ -211,7 +212,6 @@ def smooth_ema(signal: SignalPanel, span_days: int = 150) -> SignalPanel:
     if span_days < 1:
         raise SignalError("span_days must be positive")
     lam = 2.0 / (span_days + 1.0)
-    raw = signal.scores
     out = np.full(raw.shape, np.nan)
     state = np.full(raw.shape[1], np.nan)
     for t in range(raw.shape[0]):
@@ -221,11 +221,11 @@ def smooth_ema(signal: SignalPanel, span_days: int = 150) -> SignalPanel:
         cont = valid & ~fresh
         state[cont] = (1.0 - lam) * state[cont] + lam * raw[t, cont]
         out[t, valid] = state[valid]
-    return SignalPanel(dates=signal.dates, assets=signal.assets, scores=out)
+    return out
 
 
-def blend(signals: list[SignalPanel], weights) -> SignalPanel:
-    """Weighted cell-wise combination of signals on a shared calendar.
+def blend(signals: list[np.ndarray], weights) -> np.ndarray:
+    """Weighted cell-wise combination of (T, N) score arrays of one shape.
 
     Each cell averages over the factors valid there, renormalized by the
     sum of their weights, so a factor going missing does not shrink the
@@ -236,20 +236,19 @@ def blend(signals: list[SignalPanel], weights) -> SignalPanel:
     weights = np.asarray(weights, dtype=float)
     if len(weights) != len(signals) or not np.all(np.isfinite(weights)):
         raise SignalError("need one finite weight per signal")
-    first = signals[0]
-    for s in signals[1:]:
-        if not np.array_equal(s.dates, first.dates) or s.assets != first.assets:
-            raise SignalError("signals must share the same calendar and assets")
-    num = np.zeros(first.scores.shape)
-    den = np.zeros(first.scores.shape)
+    shape = np.shape(signals[0])
+    if any(np.shape(s) != shape for s in signals):
+        raise SignalError("signals must have the same shape")
+    num = np.zeros(shape)
+    den = np.zeros(shape)
     for s, w in zip(signals, weights):
-        valid = np.isfinite(s.scores)
-        num += np.where(valid, w * s.scores, 0.0)
+        valid = np.isfinite(s)
+        num += np.where(valid, w * s, 0.0)
         den += np.where(valid, w, 0.0)
-    out = np.full(first.scores.shape, np.nan)
+    out = np.full(shape, np.nan)
     ok = den != 0.0
     out[ok] = num[ok] / den[ok]
-    return SignalPanel(dates=first.dates, assets=first.assets, scores=out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -573,8 +572,8 @@ def predictability_curve(scores: np.ndarray, forward: np.ndarray,
                          n_bins: int = N_BINS) -> PredictabilityCurve:
     """Pool (score, forward mean residual) pairs into equal-count bins and
     fit one slope per predictor sign around a shared intercept (see
-    `PredictabilityCurve`). `scores` is a (T, N) score array, such as a
-    `SignalPanel`'s `scores`, and `forward` is `forward_mean` of the
+    `PredictabilityCurve`). `scores` is a (T, N) score array, such as
+    `factor_signal`'s `scores`, and `forward` is `forward_mean` of the
     residuals, aligned with it.
 
     A side whose bins span fewer than two distinct scores leaves its slope
@@ -652,6 +651,8 @@ def bootstrap_slope_ratio(scores: np.ndarray, resid: np.ndarray,
         block_days = 2 * horizon_days
     _check_args(block_days=block_days)
     scores = np.asarray(scores)
+    if scores.shape != y.shape:
+        raise SignalError("scores and residuals must be aligned")
     ok = np.isfinite(scores) & np.isfinite(y)
     if not np.any(ok):
         raise SignalError("no usable observations for the bootstrap")

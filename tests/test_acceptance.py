@@ -150,12 +150,12 @@ def test_criterion_4_predictability_recovery(universe, residual_panel):
                       "bootstrap CI; noise control within 2 SE"):
         panel, truth = universe
         sig = signals.scores_from_values(panel, truth.loadings)
-        ci = signals.bootstrap_slope_ratio(sig.scores, residual_panel,
+        ci = signals.bootstrap_slope_ratio(sig, residual_panel,
                                            horizon_days=21, n_boot=200, seed=4)
         assert ci.lo <= ACCEPTANCE_SPEC.loading_short_scale <= ci.hi, \
             (ci.lo, ci.point, ci.hi)
         curve = signals.predictability_curve(
-            sig.scores, signals.forward_mean(residual_panel, 21), 20)
+            sig, signals.forward_mean(residual_panel, 21), 20)
         assert curve.above_threshold
 
         noise_spec = tm.SyntheticUniverseSpec(

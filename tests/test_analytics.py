@@ -260,7 +260,7 @@ class TestSmbDiagnostic:
 class TestCostAttribution:
     def run_ls(self, small_universe, params):
         _, panel, truth = small_universe
-        sig = signals.smooth_ema(signals.factor_signal(panel, None, "MOM"), 150)
+        sig = signals.smooth_ema(signals.factor_signal(panel, None, "MOM").scores, 150)
         cfg = pf.StrategyConfig(mode="LS", aum=1e9, cap=0.06, vol_target=0.05)
         return pf.run_backtest(panel, sig, cfg, params,
                                start=panel.dates[300])

@@ -37,6 +37,15 @@ def files_equal(a, b):
         return fa.read() == fb.read()
 
 
+def benchmark_spans():
+    """perfbench/spans.py, through which the benchmark times the layers."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
 @pytest.fixture(scope="module")
 def gen_dir(tmp_path_factory):
     """A generated synthetic market with a strong drift, via the CLI."""
@@ -200,10 +209,7 @@ class TestPredictability:
     def test_benchmark_span_sees_each_curve(self, gen_dir, tmp_path):
         # perfbench/spans.py times the curves through the public
         # signals.predictability_curve, so the command must bin through it
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_spans", ROOT / "perfbench" / "spans.py")
-        spans = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(spans)
+        spans = benchmark_spans()
         _, _, out = gen_dir
         cfg = tmp_path / "pred.cfg"
         cfg.write_text("[predictability]\n"
@@ -348,6 +354,43 @@ class TestBacktest:
         assert summary["ls_minus_lh_sharpe"] > 0
         assert (dest / "backtest_LH.csv").exists()
         assert (dest / "backtest_LS.csv").exists()
+
+    def test_benchmark_spans_see_each_backtest_layer(self, tmp_path):
+        # perfbench/spans.py times the backtest's layers by their public
+        # names, so a BOTH run must pass through each of them
+        spans = benchmark_spans()
+        _golden_market(tmp_path)
+        gen = tmp_path / "gen"
+        cfg = tmp_path / "bt.cfg"
+        cfg.write_text(
+            "[backtest]\n"
+            f"panel = {gen / 'panel.csv'}\nmode = BOTH\n"
+            f"truth_series = {gen / 'truth_series.csv'}\n"
+            "aum = 1e9\ncap = 0.3\nstart = 2000-11-01\n"
+            "[signals]\nfactors = MOM LOWVOL\nweights = 1 1\nema_span = 20\n"
+            "[costs]\nlinear_rate = 5e-4\nimpact_coeff = 1.0\n")
+        dest = tmp_path / "bt"
+        inst = spans.Instrument(trace=True, capture=set()).install()
+        try:
+            assert run(["backtest", "--config", str(cfg), "--out", str(dest)]) == 0
+        finally:
+            inst.remove()
+        counts = {}
+        for name, _, _, _, count in inst.spans:
+            counts.setdefault(name, []).append(count)
+        layers = ["signals.factor_signal", "signals.smooth_ema", "signals.blend",
+                  "portfolio.optimize_long_only", "portfolio.clean_correlation",
+                  "portfolio.build_long_short", "portfolio.run_backtest",
+                  "portfolio.write_csv", "costs.trade_cost",
+                  "analytics.cost_attribution"]
+        assert set(layers) <= set(spans.LAYERS)
+        assert [name for name in layers if name not in counts] == []
+        panel = data.load_panel(gen / "panel.csv")
+        assert sum(c["cells"] for c in counts["signals.factor_signal"]) == \
+            2 * panel.n_dates * panel.n_assets
+        rows = [len((dest / f"backtest_{mode}.csv").read_text().splitlines()) - 1
+                for mode in ("LH", "LS")]
+        assert [c["days"] for c in counts["portfolio.run_backtest"]] == rows
 
     def test_zero_signal_flat(self, gen_dir, tmp_path):
         base, _, out = gen_dir
@@ -662,7 +705,7 @@ class TestPool:
         assert run(["backtest", "--config", str(cfg), "--out", str(dest)]) == 0
         panel, pool = self.library_pool(path)
         signal = signals.blend([signals.smooth_ema(
-            signals.factor_signal(panel, pool, "MOM"), 150)], [1.0])
+            signals.factor_signal(panel, pool, "MOM").scores, 150)], [1.0])
         params = costs.CostModelParams(linear_rate=5e-4, impact_coeff=1.0)
         result = pf.run_backtest(
             panel, signal, pf.StrategyConfig(mode="LS", aum=1e9, cap=0.06,
@@ -757,6 +800,18 @@ class TestFamaFrench:
         assert "bad value for 'hedge_index': 'median'" in err
         assert "nowhere" not in err
 
+    def test_long_only_weights_true_is_the_default(self, tmp_path):
+        paths, factors_path = make_ff_fixture(str(tmp_path))
+        text = ("[famafrench]\nfactors = HML WML\n"
+                f"hml = {paths['HML']}\nwml = {paths['WML']}\n"
+                f"factors_file = {factors_path}\n")
+        for name, extra in (("default", ""), ("true", "long_only_weights = true\n")):
+            (tmp_path / f"{name}.cfg").write_text(text + extra)
+            assert run(["famafrench", "--config", str(tmp_path / f"{name}.cfg"),
+                        "--out", str(tmp_path / name)]) == 0
+        for out in ("ff_report.json", "ff_legs.csv"):
+            assert files_equal(tmp_path / "default" / out, tmp_path / "true" / out)
+
     def test_missing_block_path_is_an_error(self, tmp_path, capsys):
         _, factors_path = make_ff_fixture(str(tmp_path))
         cfg = tmp_path / "ff.cfg"
@@ -766,6 +821,57 @@ class TestFamaFrench:
         assert run(["famafrench", "--config", str(cfg), "--out",
                     str(tmp_path / 'x')]) == 1
         assert "HML" in capsys.readouterr().err
+
+
+class TestErrorPaths:
+    """Config and input errors stop a command with exit code 1 and the
+    message on stderr, and leave no output behind."""
+
+    def fails(self, command, cfg, tmp_path, capsys, message):
+        dest = tmp_path / "out"
+        assert run([command, "--config", str(cfg), "--out", str(dest)]) == 1
+        assert message in capsys.readouterr().err
+        assert not list(dest.iterdir())
+
+    def test_config_file_not_found(self, tmp_path, capsys):
+        cfg = tmp_path / "nowhere.cfg"
+        self.fails("toy", cfg, tmp_path, capsys, f"config file not found: {cfg}")
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("backtest", "[toy]\nalpha2 = 1\n",
+         "missing required config section [backtest]"),
+        ("backtest", "[backtest]\nmode = LS\n[extras]\n",
+         "unknown config section [extras]; known: backtest, costs, pool, signals"),
+        ("backtest", "[backtest]\npanel = panel.csv\n", "missing key 'mode'"),
+        ("backtest", "[backtest]\npanel = panel.csv\nmode = LS\n"
+         "[signals]\nfactors = MOM\nweights = 1 x\n", "bad float list: '1 x'"),
+        ("toy", "[toy]\nalpha2 = 0.5\ngamma = 1\nkappa = \n", "empty value list"),
+        ("backtest", "[backtest]\npanel = panel.csv\nmode = LS\n"
+         "[pool]\ncounts = SYN\n",
+         "pool counts entries look like REGION:N, got 'SYN'"),
+        ("famafrench", "[famafrench]\nfactors = HML\nhml = hml.csv\n"
+         "factors_file = ff.csv\nlong_only_weights = maybe\n",
+         "bad boolean: 'maybe'"),
+    ])
+    def test_config_rejected_before_any_file(self, tmp_path, capsys, command, text,
+                                             message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        self.fails(command, cfg, tmp_path, capsys, message)
+
+    @pytest.mark.parametrize("text, message", [
+        ("[signals]\nfactors = MOM SMB\nweights = 1\n",
+         "weights must match factors one for one"),
+        ("[signals]\nfactors = ROA\n", "no usable factors"),
+        ("start = {late}\nend = {early}\n", "empty backtest date range"),
+    ])
+    def test_backtest_input_rejected(self, gen_dir, tmp_path, capsys, text, message):
+        _, _, out = gen_dir
+        dates = data.load_panel(out / "panel.csv").dates
+        cfg = tmp_path / "bt.cfg"
+        cfg.write_text(f"[backtest]\npanel = {out / 'panel.csv'}\nmode = LS\n"
+                       + text.format(late=dates[600], early=dates[500]))
+        self.fails("backtest", cfg, tmp_path, capsys, message)
 
 
 def _index(path):
@@ -875,7 +981,7 @@ GOLDEN_SHA256 = {
         "3cac6dbba9abdbffb94b1757379c325ecb022eaec7913b766098f7b4785bdd8e",
     # flat and vol-warning days (1.0) before the signal is warm, then 0.0
     "bt/backtest_LS.csv":
-        "5371e9b8e299f816bb0dfa54f86761a204dab34e2fc9276d87d12cc96fb45d83",
+        "6bf32dd3df8ac35b3a6a4e65d24c10db7007c3354687ddb7719231d497ca0889",
 }
 
 

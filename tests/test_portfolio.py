@@ -13,7 +13,7 @@ AUM = 1e9
 @pytest.fixture(scope="module")
 def mom_signals(small_universe):
     _, panel, _ = small_universe
-    raw = signals.factor_signal(panel, None, "MOM")
+    raw = signals.factor_signal(panel, None, "MOM").scores
     return raw, signals.smooth_ema(raw, 150)
 
 
@@ -543,6 +543,31 @@ class TestLongShortBook:
         assert abs(np.sum(w)) < 1e-9 * gmv
         assert abs(cleaned.leading_eigenvector @ w[cleaned.asset_indices]) < 1e-9 * gmv
 
+    @pytest.mark.parametrize("held", [False, True])
+    @pytest.mark.parametrize("c", [1.0, 1e3, 1e6])
+    def test_signal_without_neutral_part_is_flat(self, c, held):
+        """Scores c*v + 5 lie in the span of [1, v], so their neutral part is
+        rounding: the book is flat and flagged, with no predicted vol, and a
+        held book is sold without cost tempering. It is not the rounding
+        scaled up until the caps bind."""
+        cleaned = self.fixed_cleaned(n=30, seed=37)
+        v = cleaned.leading_eigenvector
+        rng = np.random.Generator(np.random.Philox(38))
+        prev = rng.uniform(-0.01, 0.01, 30) * AUM if held else np.zeros(30)
+        params = costs.CostModelParams() if held else costs.ZERO_COSTS
+        w, vol, warn = pf.build_long_short(c * v + 5.0, cleaned, 0.05, AUM, prev,
+                                           np.full(30, 1e7), params, cap=0.03)
+        assert warn
+        assert vol == 0.0
+        assert np.all(w == 0.0)
+
+
+def neutral_part(x, v):
+    """x less its least-squares fit on [1, v]: its projection onto the
+    books with sum(w) = v.w = 0."""
+    b = np.column_stack([np.ones(len(x)), v])
+    return x - b @ np.linalg.lstsq(b, x, rcond=None)[0]
+
 
 def capped_projection_maps(x, v, u):
     """For every split of the assets into free, upper-capped and
@@ -606,8 +631,8 @@ class TestCappedBook:
         v = np.full(n, 1.0 / math.sqrt(n)) if flat_mode else v * np.sign(np.sum(v))
         sig, u = rng.uniform(0.5, 2.0, n), 1.0
         cov = corr * np.outer(sig, sig)
-        first = u / np.max(np.abs(pf._neutral_projection(x, v)))
-        p1 = pf._neutral_projection(x, v) * first
+        first = u / np.max(np.abs(neutral_part(x, v)))
+        p1 = neutral_part(x, v) * first
         target = reach * float(p1 @ cov @ p1)
 
         w, a = pf._capped_book(x, v, u, sig, corr, target)
@@ -669,7 +694,7 @@ class TestCappedBook:
                                                + rng.standard_normal((300, 20))))
         v = cleaned.leading_eigenvector
         s = rng.integers(-3, 4, 20).astype(float)
-        x = pf._neutral_projection(s - s.mean(), v)
+        x = neutral_part(s - s.mean(), v)
         sig = rng.uniform(0.005, 0.03, 20)
         cov = cleaned.corr * np.outer(sig, sig)
         p1 = x / np.max(np.abs(x))
@@ -685,8 +710,7 @@ class TestCappedBook:
 class TestBacktest:
     def test_zero_signal_zero_book_flat(self, small_universe):
         _, panel, truth = small_universe
-        sig = signals.SignalPanel(dates=panel.dates, assets=panel.assets,
-                                  scores=np.zeros((panel.n_dates, panel.n_assets)))
+        sig = np.zeros((panel.n_dates, panel.n_assets))
         cfg = pf.StrategyConfig(mode="LH", aum=AUM, cap=0.03)
         res = pf.run_backtest(panel, sig, cfg, costs.CostModelParams(),
                               index_returns=truth.market,
@@ -707,8 +731,8 @@ class TestBacktest:
             arrays={"ret": np.repeat(index[:, None], 10, axis=1)})
         scores = np.zeros((300, 10))
         scores[280:] = 0.5
-        sig = signals.SignalPanel(dates=dates, assets=assets, scores=scores)
-        res = pf.run_backtest(panel, sig, pf.StrategyConfig(mode="LH", aum=AUM, cap=0.1),
+        res = pf.run_backtest(panel, scores,
+                              pf.StrategyConfig(mode="LH", aum=AUM, cap=0.1),
                               costs.ZERO_COSTS, index_returns=index,
                               start=dates[270])
         # every beta is exactly 1, and the full book is hedged at -AUM
@@ -826,14 +850,12 @@ class TestBacktest:
         scores = np.zeros((panel.n_dates, panel.n_assets))
         flip = 350
         scores[flip:, :10] = 0.4
-        sig = signals.SignalPanel(dates=panel.dates, assets=panel.assets,
-                                  scores=scores)
         kw = dict(index_returns=truth.market, start=panel.dates[300],
                   end=panel.dates[360])
-        lag0 = pf.run_backtest(panel, sig,
+        lag0 = pf.run_backtest(panel, scores,
                                pf.StrategyConfig(mode="LH", aum=AUM, cap=0.03),
                                costs.ZERO_COSTS, **kw)
-        lag1 = pf.run_backtest(panel, sig,
+        lag1 = pf.run_backtest(panel, scores,
                                pf.StrategyConfig(mode="LH", aum=AUM, cap=0.03,
                                                  exec_lag=1),
                                costs.ZERO_COSTS, **kw)
@@ -850,7 +872,7 @@ class TestBacktest:
             factor_vol=0.004, market_mean=3e-4, market_vol=0.012,
         )
         panel, truth = tm.generate_universe(spec)
-        return panel, truth, signals.factor_signal(panel, None, "MOM")
+        return panel, truth, signals.factor_signal(panel, None, "MOM").scores
 
     def test_ls_warm_up_goes_flat_like_lh(self, market20):
         panel, truth, mom = market20
@@ -860,7 +882,7 @@ class TestBacktest:
                              **kw)
         ls = pf.run_backtest(panel, mom, pf.StrategyConfig(mode="LS", aum=AUM),
                              costs.CostModelParams(), **kw)
-        cold = ~np.any(np.isfinite(mom.scores[250:]), axis=1)
+        cold = ~np.any(np.isfinite(mom[250:]), axis=1)
         assert cold[0] and not cold[-1]
         for res in (lh, ls):
             assert np.all(res.positions[cold] == 0.0)
@@ -887,8 +909,8 @@ class TestBacktest:
         arrays = dict(panel.arrays, ret=ret)
         panel = data.ReturnsPanel(dates=panel.dates, assets=panel.assets,
                                   regions=panel.regions, arrays=arrays)
-        mom = signals.factor_signal(panel, None, "MOM")
-        assert np.isfinite(mom.scores[-1, 3])
+        mom = signals.factor_signal(panel, None, "MOM").scores
+        assert np.isfinite(mom[-1, 3])
         res = pf.run_backtest(panel, mom, pf.StrategyConfig(mode="LS", aum=AUM),
                               costs.CostModelParams(), start=panel.dates[260])
         assert np.all(res.positions[:, 3] == 0.0)
@@ -923,7 +945,7 @@ class TestBacktest:
             factor_vol=0.004, market_mean=3e-4, market_vol=0.0,
         )
         panel, truth = tm.generate_universe(spec)
-        mom = signals.factor_signal(panel, None, "MOM")
+        mom = signals.factor_signal(panel, None, "MOM").scores
         with pytest.raises(pf.PortfolioError) as info:
             pf.run_backtest(panel, mom, pf.StrategyConfig(mode="LH", aum=AUM),
                             costs.CostModelParams(), index_returns=truth.market,
@@ -949,14 +971,14 @@ class TestBacktest:
         arrays["mcap"][:, 5] *= 1e-3
         panel = data.ReturnsPanel(dates=panel.dates, assets=panel.assets,
                                   regions=panel.regions, arrays=arrays)
-        return panel, truth, signals.factor_signal(panel, None, "SMB")
+        return panel, truth, signals.factor_signal(panel, None, "SMB").scores
 
     def test_late_listing_asset_waits_for_its_beta(self, late_listing):
         """An asset that lists on day 700 has an SMB score from day 739 but a
         beta only from day 824 (125 returns joint with the index): LH waits
         for the beta, and LS for a full covariance window."""
         panel, truth, smb = late_listing
-        assert np.argmax(np.isfinite(smb.scores[:, 5])) == 739
+        assert np.argmax(np.isfinite(smb[:, 5])) == 739
         betas = pf.rolling_betas(panel.field("ret"), truth.market)
         assert np.argmax(np.isfinite(betas[:, 5])) == 824
         held = {}
@@ -1073,11 +1095,20 @@ class TestBacktest:
             dates=dates, assets=("A", "B"), regions=("", ""),
             arrays={"ret": np.zeros((20, 2)), "adv": np.full((20, 2), 1e6)},
         )
-        sig = signals.SignalPanel(dates=dates, assets=("A", "B"),
-                                  scores=np.zeros((20, 2)))
         cfg = pf.StrategyConfig(mode="LS", aum=AUM)
         with pytest.raises(pf.PortfolioError, match="gap"):
-            pf.run_backtest(panel, sig, cfg, costs.ZERO_COSTS)
+            pf.run_backtest(panel, np.zeros((20, 2)), cfg, costs.ZERO_COSTS)
+
+    def test_misaligned_signal_rejected(self, small_universe):
+        """The signal is the bare (T, N) score array: one row short, or a
+        `SignalPanel` in its place, is not aligned with the panel."""
+        _, panel, truth = small_universe
+        cfg = pf.StrategyConfig(mode="LH", aum=AUM)
+        for sig in (np.zeros((panel.n_dates - 1, panel.n_assets)),
+                    signals.factor_signal(panel, None, "MOM")):
+            with pytest.raises(pf.PortfolioError, match="not aligned with the panel"):
+                pf.run_backtest(panel, sig, cfg, costs.ZERO_COSTS,
+                                index_returns=truth.market)
 
     def test_missing_index_return_names_date(self, small_universe):
         _, panel, truth = small_universe
@@ -1091,8 +1122,7 @@ class TestBacktest:
 
     def test_lh_without_index_rejected(self, small_universe):
         _, panel, _ = small_universe
-        sig = signals.SignalPanel(dates=panel.dates, assets=panel.assets,
-                                  scores=np.zeros((panel.n_dates, panel.n_assets)))
+        sig = np.zeros((panel.n_dates, panel.n_assets))
         cfg = pf.StrategyConfig(mode="LH", aum=AUM)
         with pytest.raises(pf.PortfolioError, match="index"):
             pf.run_backtest(panel, sig, cfg, costs.ZERO_COSTS)

@@ -20,15 +20,6 @@ def make_panel(arrays_dict, start="2020-01-01"):
     )
 
 
-def signal_of(scores):
-    t, n = scores.shape
-    return signals.SignalPanel(
-        dates=data.business_days("2020-01-01", t),
-        assets=tuple(f"A{i}" for i in range(n)),
-        scores=scores.astype(float),
-    )
-
-
 class TestRankNormalize:
     def test_three_values(self):
         got = signals.rank_normalize(np.array([3.0, 1.0, 2.0]))
@@ -325,8 +316,8 @@ class TestWholePanelSignal:
 class TestEma:
     def test_constant_fixed_point(self):
         scores = np.full((40, 3), 0.2)
-        out = signals.smooth_ema(signal_of(scores), span_days=10)
-        assert np.allclose(out.scores, 0.2)
+        out = signals.smooth_ema(scores, span_days=10)
+        assert np.allclose(out, 0.2)
 
     def test_impulse_response(self):
         t = 60
@@ -334,53 +325,57 @@ class TestEma:
         scores[10, 0] = 1.0
         span = 19
         lam = 2.0 / (span + 1.0)
-        out = signals.smooth_ema(signal_of(scores), span_days=span)
+        out = signals.smooth_ema(scores, span_days=span)
         ks = np.arange(t - 10)
         expected = lam * (1 - lam) ** ks
-        assert np.allclose(out.scores[10:, 0], expected)
+        assert np.allclose(out[10:, 0], expected)
 
     def test_initializes_at_first_valid(self):
         scores = np.full((10, 1), np.nan)
         scores[4, 0] = 0.7
-        out = signals.smooth_ema(signal_of(scores), span_days=5)
-        assert np.all(np.isnan(out.scores[:4, 0]))
-        assert out.scores[4, 0] == pytest.approx(0.7)
+        out = signals.smooth_ema(scores, span_days=5)
+        assert np.all(np.isnan(out[:4, 0]))
+        assert out[4, 0] == pytest.approx(0.7)
 
     def test_masked_days_carry_state(self):
         scores = np.array([[0.5], [np.nan], [0.5]])
-        out = signals.smooth_ema(signal_of(scores), span_days=9)
-        assert np.isnan(out.scores[1, 0])
-        assert out.scores[2, 0] == pytest.approx(0.5)
+        out = signals.smooth_ema(scores, span_days=9)
+        assert np.isnan(out[1, 0])
+        assert out[2, 0] == pytest.approx(0.5)
 
     def test_linearity(self):
         rng = np.random.Generator(np.random.Philox(6))
         x = rng.standard_normal((80, 4))
         y = rng.standard_normal((80, 4))
         a, b = 1.7, -0.3
-        left = signals.smooth_ema(signal_of(a * x + b * y), 21).scores
-        right = a * signals.smooth_ema(signal_of(x), 21).scores \
-            + b * signals.smooth_ema(signal_of(y), 21).scores
+        left = signals.smooth_ema(a * x + b * y, 21)
+        right = a * signals.smooth_ema(x, 21) + b * signals.smooth_ema(y, 21)
         assert np.allclose(left, right)
+
+    @pytest.mark.parametrize("span", [0, -3])
+    def test_span_below_one_rejected(self, span):
+        with pytest.raises(signals.SignalError, match="span_days must be positive"):
+            signals.smooth_ema(np.zeros((5, 2)), span_days=span)
 
 
 class TestBlend:
     def test_identity(self):
         rng = np.random.Generator(np.random.Philox(7))
-        s = signal_of(rng.standard_normal((20, 3)))
+        s = rng.standard_normal((20, 3))
         out = signals.blend([s], [1.0])
-        assert np.allclose(out.scores, s.scores)
+        assert np.allclose(out, s)
 
     def test_two_identical(self):
-        s = signal_of(np.full((5, 2), 0.25))
+        s = np.full((5, 2), 0.25)
         out = signals.blend([s, s], [1.0, 1.0])
-        assert np.allclose(out.scores, 0.25)
+        assert np.allclose(out, 0.25)
 
     def test_missing_factor_renormalized(self):
         a = np.array([[0.4, np.nan]])
         b = np.array([[0.2, 0.1]])
-        out = signals.blend([signal_of(a), signal_of(b)], [1.0, 1.0])
-        assert out.scores[0, 0] == pytest.approx(0.3)
-        assert out.scores[0, 1] == pytest.approx(0.1)
+        out = signals.blend([a, b], [1.0, 1.0])
+        assert out[0, 0] == pytest.approx(0.3)
+        assert out[0, 1] == pytest.approx(0.1)
 
     def test_matches_brute_force(self):
         rng = np.random.Generator(np.random.Philox(9))
@@ -389,29 +384,33 @@ class TestBlend:
         for _ in range(5):
             x = rng.standard_normal((15, 6))
             x[rng.random((15, 6)) < 0.2] = np.nan
-            panels.append(signal_of(x))
+            panels.append(x)
         out = signals.blend(panels, weights)
         for t in range(15):
             for j in range(6):
                 num = den = 0.0
                 for s, w in zip(panels, weights):
-                    v = s.scores[t, j]
+                    v = s[t, j]
                     if np.isfinite(v):
                         num += w * v
                         den += w
                 if den:
-                    assert out.scores[t, j] == pytest.approx(num / den)
+                    assert out[t, j] == pytest.approx(num / den)
                 else:
-                    assert np.isnan(out.scores[t, j])
+                    assert np.isnan(out[t, j])
 
     def test_empty_list_rejected(self):
         with pytest.raises(signals.SignalError):
             signals.blend([], [])
 
     def test_weight_mismatch_rejected(self):
-        s = signal_of(np.zeros((3, 2)))
+        s = np.zeros((3, 2))
         with pytest.raises(signals.SignalError):
             signals.blend([s], [1.0, 2.0])
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(signals.SignalError, match="same shape"):
+            signals.blend([np.zeros((3, 2)), np.zeros((3, 3))], [1.0, 1.0])
 
 
 class TestResiduals:
@@ -991,6 +990,15 @@ class TestPredictability:
         with pytest.raises(signals.SignalError, match=f"^{message}$"):
             signals.bootstrap_slope_ratio(scores, resid, n_boot=20, **kw)
 
+    def test_bootstrap_rejects_misaligned_scores(self):
+        """A row of scores would broadcast against the residual panel and
+        give a ratio; it is an error, as in `predictability_curve`."""
+        rng = np.random.Generator(np.random.Philox(18))
+        row = signals.rank_normalize(rng.standard_normal(20))
+        resid = 0.001 * row + 0.004 * rng.standard_normal((300, 20))
+        with pytest.raises(signals.SignalError, match="must be aligned"):
+            signals.bootstrap_slope_ratio(row, resid, horizon_days=5, n_boot=50)
+
     def test_two_point_scores_unidentifiable(self):
         rng = np.random.Generator(np.random.Philox(16))
         t, n = 300, 20
@@ -1047,10 +1055,10 @@ class TestPredictability:
         panel, truth = tm.generate_universe(spec)
         res = signals.residual_returns(panel, lookback_days=250)
         sig = signals.scores_from_values(panel, truth.loadings)
-        ci = signals.bootstrap_slope_ratio(sig.scores, res, horizon_days=21,
+        ci = signals.bootstrap_slope_ratio(sig, res, horizon_days=21,
                                            n_boot=150, seed=2)
         assert ci.lo <= 0.8 <= ci.hi
-        curve = signals.predictability_curve(sig.scores,
+        curve = signals.predictability_curve(sig,
                                              signals.forward_mean(res, 21), 20)
         assert curve.slope_ratio == pytest.approx(0.8, abs=0.05)
         assert curve.above_threshold

@@ -9,8 +9,9 @@ Two constructions are provided:
 
   * long-short (LS): a dollar-neutral book, orthogonal to the leading mode
     of a cleaned correlation matrix, at an annualized volatility target
-    under the per-stock cap, with the same cost-aware trade tempering. It
-    is proportional to the demeaned signal only until a cap binds.
+    under the per-stock cap. It does not weigh trading costs: the backtest
+    charges them, but the book is the same at every cost level. It is
+    proportional to the demeaned signal only until a cap binds.
 
 The long-only problem is separable and concave (a linear signal term minus
 a convex piecewise 3/2-power cost per asset) with box constraints and one
@@ -170,8 +171,8 @@ def clean_correlation(returns_window: np.ndarray,
 # long-only optimizer
 # ---------------------------------------------------------------------------
 
-def _piece_argmax(lam, a, c, p, d, lo, hi):
-    """Per-asset argmax over [lo, hi] of (s - lam)*w - lin*|w - p| - k*|w - p|^1.5.
+def _piece_argmax(lam, a, c, p, d, u):
+    """Per-asset argmax over [0, u] of (s - lam)*w - lin*|w - p| - k*|w - p|^1.5.
 
     Vectorized over assets, given a = s - lin, c = s + lin and d = 1.5*k.
     The asset buys while lam < a, sells while lam > c and holds p in
@@ -181,7 +182,7 @@ def _piece_argmax(lam, a, c, p, d, lo, hi):
     with np.errstate(divide="ignore", invalid="ignore"):
         w = np.where(lam < a, p + ((a - lam) / d) ** 2,
                      np.where(lam > c, p - ((lam - c) / d) ** 2, p))
-    return np.clip(w, lo, hi)
+    return np.clip(w, 0.0, u)
 
 
 def _solve_budget_dual(s, p, lin, d, u, budget, floor):
@@ -216,7 +217,7 @@ def _solve_budget_dual(s, p, lin, d, u, budget, floor):
 
     def book(lam):
         """Right and left limits in lam of the per-asset response."""
-        w = _piece_argmax(lam, a, c, p, d, 0.0, u)
+        w = _piece_argmax(lam, a, c, p, d, u)
         if not has_step:
             return w, w
         return (np.where(step & (c == lam), 0.0, w),
@@ -256,7 +257,7 @@ def _solve_budget_dual(s, p, lin, d, u, budget, floor):
     alpha = a[up] - lam_lo
     beta = lam_lo - c[down]
     fixed = ~(up | down)
-    a0 = float(np.sum(_piece_argmax(mid, a, c, p, d, 0.0, u)[fixed])
+    a0 = float(np.sum(_piece_argmax(mid, a, c, p, d, u)[fixed])
                + np.sum(p[up]) + np.sum(p[down])
                + np.sum(alpha * alpha * iq[up]) - np.sum(beta * beta * iq[down]))
     a1 = -2.0 * float(np.sum(alpha * iq[up]) + np.sum(beta * iq[down]))
@@ -266,7 +267,7 @@ def _solve_budget_dual(s, p, lin, d, u, budget, floor):
     denom = root - a1
     x = 2.0 * excess / denom if denom > 0 else lam_hi - lam_lo
     lam = lam_lo + min(max(x, 0.0), lam_hi - lam_lo)
-    w = _piece_argmax(lam, a, c, p, d, 0.0, u)
+    w = _piece_argmax(lam, a, c, p, d, u)
     # lam carries one rounding, which a very liquid asset (tiny d) turns into
     # a visible miss of the target; hand the miss to the moving assets in
     # proportion to their sensitivity dw/dlam
@@ -429,40 +430,27 @@ def _capped_book(x, v, u, sig, corr, target):
 
 def build_long_short(scores: np.ndarray, cleaned: CleanedCorrelation,
                      vol_target: float, aum: float,
-                     prev_positions: np.ndarray, adv: np.ndarray,
-                     cost_params: CostModelParams, cap: float = 0.03,
-                     cost_aversion: float = 1.0) -> tuple[np.ndarray, float, bool]:
+                     cap: float = 0.03) -> tuple[np.ndarray, float, bool]:
     """Dollar-neutral, market-mode-neutral book scaled to a volatility target.
 
-    scores/prev_positions/adv are full panel cross-sections; the book lives
-    on cleaned.asset_indices (assets leaving that set are sold). Returns
+    scores is a full panel cross-section; the book lives on
+    cleaned.asset_indices (assets leaving that set are sold). Returns
     (positions, predicted annual vol as a fraction of aum, warning flag).
-    The book, and then the cost-tempered one, is _capped_book's. The warning
+    The book is _capped_book's, whatever it costs to trade into. The warning
     marks a target out of reach under the caps, or a signal with no neutral
-    part, whose book is flat and is not tempered.
+    part, whose book is flat.
     """
     if vol_target <= 0:
         raise PortfolioError("vol_target must be positive")
     if aum <= 0 or not 0 < cap <= 1:
         raise PortfolioError("bad aum or cap")
-    _check_cost_aversion(cost_aversion)
     idx = cleaned.asset_indices
     s = np.where(np.isfinite(scores[idx]), scores[idx], 0.0)
-    prev = np.where(np.isfinite(prev_positions[idx]), prev_positions[idx], 0.0)
-    v, sig = cleaned.leading_eigenvector, cleaned.vols
-    target_daily_var, u = (vol_target * aum) ** 2 / TRADING_DAYS, cap * aum
-    w, a = _capped_book(s, v, u, sig, cleaned.corr, target_daily_var)
+    sig = cleaned.vols
+    w, a = _capped_book(s, cleaned.leading_eigenvector, cap * aum, sig, cleaned.corr,
+                        (vol_target * aum) ** 2 / TRADING_DAYS)
     if not np.any(w):
         return np.zeros(len(scores)), 0.0, True
-    if not (cost_params.is_free or cost_aversion == 0.0) and np.any(w != prev):
-        lin = cost_aversion * cost_params.linear_rate
-        k = impact_rates(np.asarray(adv)[idx], sig, cost_params, scale=cost_aversion)
-        if np.any(np.isnan(k)):
-            raise PortfolioError("missing ADV on a long-short book asset")
-        tempered = _piece_argmax(0.0, s - lin, s + lin, prev, 1.5 * k,
-                                 np.minimum(prev, w), np.maximum(prev, w))
-        w, a = _capped_book(tempered, v, u, sig, cleaned.corr, target_daily_var)
-
     out = np.zeros(len(scores))
     out[idx] = w
     sw = w * sig
@@ -486,7 +474,7 @@ class StrategyConfig:
     aum: float = 1e9
     cap: float = 0.03
     vol_target: float = 0.05        # LS only, annual fraction of AUM
-    cost_aversion: float = 1.0
+    cost_aversion: float = 1.0      # LH only
     beta_window: int = 250
     cov_window: int = 250
     vol_window: int = 250
@@ -564,8 +552,9 @@ MATCHED_VOL_MIN_OBS = 60
 
 def lh_matched_vol_targets(lh_result: BacktestResult,
                            panel_dates: np.ndarray) -> np.ndarray:
-    """Per-day volatility targets equal to the hedged-long track's trailing
-    realized vol, refreshed on month starts.
+    """Per-day volatility targets equal to the trailing realized vol of the
+    hedged-long track's returns before costs (ret_pnl), refreshed on month
+    starts. Costs are a drag the book pays, not the risk of its bet.
 
     The estimate at a refresh date uses the days strictly before it (up to
     MATCHED_VOL_WINDOW, at least MATCHED_VOL_MIN_OBS, expanding until enough
@@ -579,7 +568,7 @@ def lh_matched_vol_targets(lh_result: BacktestResult,
         raise PortfolioError("hedged-long track too short to estimate a vol target")
     refresh = month_start_indices(dates)
     refresh = np.union1d(refresh[refresh >= min_obs], [min_obs])
-    vols = rolling_vols((lh_result.total_pnl / lh_result.aum)[:, None],
+    vols = rolling_vols((lh_result.ret_pnl / lh_result.aum)[:, None],
                         window=MATCHED_VOL_WINDOW, min_obs=min_obs)[refresh - 1, 0]
     k = np.searchsorted(dates[refresh], panel_dates, side="right") - 1
     return vols[np.maximum(k, 0)] * math.sqrt(TRADING_DAYS)
@@ -652,10 +641,8 @@ def _ls_step(panel, config, cost_params, adv, sigma, vol_target_series):
         vt = config.vol_target
         if vol_target_series is not None and np.isfinite(vol_target_series[t]):
             vt = float(vol_target_series[t])
-        target, pred_vol, warn = build_long_short(
-            scores, cleaned, vt, config.aum, w, adv[t], cost_params, cap=config.cap,
-            cost_aversion=config.cost_aversion,
-        )
+        target, pred_vol, warn = build_long_short(scores, cleaned, vt, config.aum,
+                                                  cap=config.cap)
         return target, 0.0, pred_vol, warn
     return step
 

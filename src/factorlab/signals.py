@@ -214,7 +214,9 @@ def smooth_ema(raw: np.ndarray, span_days: int = 150) -> np.ndarray:
     lam = 2.0 / (span_days + 1.0)
     out = np.full(raw.shape, np.nan)
     state = np.full(raw.shape[1], np.nan)
-    for t in range(raw.shape[0]):
+    # rows before the first score leave out and state all NaN
+    scored = np.flatnonzero(np.any(np.isfinite(raw), axis=1))
+    for t in range(scored[0] if len(scored) else raw.shape[0], raw.shape[0]):
         valid = np.isfinite(raw[t])
         fresh = valid & ~np.isfinite(state)
         state[fresh] = raw[t, fresh]

@@ -981,7 +981,7 @@ GOLDEN_SHA256 = {
         "3cac6dbba9abdbffb94b1757379c325ecb022eaec7913b766098f7b4785bdd8e",
     # flat and vol-warning days (1.0) before the signal is warm, then 0.0
     "bt/backtest_LS.csv":
-        "6bf32dd3df8ac35b3a6a4e65d24c10db7007c3354687ddb7719231d497ca0889",
+        "00983d10bd495f3cd7ef92cc74fd7a1a9903b93d0ade306ddc15f87dcb0067ae",
 }
 
 

@@ -455,13 +455,6 @@ class TestLongOnlyOptimizer:
                                   cost_aversion=aversion)
         with pytest.raises(pf.PortfolioError, match="cost_aversion"):
             pf.StrategyConfig(mode="LS", cost_aversion=aversion)
-        rng = np.random.Generator(np.random.Philox(30))
-        cleaned = pf.clean_correlation(0.01 * rng.standard_normal((300, 20)))
-        with pytest.raises(pf.PortfolioError, match="cost_aversion"):
-            pf.build_long_short(np.linspace(-0.5, 0.5, 20), cleaned, 0.05, AUM,
-                                np.zeros(20), np.full(20, 1e7),
-                                costs.CostModelParams(), cap=0.1,
-                                cost_aversion=aversion)
 
 
 class TestLongShortBook:
@@ -479,10 +472,7 @@ class TestLongShortBook:
         x = 0.01 * (0.8 * f[:, None] + 0.6 * rng.standard_normal((300, 2)))
         cleaned = pf.clean_correlation(x)
         scores = np.array([0.25, -0.25])
-        w, vol, warn = pf.build_long_short(
-            scores, cleaned, 0.05, AUM, np.zeros(2), np.full(2, 1e7),
-            costs.ZERO_COSTS, cap=0.5,
-        )
+        w, vol, warn = pf.build_long_short(scores, cleaned, 0.05, AUM, cap=0.5)
         assert not warn
         assert w[0] == pytest.approx(-w[1])
         assert w[0] > 0
@@ -492,10 +482,7 @@ class TestLongShortBook:
         cleaned = self.fixed_cleaned()
         rng = np.random.Generator(np.random.Philox(32))
         scores = rng.uniform(-0.5, 0.5, 20)
-        w, vol, warn = pf.build_long_short(
-            scores, cleaned, 0.04, AUM, np.zeros(20), np.full(20, 1e7),
-            costs.ZERO_COSTS, cap=0.1,
-        )
+        w, vol, warn = pf.build_long_short(scores, cleaned, 0.04, AUM, cap=0.1)
         assert not warn
         assert vol == pytest.approx(0.04, rel=1e-9)
 
@@ -503,11 +490,7 @@ class TestLongShortBook:
         cleaned = self.fixed_cleaned(seed=33)
         rng = np.random.Generator(np.random.Philox(34))
         scores = rng.uniform(-0.5, 0.5, 20)
-        prev = rng.uniform(-0.01, 0.01, 20) * AUM
-        w, _, _ = pf.build_long_short(
-            scores, cleaned, 0.07, AUM, prev, np.full(20, 1e7),
-            costs.CostModelParams(), cap=0.1,
-        )
+        w, _, _ = pf.build_long_short(scores, cleaned, 0.07, AUM, cap=0.1)
         gmv = np.sum(np.abs(w))
         assert abs(np.sum(w)) < 1e-8 * gmv
         assert abs(cleaned.leading_eigenvector @ w[cleaned.asset_indices]) \
@@ -517,25 +500,18 @@ class TestLongShortBook:
         cleaned = self.fixed_cleaned(seed=35)
         rng = np.random.Generator(np.random.Philox(36))
         scores = rng.uniform(-0.5, 0.5, 20)
-        w, vol, warn = pf.build_long_short(
-            scores, cleaned, 2.0, AUM, np.zeros(20), np.full(20, 1e7),
-            costs.ZERO_COSTS, cap=0.005,
-        )
+        w, vol, warn = pf.build_long_short(scores, cleaned, 2.0, AUM, cap=0.005)
         assert warn
         assert vol < 2.0
         assert np.max(np.abs(w)) <= 0.005 * AUM * (1 + 1e-9)
 
     def test_capped_book_on_target_not_flagged(self):
-        """A cap binds and the target is within reach: the tempered book
-        meets the target and is not flagged."""
+        """A cap binds and the target is within reach: the book meets the
+        target and is not flagged."""
         cleaned = self.fixed_cleaned(seed=45)
         rng = np.random.Generator(np.random.Philox(145))
         scores = rng.uniform(-0.5, 0.5, 20)
-        prev = rng.uniform(-0.01, 0.01, 20) * AUM
-        w, vol, warn = pf.build_long_short(
-            scores, cleaned, 0.01, AUM, prev, np.full(20, 1e7),
-            costs.CostModelParams(), cap=0.02,
-        )
+        w, vol, warn = pf.build_long_short(scores, cleaned, 0.01, AUM, cap=0.02)
         assert not warn
         assert vol == pytest.approx(0.01, rel=1e-9)
         assert np.max(np.abs(w)) == pytest.approx(0.02 * AUM, rel=1e-9)
@@ -543,20 +519,14 @@ class TestLongShortBook:
         assert abs(np.sum(w)) < 1e-9 * gmv
         assert abs(cleaned.leading_eigenvector @ w[cleaned.asset_indices]) < 1e-9 * gmv
 
-    @pytest.mark.parametrize("held", [False, True])
     @pytest.mark.parametrize("c", [1.0, 1e3, 1e6])
-    def test_signal_without_neutral_part_is_flat(self, c, held):
+    def test_signal_without_neutral_part_is_flat(self, c):
         """Scores c*v + 5 lie in the span of [1, v], so their neutral part is
-        rounding: the book is flat and flagged, with no predicted vol, and a
-        held book is sold without cost tempering. It is not the rounding
-        scaled up until the caps bind."""
+        rounding: the book is flat and flagged, with no predicted vol. It is
+        not the rounding scaled up until the caps bind."""
         cleaned = self.fixed_cleaned(n=30, seed=37)
         v = cleaned.leading_eigenvector
-        rng = np.random.Generator(np.random.Philox(38))
-        prev = rng.uniform(-0.01, 0.01, 30) * AUM if held else np.zeros(30)
-        params = costs.CostModelParams() if held else costs.ZERO_COSTS
-        w, vol, warn = pf.build_long_short(c * v + 5.0, cleaned, 0.05, AUM, prev,
-                                           np.full(30, 1e7), params, cap=0.03)
+        w, vol, warn = pf.build_long_short(c * v + 5.0, cleaned, 0.05, AUM, cap=0.03)
         assert warn
         assert vol == 0.0
         assert np.all(w == 0.0)
@@ -705,6 +675,20 @@ class TestCappedBook:
         assert float(w @ cov @ w) < target
         assert np.max(np.abs(w)) <= 1.0 + 1e-9
         assert abs(np.sum(w)) <= 1e-9 * gross and abs(v @ w) <= 1e-9 * gross
+
+
+def lh_track(dates, ret_pnl, trading_cost=None):
+    """An LH result that holds nothing: its daily P&L is ret_pnl plus
+    trading_cost (default none)."""
+    zeros = np.zeros(len(dates))
+    tc = zeros if trading_cost is None else trading_cost
+    return pf.BacktestResult(
+        dates=dates, assets=(), mode="LH", aum=AUM, ret_pnl=ret_pnl,
+        trading_cost=tc, financing_cost=zeros, borrow_cost=zeros,
+        total_pnl=ret_pnl + tc, traded_notional=zeros, gross_stock=zeros,
+        net_stock=zeros, hedge_notional=zeros, predicted_vol=zeros,
+        vol_warning=zeros, positions=np.zeros((len(dates), 0)),
+    )
 
 
 class TestBacktest:
@@ -891,6 +875,21 @@ class TestBacktest:
         assert np.all(np.any(ls.positions[~cold] != 0.0, axis=1))
         assert np.all(lh.vol_warning == 0.0)
 
+    def test_ls_book_does_not_read_cost_aversion(self, market20):
+        """LS with full costs trades into the same book at every
+        cost_aversion: the backtest charges the costs, the book ignores
+        them."""
+        panel, _, mom = market20
+        runs = [pf.run_backtest(panel, mom,
+                                pf.StrategyConfig(mode="LS", aum=AUM, cost_aversion=a),
+                                costs.CostModelParams(), start=panel.dates[260])
+                for a in (0.0, 1.0, 10.0)]
+        assert np.all(runs[0].trading_cost < 0.0)
+        for res in runs[1:]:
+            assert np.array_equal(res.positions, runs[0].positions)
+            for column in pf.BacktestResult.COLUMNS:
+                assert np.array_equal(getattr(res, column), getattr(runs[0], column))
+
     def test_unreachable_vol_target_flagged_every_day(self, market20, tmp_path):
         panel, _, mom = market20
         cfg = pf.StrategyConfig(mode="LS", aum=AUM, cap=0.03, vol_target=0.5)
@@ -1039,22 +1038,11 @@ class TestBacktest:
         panel_dates = data.business_days("2020-01-01", 700)
         dates = panel_dates[100:650]
         pnl = 1e7 * (1e-4 + rng.standard_normal(len(dates)))
-
-        def track(dates, pnl):
-            zeros = np.zeros(len(dates))
-            return pf.BacktestResult(
-                dates=dates, assets=(), mode="LH", aum=AUM, ret_pnl=pnl,
-                trading_cost=zeros, financing_cost=zeros, borrow_cost=zeros,
-                total_pnl=pnl, traded_notional=zeros, gross_stock=zeros,
-                net_stock=zeros, hedge_notional=zeros, predicted_vol=zeros,
-                vol_warning=zeros, positions=np.zeros((len(dates), 0)),
-            )
-
-        lh = track(dates, pnl)
+        lh = lh_track(dates, pnl)
 
         def per_day_loop():
             window, min_obs = pf.MATCHED_VOL_WINDOW, pf.MATCHED_VOL_MIN_OBS
-            rets = lh.total_pnl / lh.aum
+            rets = lh.ret_pnl / lh.aum
             marks = set(data.month_start_indices(dates).tolist())
             targets = np.full(len(dates), np.nan)
             current = np.nan
@@ -1082,9 +1070,21 @@ class TestBacktest:
         # the first estimate needs MATCHED_VOL_MIN_OBS days strictly before it
         n = pf.MATCHED_VOL_MIN_OBS
         with pytest.raises(pf.PortfolioError, match="too short"):
-            pf.lh_matched_vol_targets(track(dates[:n], pnl[:n]), panel_dates)
+            pf.lh_matched_vol_targets(lh_track(dates[:n], pnl[:n]), panel_dates)
         assert np.all(np.isfinite(pf.lh_matched_vol_targets(
-            track(dates[:n + 1], pnl[:n + 1]), panel_dates)))
+            lh_track(dates[:n + 1], pnl[:n + 1]), panel_dates)))
+
+    def test_lh_matched_vol_targets_ignore_trading_cost(self):
+        """Day one buys the whole book. Its trading cost is a drag the book
+        pays, not the risk of the bet, so it moves no target."""
+        rng = np.random.Generator(np.random.Philox(13))
+        dates = data.business_days("2020-01-01", 400)
+        pnl = 1e7 * (1e-4 + rng.standard_normal(len(dates)))
+        entry = np.zeros(len(dates))
+        entry[0] = -0.05 * AUM
+        assert np.array_equal(
+            pf.lh_matched_vol_targets(lh_track(dates, pnl, entry), dates),
+            pf.lh_matched_vol_targets(lh_track(dates, pnl), dates))
 
     def test_calendar_gap_rejected(self):
         dates = np.concatenate([

@@ -343,6 +343,10 @@ class TestEma:
         assert np.isnan(out[1, 0])
         assert out[2, 0] == pytest.approx(0.5)
 
+    def test_unscored_array_stays_missing(self):
+        out = signals.smooth_ema(np.full((6, 2), np.nan), 9)
+        assert out.shape == (6, 2) and np.all(np.isnan(out))
+
     def test_linearity(self):
         rng = np.random.Generator(np.random.Philox(6))
         x = rng.standard_normal((80, 4))

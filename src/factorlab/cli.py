@@ -411,8 +411,10 @@ def cmd_backtest(cfg, config_dir: str, out: Outputs, seed) -> None:
             lh_result = result
         result.write_csv(out.path(f"backtest_{mode}.csv"))
         summary[mode] = dataclasses.asdict(analytics.cost_attribution(result))
-    if len(modes) == 2 and summary["LH"]["sharpe"] and summary["LS"]["sharpe"]:
-        summary["ls_minus_lh_sharpe"] = summary["LS"]["sharpe"] - summary["LH"]["sharpe"]
+    if len(modes) == 2:
+        lh, ls = summary["LH"]["sharpe"], summary["LS"]["sharpe"]
+        if lh is not None and ls is not None:
+            summary["ls_minus_lh_sharpe"] = ls - lh
     out.write_json("backtest_summary.json", summary)
 
 

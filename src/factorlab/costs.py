@@ -46,10 +46,6 @@ class CostModelParams:
             if not getattr(self, name) >= 0:
                 raise CostError(f"{name} must be non-negative, got {getattr(self, name)!r}")
 
-    @property
-    def is_free(self) -> bool:
-        return self.linear_rate == 0.0 and self.impact_coeff == 0.0
-
 
 ZERO_COSTS = CostModelParams(0.0, 0.0, 0.0, 0.0)
 

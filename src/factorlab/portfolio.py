@@ -121,24 +121,21 @@ def _constant_columns(x: np.ndarray) -> np.ndarray:
 
 
 def clean_correlation(returns_window: np.ndarray,
-                      asset_indices: np.ndarray | None = None,
-                      asset_names=None) -> CleanedCorrelation:
+                      asset_indices: np.ndarray | None = None) -> CleanedCorrelation:
     """Clean the sample correlation matrix of a (T, N) return window."""
     x = np.asarray(returns_window, dtype=float)
     if x.ndim != 2:
         raise PortfolioError("returns window must be 2-D (days x assets)")
     t, n = x.shape
-    if asset_indices is None:
-        asset_indices = np.arange(n)
+    asset_indices = np.arange(n) if asset_indices is None else np.asarray(asset_indices)
     if np.any(~np.isfinite(x)):
         raise PortfolioError("returns window contains missing values")
     if t < MIN_CLEAN_DAYS:
         raise PortfolioError(f"need at least {MIN_CLEAN_DAYS} days to clean, got {t}")
     degenerate = _constant_columns(x)
     if np.any(degenerate):
-        j = int(np.nonzero(degenerate)[0][0])
-        name = asset_names[j] if asset_names is not None else f"column {j}"
-        raise PortfolioError(f"degenerate (constant) return series: {name}")
+        raise PortfolioError("degenerate (constant) return series: "
+                             f"column {asset_indices[np.argmax(degenerate)]}")
     vols = np.std(x, axis=0, ddof=1)
     z = (x - np.mean(x, axis=0)) / np.std(x, axis=0)
     corr = z.T @ z / t
@@ -161,7 +158,7 @@ def clean_correlation(returns_window: np.ndarray,
     if np.sum(v) < 0:
         v = -v
     return CleanedCorrelation(
-        asset_indices=np.asarray(asset_indices), corr=cleaned, vols=vols,
+        asset_indices=asset_indices, corr=cleaned, vols=vols,
         n_clipped=n_clipped,
         leading_eigenvector=v, leading_eigenvalue=float(top_vals[-1]),
     )
@@ -321,8 +318,9 @@ def optimize_long_only(scores: np.ndarray, prev_positions: np.ndarray,
     survives, and a floor never buys it.
 
     The returned book is the exact optimum (see _solve_budget_dual) at
-    every cost level. At zero cost (is_free, or cost_aversion = 0) it is the
-    greedy linear-program fill, and a binding floor is met exactly.
+    every cost level. At zero cost (no linear rate and no impact, or
+    cost_aversion = 0) it is the greedy linear-program fill, and a binding
+    floor is met exactly.
     """
     if aum <= 0:
         raise PortfolioError("aum must be positive")
@@ -607,7 +605,7 @@ def _lh_step(panel, config, cost_params, adv, sigma, index_returns):
     return step
 
 
-def _ls_step(panel, config, cost_params, adv, sigma, vol_target_series):
+def _ls_step(panel, config, vol_target_series):
     """LS's daily step: the book on the correlation cleaned on month starts
     (and every day until two assets have a score and a full, non-constant
     return window), flat while it is not."""
@@ -624,18 +622,8 @@ def _ls_step(panel, config, cost_params, adv, sigma, vol_target_series):
                              & ~_constant_columns(window))[0]
             # a short history or fewer than two eligible assets (e.g. the
             # signal is still warming up): no book today, clean again tomorrow
-            cleaned = clean_correlation(
-                window[:, idx], asset_indices=idx,
-                asset_names=[panel.assets[j] for j in idx],
-            ) if lo >= 0 and len(idx) >= 2 else None
-        book = w != 0.0
-        if cleaned is not None:
-            book[cleaned.asset_indices] = True
-        bad = np.nonzero(book & np.isnan(impact_rates(adv[t], sigma[t], cost_params)))[0]
-        if len(bad):
-            raise PortfolioError(
-                f"cannot price a trade in {panel.assets[bad[0]]} on {panel.dates[t]}: "
-                "its ADV is missing or not positive, or its trailing vol is missing")
+            cleaned = clean_correlation(window[:, idx], asset_indices=idx) \
+                if lo >= 0 and len(idx) >= 2 else None
         if cleaned is None:
             return np.zeros(len(w)), 0.0, 0.0, True
         vt = config.vol_target
@@ -664,11 +652,13 @@ def run_backtest(panel: ReturnsPanel, signal: np.ndarray, config: StrategyConfig
     finite, letting the long-short book track another strategy's realized
     volatility. Deterministic: same inputs, bit-identical result.
 
-    If no trade in the date range can be priced (`costs.impact_rates` is
-    NaN everywhere), the run stops before its first day. Otherwise LH
-    freezes an asset it cannot price, and LS stops on a day it holds or may
-    trade one. LH buys an asset only once its beta window holds enough
-    returns.
+    Which trade can be priced is `costs.impact_rates`'s rule, read once
+    for the date range. If no trade in it can be priced, the run stops
+    before its first day. Otherwise the loop stops on the first day it
+    would trade an asset it cannot price, naming the asset and the date.
+    LH never gets there (optimize_long_only freezes such an asset), so
+    this is LS's stop. LH buys an asset only once its beta window holds
+    enough returns.
     """
     ret = panel.field("ret")
     t_total, n = ret.shape
@@ -688,7 +678,8 @@ def run_backtest(panel: ReturnsPanel, signal: np.ndarray, config: StrategyConfig
         )
 
     sigma = rolling_vols(ret, window=config.vol_window)
-    if np.all(np.isnan(impact_rates(adv_panel[i0:i1], sigma[i0:i1], cost_params))):
+    unpriceable = np.isnan(impact_rates(adv_panel[i0:i1], sigma[i0:i1], cost_params))
+    if np.all(unpriceable):
         raise PortfolioError(
             f"no trade can be priced from {panel.dates[i0]} to {panel.dates[i1 - 1]}: "
             f"impact_coeff = {cost_params.impact_coeff} needs a finite positive ADV "
@@ -696,8 +687,7 @@ def run_backtest(panel: ReturnsPanel, signal: np.ndarray, config: StrategyConfig
     if config.mode == "LH":
         step_fn = _lh_step(panel, config, cost_params, adv_panel, sigma, index_returns)
     else:
-        step_fn = _ls_step(panel, config, cost_params, adv_panel, sigma,
-                           vol_target_series)
+        step_fn = _ls_step(panel, config, vol_target_series)
     if borrow_fees is None:
         borrow_fees = np.full(n, cost_params.default_borrow_fee)
 
@@ -728,6 +718,11 @@ def run_backtest(panel: ReturnsPanel, signal: np.ndarray, config: StrategyConfig
         trades = target - w
         traded = float(np.sum(np.abs(trades)))
         live = trades != 0
+        bad = np.nonzero(live & unpriceable[step])[0]
+        if len(bad):
+            raise PortfolioError(
+                f"cannot price a trade in {panel.assets[bad[0]]} on {panel.dates[t]}: "
+                "its ADV is missing or not positive, or its trailing vol is missing")
         tc = float(np.sum(trade_cost(np.abs(trades[live]), adv_panel[t][live],
                                      sigma[t][live], cost_params)))
         w = target

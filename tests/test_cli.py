@@ -355,6 +355,17 @@ class TestBacktest:
         assert (dest / "backtest_LH.csv").exists()
         assert (dest / "backtest_LS.csv").exists()
 
+    def test_zero_sharpes_keep_their_difference(self, gen_dir, tmp_path, monkeypatch):
+        # a Sharpe of exactly 0.0 is defined: only None (no variance) drops the key
+        _, _, out = gen_dir
+        monkeypatch.setattr(analytics, "sharpe", lambda *a, **kw: 0.0)
+        cfg = tmp_path / "bt.cfg"
+        self.write_cfg(cfg, out / "panel.csv", out / "truth_series.csv",
+                       extra="end = 2001-12-31\n")
+        dest = tmp_path / "bt"
+        assert run(["backtest", "--config", str(cfg), "--out", str(dest)]) == 0
+        assert read_json(dest / "backtest_summary.json")["ls_minus_lh_sharpe"] == 0.0
+
     def test_benchmark_spans_see_each_backtest_layer(self, tmp_path):
         # perfbench/spans.py times the backtest's layers by their public
         # names, so a BOTH run must pass through each of them

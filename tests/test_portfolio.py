@@ -147,8 +147,8 @@ class TestCleanCorrelation:
         rng = np.random.Generator(np.random.Philox(8))
         x = rng.standard_normal((100, 3))
         x[:, 1] = 0.42
-        with pytest.raises(pf.PortfolioError, match="BBB"):
-            pf.clean_correlation(x, asset_names=["AAA", "BBB", "CCC"])
+        with pytest.raises(pf.PortfolioError, match="column 11"):
+            pf.clean_correlation(x, asset_indices=np.array([10, 11, 12]))
 
     def test_short_window_rejected(self):
         with pytest.raises(pf.PortfolioError, match="60"):
@@ -1032,6 +1032,21 @@ class TestBacktest:
                  ["impact_coeff = 1.0", str(panel.dates[260]), str(panel.dates[-1])])
         for part in parts:
             assert part in str(info.value)
+
+    def test_ls_stops_only_on_a_trade_it_cannot_price(self, market20):
+        """A zero signal has no neutral part, so LS never trades: an eligible
+        asset losing its ADV mid-run does not stop the flat book."""
+        panel, _, _ = market20
+        arrays = dict(panel.arrays, adv=panel.arrays["adv"].copy())
+        arrays["adv"][280:, 3] = np.nan
+        holed = data.ReturnsPanel(dates=panel.dates, assets=panel.assets,
+                                  regions=panel.regions, arrays=arrays)
+        res = pf.run_backtest(holed, np.zeros((panel.n_dates, panel.n_assets)),
+                              pf.StrategyConfig(mode="LS", aum=AUM),
+                              costs.CostModelParams(), start=panel.dates[260])
+        assert len(res.dates) == 40
+        assert np.all(res.positions == 0.0)
+        assert np.all(res.vol_warning == 1.0)
 
     def test_lh_matched_vol_targets_match_per_day_loop(self):
         rng = np.random.Generator(np.random.Philox(12))
